@@ -106,6 +106,32 @@ class BaseWord:
         return len(self.symbols)
 
 
+def _symbols(word) -> tuple[int, ...]:
+    return tuple(word.symbols) if isinstance(word, BaseWord) else tuple(word)
+
+
+@dataclass(frozen=True)
+class PrefixTree:
+    """Admissible base words of lengths 1..L, level k holding the words of length k+1.
+
+    Per level, in lexicographic word order: last symbol, index of the prefix
+    in the previous level (-1 at level 0) and stationary cylinder probability.
+    """
+
+    symbol: tuple[np.ndarray, ...]
+    parent: tuple[np.ndarray, ...]
+    prob: tuple[np.ndarray, ...]
+
+    def words(self) -> np.ndarray:
+        """The deepest level's words as an (N, L) symbol array."""
+        out = np.empty((len(self.symbol[-1]), len(self.symbol)), dtype=np.int64)
+        idx = np.arange(out.shape[0])
+        for k in range(out.shape[1] - 1, -1, -1):
+            out[:, k] = self.symbol[k][idx]
+            idx = self.parent[k][idx]
+        return out
+
+
 @dataclass(frozen=True)
 class BaseChain:
     """Finite-state ergodic Markov chain (states, row-stochastic transition, stationary)."""
@@ -113,6 +139,7 @@ class BaseChain:
     states: tuple[str, ...]
     transition: np.ndarray
     stationary: np.ndarray = field(default=None)  # type: ignore[assignment]
+    _tree: PrefixTree | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         T = np.asarray(self.transition, dtype=float)
@@ -144,26 +171,36 @@ class BaseChain:
             prob *= float(self.transition[a, b])
         return prob
 
+    def prefix_tree(self, length: int, budget: int = DEFAULT_BUDGET) -> PrefixTree:
+        """Prefix tree of the admissible words of lengths 1..length.
+
+        The longest tree built so far is kept on the chain and shorter
+        requests read its first levels; the budget is checked on every request.
+        """
+        if length < 1:
+            raise ValueError("word length must be >= 1")
+        if self.num_states ** length > budget:
+            raise BudgetExceeded(f"{self.num_states}^{length} base words exceed budget {budget}")
+        tree = self._tree
+        if tree is None or len(tree.symbol) < length:
+            S, T = self.num_states, self.transition
+            symbol, parent, prob = [np.arange(S)], [np.full(S, -1)], [self.stationary]
+            for _ in range(1, length):
+                par, sym = np.nonzero(T[symbol[-1]] > 0.0)
+                prob.append(prob[-1][par] * T[symbol[-1][par], sym])
+                symbol.append(sym)
+                parent.append(par)
+            for level in (*symbol, *parent, *prob):
+                level.setflags(write=False)  # shared by every caller of the cache
+            tree = PrefixTree(tuple(symbol), tuple(parent), tuple(prob))
+            object.__setattr__(self, "_tree", tree)
+        return PrefixTree(tree.symbol[:length], tree.parent[:length], tree.prob[:length])
+
 
 def enumerate_base_words(chain: BaseChain, n: int, budget: int = DEFAULT_BUDGET) -> list[BaseWord]:
-    """All admissible length-n words with their cylinder probabilities."""
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    if chain.num_states ** n > budget:
-        raise BudgetExceeded(f"{chain.num_states}^{n} base words exceed budget {budget}")
-    T = chain.transition
-    words: list[BaseWord] = []
-    stack = [((s,), float(chain.stationary[s])) for s in reversed(range(chain.num_states))]
-    while stack:
-        prefix, prob = stack.pop()
-        if len(prefix) == n:
-            words.append(BaseWord(prefix, prob))
-            continue
-        last = prefix[-1]
-        for b in reversed(range(chain.num_states)):
-            if T[last, b] > 0.0:
-                stack.append((prefix + (b,), prob * float(T[last, b])))
-    return words
+    """All admissible length-n words with their cylinder probabilities, in lexicographic order."""
+    tree = chain.prefix_tree(n, budget)
+    return [BaseWord(tuple(w), p) for w, p in zip(tree.words().tolist(), tree.prob[-1].tolist())]
 
 
 def sample_path(chain: BaseChain, n: int, seed) -> BaseWord:
@@ -182,10 +219,3 @@ def sample_path(chain: BaseChain, n: int, seed) -> BaseWord:
         symbols[i] = rng.choice(k, p=chain.transition[symbols[i - 1]])
     syms = tuple(int(s) for s in symbols)
     return BaseWord(syms, chain.word_probability(syms))
-
-
-def words_matrix(words: list[BaseWord]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack words into an (N, L) int array plus their probability vector."""
-    arr = np.array([w.symbols for w in words], dtype=np.int64)
-    probs = np.array([w.probability for w in words], dtype=float)
-    return arr, probs

@@ -13,32 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, enumerate_base_words, sample_path, words_matrix
+from .base import DEFAULT_BUDGET, BaseChain, enumerate_base_words, sample_path
 from .bundle import BundleSFT
 from .errors import InvalidSampleCount, NoBracket, NonMonotone, SingularMatrix
 from .measures import RandomMarkovMeasure, cylinder_weights, validate_measure
-from .pressure import PressureEstimate, _additive_log_partition, _enumerated_log_partition
+from .pressure import _MONO_TOL, PressureEstimate, _batch_log_partition, _expected_log_z
 from .potentials import CocyclePotential, ScaledInverseNormPotential, _mat_norm
-
-_MONO_TOL = 1e-9
-
-
-def _log_z_batch(bundle, potential, words, depth, m, budget) -> np.ndarray:
-    """Unnormalized log partition sums at the given potential depth.
-
-    Depth 0 is the plain log cylinder count over the (m-1)-window.
-    """
-    add = potential.to_additive()
-    L = depth + m - 1
-    if add is not None or depth == 0:
-        table = add.table if add is not None else np.zeros((bundle.allowed.shape[0], bundle.num_symbols))
-        if L == 0:
-            return np.zeros(len(words))
-        arr, _ = words_matrix(words)
-        return _additive_log_partition(bundle, table, arr[:, :L], depth)
-    return np.array(
-        [_enumerated_log_partition(bundle, potential, w.symbols[:L], depth, m, budget) for w in words]
-    )
 
 
 def pressure_at_t(
@@ -57,27 +37,18 @@ def pressure_at_t(
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     potential = ScaledInverseNormPotential(cocycle, t)
-    L = n + m - 1
     if mode == "exact":
-        hi_words = enumerate_base_words(chain, L, budget=budget)
-        hi = _log_z_batch(bundle, potential, hi_words, n, m, budget)
-        hi_probs = np.array([w.probability for w in hi_words])
-        e_hi = float(np.dot(hi_probs, hi))
-        if n + m - 2 >= 1:
-            lo_words = enumerate_base_words(chain, n + m - 2, budget=budget)
-            lo = _log_z_batch(bundle, potential, lo_words, n - 1, m, budget)
-            lo_probs = np.array([w.probability for w in lo_words])
-            e_lo = float(np.dot(lo_probs, lo))
-        else:
-            e_lo = 0.0
+        e_hi = _expected_log_z(chain, bundle, potential, n, m, budget)
+        # E[log Z(n-1)] reads the first n+m-2 levels of the same base tree.
+        e_lo = _expected_log_z(chain, bundle, potential, n - 1, m, budget) if n + m > 2 else 0.0
         return PressureEstimate(n=n, m=m, value=e_hi - e_lo, mode="exact")
     if mode == "monte_carlo":
         if samples < 1:
             raise InvalidSampleCount(f"samples must be >= 1, got {samples}")
-        words = [sample_path(chain, L, seed=(seed, i)) for i in range(samples)]
-        hi = _log_z_batch(bundle, potential, words, n, m, budget)
-        lo = _log_z_batch(bundle, potential, words, n - 1, m, budget)
-        incs = hi - lo
+        words = [sample_path(chain, n + m - 1, seed=(seed, i)) for i in range(samples)]
+        incs = _batch_log_partition(bundle, potential, words, n, m, budget)
+        if n + m > 2:
+            incs = incs - _batch_log_partition(bundle, potential, words, n - 1, m, budget)
         value = float(np.mean(incs))
         std_error = float(np.std(incs, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
         return PressureEstimate(n=n, m=m, value=value, mode="monte_carlo",
@@ -106,7 +77,7 @@ class DimensionRoot:
     t_star: float
     bracket: tuple[float, float]
     pressure_at_root: float
-    iterations: tuple[tuple[float, float], ...]  # (t midpoint, pressure)
+    iterations: tuple[tuple[float, float], ...]  # (t, pressure) of each root step after the probes
     converged: bool
     upper_estimate: bool  # True when conformality could not be certified
 
@@ -126,7 +97,13 @@ def dimension_root(
     budget: int = DEFAULT_BUDGET,
     max_iter: int = 60,
 ) -> DimensionRoot:
-    """Bisection root of the monotone map t -> pressure_at_t."""
+    """Root of the monotone map t -> pressure_at_t by a bracketed secant step.
+
+    Illinois regula falsi shrinks the first sign-change pair among five probes
+    on [0, t_max], each step held tol_t/2 inside the bracket so both ends close
+    in.  bracket = (lo, hi) with P(lo) > 0 >= P(hi); t_star is its end of
+    smaller |P|; converged when hi - lo <= tol_t and |P(t_star)| <= tol_p.
+    """
 
     def p_of(t: float) -> float:
         return pressure_at_t(chain, bundle, cocycle, t, n, m, mode=mode,
@@ -147,20 +124,26 @@ def dimension_root(
         )
     if not (p0 > 0.0 >= pmax):
         raise NoBracket(f"pressure_at_t(0)={p0}, pressure_at_t({t_max})={pmax} do not straddle 0")
-    lo, hi = 0.0, t_max
-    t_star = 0.5 * (lo + hi)
-    p_star = p_of(t_star)
-    iterations: list[tuple[float, float]] = [(t_star, p_star)]
-    for _ in range(max_iter):
-        if hi - lo <= tol_t and abs(p_star) <= tol_p:
-            break
-        if p_star > 0.0:
-            lo = t_star
+    i = next(i for i, p in enumerate(pvals) if p <= 0.0)
+    lo, p_lo, hi, p_hi = float(probes[i - 1]), pvals[i - 1], float(probes[i]), pvals[i]
+    f_lo, f_hi = p_lo, p_hi  # secant weights, halved on a stale end (Illinois)
+    moved = 0  # +1 when the last step moved lo, -1 when it moved hi
+    iterations: list[tuple[float, float]] = []
+    t_star, p_star = (lo, p_lo) if p_lo < -p_hi else (hi, p_hi)
+    while len(iterations) < max_iter and not (hi - lo <= tol_t and abs(p_star) <= tol_p):
+        inset = 0.5 * min(tol_t, hi - lo)
+        t = min(max(lo + f_lo * (hi - lo) / (f_lo - f_hi), lo + inset), hi - inset)
+        p = p_of(t)
+        iterations.append((t, p))
+        if p > 0.0:
+            if moved > 0:
+                f_hi *= 0.5
+            lo, p_lo, f_lo, moved = t, p, p, 1
         else:
-            hi = t_star
-        t_star = 0.5 * (lo + hi)
-        p_star = p_of(t_star)
-        iterations.append((t_star, p_star))
+            if moved < 0:
+                f_lo *= 0.5
+            hi, p_hi, f_hi, moved = t, p, p, -1
+        t_star, p_star = (lo, p_lo) if p_lo < -p_hi else (hi, p_hi)
     return DimensionRoot(
         t_star=t_star,
         bracket=(lo, hi),

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseWord
+from .base import DEFAULT_BUDGET, BaseWord, _symbols
 from .errors import BudgetExceeded, WordTooShort
-
-
-def _symbols(word) -> tuple[int, ...]:
-    return tuple(word.symbols) if isinstance(word, BaseWord) else tuple(word)
 
 
 @dataclass(frozen=True)

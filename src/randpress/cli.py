@@ -211,7 +211,10 @@ def _run_dimension(exp: Experiment) -> tuple[dict, int]:
             n=min(run.N, 6), budget=run.budget,
         )
         results["lyapunov"] = {"top": top, "bottom": bottom, "spread": spread}
-    return results, 0
+    if not root.converged:
+        print(f"root did not converge: bracket {list(root.bracket)}, "
+              f"pressure {root.pressure_at_root}", file=sys.stderr)
+    return results, (0 if root.converged else 2)
 
 
 def _run_diagnose(exp: Experiment) -> tuple[dict, int]:

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseChain, BaseWord
+from .base import BaseChain, _symbols
 from .bundle import BundleSFT, apply_skew
 from .errors import SingularMatrix
-
-
-def _symbols(word) -> tuple[int, ...]:
-    return tuple(word.symbols) if isinstance(word, BaseWord) else tuple(word)
 
 
 class SubadditivePotential(ABC):

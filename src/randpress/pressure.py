@@ -3,8 +3,9 @@
 With the 2^-j fiber metric and epsilon = 2^-m, a maximal separated set holds
 exactly one point per admissible (n+m-1)-cylinder and the potential is
 constant on each, so the partition sum is an exact finite sum.  Additive (and
-additive-reducible) potentials get a log-space transfer DP that scales to
-large depths; everything else enumerates fiber words under a budget.
+additive-reducible) potentials get a log-space transfer DP that runs level by
+level along a tree of base words; everything else enumerates fiber words
+under a budget.
 """
 
 from __future__ import annotations
@@ -14,22 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .base import (
-    DEFAULT_BUDGET,
-    BaseChain,
-    BaseWord,
-    enumerate_base_words,
-    sample_path,
-    words_matrix,
-)
+from .base import DEFAULT_BUDGET, BaseChain, _symbols, enumerate_base_words, sample_path
 from .bundle import BundleSFT, enumerate_cylinders, separated_predicate
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation
 
 _MONO_TOL = 1e-9
-
-
-def _symbols(word) -> tuple[int, ...]:
-    return tuple(word.symbols) if isinstance(word, BaseWord) else tuple(word)
 
 
 @dataclass(frozen=True)
@@ -53,36 +43,32 @@ class PressureCurve:
     fit_slope: float
 
 
-def _log_adjacency(bundle: BundleSFT) -> np.ndarray:
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """Max-shifted log sum exp along one axis (scipy's costs several times more on small arrays)."""
+    peak = x.max(axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0  # an all -inf slice stays -inf
     with np.errstate(divide="ignore"):
-        return np.where(bundle.allowed == 1, 0.0, -np.inf)
+        return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis)
 
 
-def _additive_log_partition(
-    bundle: BundleSFT, table: np.ndarray, words: np.ndarray, n: int
-) -> np.ndarray:
-    """Vectorized log partition sums over a batch of base words.
+def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int) -> np.ndarray:
+    """Log partition sums of an additive potential at the last level of a base-word tree.
 
-    words is (N, L) with L = n + m - 1; node weights apply at positions < n.
+    Level k has last symbols symbol[k] and parent indices parent[k] into level
+    k-1 (a forest of unrelated words has parent[k] = arange).  V[node, a] is
+    the log weight of the node's fiber words ending in a; each level applies
+    allowed[u_{k-1}] once per parent node, then adds table[u_k] while k < depth.
     """
-    num_states = table.shape[0]
-    L = words.shape[1]
-    logM = _log_adjacency(bundle)  # (S, A, A)
-    V = table[words[:, 0], :].copy() if n >= 1 else np.zeros((words.shape[0], bundle.num_symbols))
-    for k in range(1, L):
-        src = words[:, k - 1]
-        new = np.empty_like(V)
-        for s in range(num_states):
-            idx = np.nonzero(src == s)[0]
-            if idx.size == 0:
-                continue
-            with np.errstate(invalid="ignore"):
-                new[idx] = logsumexp(V[idx][:, :, None] + logM[s][None, :, :], axis=1)
-        V = new
-        if k < n:
-            V = V + table[words[:, k], :]
-    with np.errstate(invalid="ignore"):
-        return logsumexp(V, axis=1)
+    logM = np.where(bundle.allowed == 1, 0.0, -np.inf)  # (S, A, A)
+    V = table[symbol[0]] if depth >= 1 else np.zeros((len(symbol[0]), bundle.num_symbols))
+    for k in range(1, len(symbol)):
+        V = _logsumexp(V[:, :, None] + logM[symbol[k - 1]], axis=1)[parent[k]]
+        if k < depth:
+            V = V + table[symbol[k]]
+    vals = _logsumexp(V, axis=1)
+    if not np.isfinite(vals).all():
+        raise EmptyFiber("no admissible fiber word over some base word")
+    return vals
 
 
 def _enumerated_log_partition(bundle, potential, u, n, m, budget) -> float:
@@ -108,14 +94,7 @@ def log_partition_sum(
     syms = _symbols(u)
     if len(syms) < n + m - 1:
         raise ValueError(f"base word must have length >= {n + m - 1}")
-    add = potential.to_additive()
-    if add is not None:
-        arr = np.array([syms[: n + m - 1]], dtype=np.int64)
-        val = _additive_log_partition(bundle, add.table, arr, n)[0]
-        if not np.isfinite(val):
-            raise EmptyFiber("no admissible fiber word over the given base word")
-        return float(val)
-    return _enumerated_log_partition(bundle, potential, syms, n, m, budget)
+    return float(_batch_log_partition(bundle, potential, [syms], n, m, budget)[0])
 
 
 _MAX_WORKERS = 1
@@ -134,28 +113,41 @@ def set_max_workers(count: int) -> None:
 
 
 def _batch_log_partition(bundle, potential, words, n, m, budget) -> np.ndarray:
-    """Log partition sums for a list of BaseWords (vectorized when additive)."""
+    """Log partition sums at depth n over a batch of base words (BaseWords or symbol rows).
+
+    Additive potentials run the tree kernel on the batch as a forest with no
+    shared prefixes; others enumerate fiber words word by word.
+    """
+    L = n + m - 1
+    arr = np.array([_symbols(w)[:L] for w in words], dtype=np.int64)
     add = potential.to_additive()
     if add is not None:
-        arr, _ = words_matrix(words)
-        vals = _additive_log_partition(bundle, add.table, arr, n)
-        if not np.isfinite(vals).all():
-            raise EmptyFiber("no admissible fiber word over some base word")
-        return vals
-    if _MAX_WORKERS > 1 and len(words) > 1:
+        return _tree_log_partition(bundle, add.table, arr.T, [np.arange(len(arr))] * L, n)
+    rows = arr.tolist()
+    if _MAX_WORKERS > 1 and len(rows) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
             vals = list(
                 pool.map(
-                    lambda w: _enumerated_log_partition(bundle, potential, w.symbols, n, m, budget),
-                    words,
+                    lambda w: _enumerated_log_partition(bundle, potential, w, n, m, budget),
+                    rows,
                 )
             )
         return np.array(vals)
-    return np.array(
-        [_enumerated_log_partition(bundle, potential, w.symbols, n, m, budget) for w in words]
-    )
+    return np.array([_enumerated_log_partition(bundle, potential, w, n, m, budget) for w in rows])
+
+
+def _expected_log_z(chain: BaseChain, bundle: BundleSFT, potential, n: int, m: int,
+                    budget: int) -> float:
+    """Exact E[log Z] at depth n over base words of length n+m-1, on the chain's cached tree."""
+    tree = chain.prefix_tree(n + m - 1, budget)
+    add = potential.to_additive()
+    if add is not None:
+        vals = _tree_log_partition(bundle, add.table, tree.symbol, tree.parent, n)
+    else:
+        vals = _batch_log_partition(bundle, potential, tree.words(), n, m, budget)
+    return float(np.dot(tree.prob[-1], vals))
 
 
 def expected_log_sum(
@@ -179,10 +171,7 @@ def expected_log_sum(
         raise ValueError("n and m must be >= 1")
     L = n + m - 1
     if mode == "exact":
-        words = enumerate_base_words(chain, L, budget=budget)
-        vals = _batch_log_partition(bundle, potential, words, n, m, budget)
-        probs = np.array([w.probability for w in words])
-        value = float(np.dot(probs, vals) / n)
+        value = _expected_log_z(chain, bundle, potential, n, m, budget) / n
         return PressureEstimate(n=n, m=m, value=value, mode="exact")
     if mode == "monte_carlo":
         if samples < 1:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from randpress import (
     sample_path,
     stationary_distribution,
 )
-from randpress.base import words_matrix
 from randpress.errors import BudgetExceeded, NonErgodicChain
 
 
@@ -109,9 +110,21 @@ def test_sample_path_frequencies():
         assert abs(freq - 0.5) <= 0.02
 
 
-def test_words_matrix_shapes():
+def test_prefix_tree_shapes():
     chain = BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]])
-    words = enumerate_base_words(chain, 3)
-    arr, probs = words_matrix(words)
-    assert arr.shape == (8, 3)
-    assert probs.sum() == pytest.approx(1.0)
+    tree = chain.prefix_tree(3)
+    assert tree.words().shape == (8, 3)
+    assert tree.prob[-1].sum() == pytest.approx(1.0)
+
+
+def test_prefix_tree_matches_brute_force_and_is_kept():
+    chain = BaseChain.from_transition([[0.5, 0.5], [1.0, 0.0]])  # 1 -> 1 forbidden
+    tree = chain.prefix_tree(4)
+    brute = [u for u in itertools.product(range(2), repeat=4) if chain.is_admissible(u)]
+    assert [tuple(w) for w in tree.words().tolist()] == brute
+    assert tree.prob[-1].tolist() == [chain.word_probability(u) for u in brute]
+    short = chain.prefix_tree(2)
+    assert len(short.symbol) == 2 and short.symbol[1] is tree.symbol[1]
+    assert len(chain.prefix_tree(6).symbol) == 6
+    with pytest.raises(BudgetExceeded):
+        chain.prefix_tree(3, budget=7)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -106,6 +107,75 @@ def test_dimension_root_upper_estimate_flag():
     coc = CocyclePotential(B)
     root = dimension_root(chain, bundle, coc, n=4, m=1, t_max=3.0)
     assert root.upper_estimate
+
+
+def mpmath_bowen_root(chain, bundle, coc, t_max):
+    """mpmath root of the finite-n depth increment of a row-uniform scalar system.
+
+    When every fiber row under base symbol s allows the same column set C_s,
+    E log Z(n) - E log Z(n-1) for n >= 2 equals
+    sum_{s,s'} pi_s T_ss' log sum_{a in C_s} b(s', a)^-t at every n and m.
+    """
+    allowed = bundle.allowed
+    assert (allowed == allowed[:, :1, :]).all(), "bundle is not row-uniform"
+    S = chain.num_states
+    with mpmath.workdps(40):
+        log_b = [[mpmath.log(mpmath.mpf(float(x))) for x in row] for row in coc.matrices[:, :, 0, 0]]
+        cols = [np.nonzero(allowed[s, 0])[0] for s in range(S)]
+
+        def increment(t):
+            return mpmath.fsum(
+                mpmath.mpf(float(chain.stationary[s])) * mpmath.mpf(float(chain.transition[s, r]))
+                * mpmath.log(mpmath.fsum(mpmath.exp(-t * log_b[r][a]) for a in cols[s]))
+                for s in range(S) for r in range(S)
+            )
+
+        return float(mpmath.findroot(increment, (mpmath.mpf(0), mpmath.mpf(t_max)),
+                                     solver="anderson"))
+
+
+@pytest.mark.parametrize("system, closed_form", [
+    (fix_e, math.log(2) / math.log(3)),
+    (fix_f, math.log(6) / math.log(12)),
+])
+def test_dimension_root_secant_steps_and_mpmath_root(system, closed_form):
+    chain, bundle, coc = system()
+    root = dimension_root(chain, bundle, coc, n=12, m=1, t_max=2.0)
+    assert root.converged
+    assert len(root.iterations) <= 10
+    assert abs(root.t_star - closed_form) <= 1e-6
+    assert abs(root.t_star - mpmath_bowen_root(chain, bundle, coc, 2.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("scales, interval", [
+    ((4.0, 6.0), (0.0, 0.5)),  # root near 0.44: first probe interval
+    ((1.8, 2.0, 2.2), (1.5, 2.0)),  # root near 1.6: last probe interval
+])
+def test_dimension_root_brackets_in_end_probe_intervals(scales, interval):
+    chain = one_state_chain()
+    bundle = full_shift_bundle(1, len(scales))
+    coc = CocyclePotential(np.array(scales).reshape(1, len(scales), 1, 1))
+    want = mpmath_bowen_root(chain, bundle, coc, 2.0)
+    assert interval[0] < want < interval[1]
+    root = dimension_root(chain, bundle, coc, n=6, m=2, t_max=2.0)
+    lo, hi = root.bracket
+    assert root.converged
+    assert interval[0] <= lo <= root.t_star <= hi <= interval[1]
+    assert hi - lo <= 1e-8
+    assert pressure_at_t(chain, bundle, coc, lo, 6, 2).value > 0.0
+    assert pressure_at_t(chain, bundle, coc, hi, 6, 2).value <= 0.0
+    assert abs(root.t_star - want) <= 1e-10
+
+
+def test_dimension_root_reports_non_convergence():
+    chain = one_state_chain()
+    bundle = full_shift_bundle()
+    coc = CocyclePotential(np.array([2.0, 3.0]).reshape(1, 2, 1, 1))
+    root = dimension_root(chain, bundle, coc, n=4, m=1, t_max=2.0, tol_t=0.0, max_iter=8)
+    assert not root.converged
+    assert len(root.iterations) == 8
+    lo, hi = root.bracket
+    assert lo <= root.t_star <= hi
 
 
 def test_lyapunov_spread_scalar_zero():

@@ -138,6 +138,24 @@ def test_dimension_verb(tmp_path):
     assert abs(report["results"]["t_star"] - math.log(2) / math.log(3)) <= 1e-6
 
 
+def test_dimension_not_converged_exit_two(tmp_path, capsys):
+    tree = {
+        "base": {"transition": [[1.0]]},
+        "bundle": {"allowed": [[[1, 1], [1, 1]]]},
+        "potential": {"kind": "cocycle", "matrices": [[2.0, 3.0]]},
+        "run": {"verb": "dimension", "n_list": [5], "m_list": [1], "seed": 0,
+                "t_max": 2.0},
+    }
+    cfg = write_config(tmp_path, tree)
+    out = tmp_path / "o"
+    # The bracket keeps P(lo) > 0 >= P(hi), so it never closes to width 0.
+    assert cli.run(cfg, overrides=["run.tol_t=0"], output_dir=str(out)) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["results"]["converged"] is False
+    assert "did not converge" in capsys.readouterr().err
+    assert cli.run(cfg, output_dir=str(tmp_path / "ok")) == 0
+
+
 def test_diagnose_verb(tmp_path):
     tree = json.loads(json.dumps(FIX_A_TREE))
     tree["run"].update({"verb": "diagnose", "n_list": [4], "m_list": [2]})
