@@ -1,7 +1,7 @@
 """Pressure, entropy and dimension workbench for random subshifts."""
 
 from .base import BaseChain, BaseWord, enumerate_base_words, sample_path, stationary_distribution
-from .bundle import BundleSFT, Cylinder, apply_skew, enumerate_cylinders, separated_predicate
+from .bundle import BundleSFT, apply_skew, enumerate_cylinders, separated_predicate
 from .bowen import DimensionRoot, dimension_root, lyapunov_spread, pressure_at_t
 from .measures import (
     FStarBracket,

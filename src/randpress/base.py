@@ -58,11 +58,7 @@ def _period(adj: np.ndarray) -> int:
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary probability vector p with p @ T = p.
-
-    Direct linear solve for small chains (exact at desk scale), power
-    iteration with tight tolerance beyond.
-    """
+    """Stationary probability vector p with p @ T = p, by one least-squares solve."""
     T = np.asarray(transition, dtype=float)
     n = T.shape[0]
     if T.shape != (n, n):
@@ -74,20 +70,11 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
         raise NonErgodicChain("positive-transition graph is not strongly connected")
     if _period(adj) != 1:
         raise NonErgodicChain("positive-transition graph is periodic")
-    if n <= 8:
-        # Solve p (T - I) = 0 together with sum(p) = 1.
-        A = np.vstack([T.T - np.eye(n), np.ones(n)])
-        b = np.zeros(n + 1)
-        b[-1] = 1.0
-        p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    else:
-        p = np.full(n, 1.0 / n)
-        for _ in range(1_000_000):
-            q = p @ T
-            if np.max(np.abs(q - p)) < 1e-14:
-                p = q
-                break
-            p = q
+    # Solve p (T - I) = 0 together with sum(p) = 1.
+    A = np.vstack([T.T - np.eye(n), np.ones(n)])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    p, *_ = np.linalg.lstsq(A, b, rcond=None)
     p = np.maximum(p, 0.0)
     p = p / p.sum()
     if np.max(np.abs(p @ T - p)) > _STATIONARY_TOL or np.any(p <= 0.0):
@@ -122,11 +109,12 @@ class PrefixTree:
     parent: tuple[np.ndarray, ...]
     prob: tuple[np.ndarray, ...]
 
-    def words(self) -> np.ndarray:
-        """The deepest level's words as an (N, L) symbol array."""
-        out = np.empty((len(self.symbol[-1]), len(self.symbol)), dtype=np.int64)
+    def words(self, length: int | None = None) -> np.ndarray:
+        """The words of one length (default: the deepest level) as an (N, length) symbol array."""
+        length = len(self.symbol) if length is None else length
+        out = np.empty((len(self.symbol[length - 1]), length), dtype=np.int64)
         idx = np.arange(out.shape[0])
-        for k in range(out.shape[1] - 1, -1, -1):
+        for k in range(length - 1, -1, -1):
             out[:, k] = self.symbol[k][idx]
             idx = self.parent[k][idx]
         return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseWord, _symbols
+from .base import DEFAULT_BUDGET, _symbols
 from .errors import BudgetExceeded, WordTooShort
 
 
@@ -64,35 +64,35 @@ class BundleSFT:
         return all(self.allowed[u[k], w[k], w[k + 1]] == 1 for k in range(len(w) - 1))
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """A finite (base word, fiber word) pair of equal length."""
+def fiber_budget(bundle: BundleSFT, ell: int, budget: int) -> None:
+    """Raise BudgetExceeded when A^ell fiber words exceed the budget."""
+    if bundle.num_symbols ** ell > budget:
+        raise BudgetExceeded(f"{bundle.num_symbols}^{ell} fiber words exceed budget {budget}")
 
-    base_word: BaseWord
-    fiber_word: tuple[int, ...]
+
+def fiber_words(bundle: BundleSFT, base: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Admissible length-ell fiber words over each row of an (N, >= ell-1) base-word array.
+
+    Grown one symbol per level under allowed[u_{k-1}].  Returns (row, words):
+    words[r] lies over base[row[r]], rows in base order and, over one base
+    word, in lexicographic order.
+    """
+    A = bundle.num_symbols
+    row = np.repeat(np.arange(len(base)), A)
+    words = np.tile(np.arange(A), len(base))[:, None]
+    for k in range(1, ell):
+        par, sym = np.nonzero(bundle.allowed[base[row, k - 1], words[:, -1]])
+        row, words = row[par], np.column_stack([words[par], sym])
+    return row, words
 
 
 def enumerate_cylinders(bundle: BundleSFT, u, ell: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """All admissible fiber words of length ell over the base word u."""
+    """All admissible fiber words of length ell over the base word u, in lexicographic order."""
     syms = _symbols(u)
     if ell < 1 or ell > len(syms):
         raise ValueError("need |u| >= ell >= 1")
-    if bundle.num_symbols ** ell > budget:
-        raise BudgetExceeded(f"{bundle.num_symbols}^{ell} fiber words exceed budget {budget}")
-    M = bundle.allowed
-    words: list[tuple[int, ...]] = []
-    stack = [((a,),) for a in reversed(range(bundle.num_symbols))]
-    stack = [w[0] for w in stack]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == ell:
-            words.append(prefix)
-            continue
-        k = len(prefix) - 1
-        for b in reversed(range(bundle.num_symbols)):
-            if M[syms[k], prefix[-1], b]:
-                stack.append(prefix + (b,))
-    return words
+    fiber_budget(bundle, ell, budget)
+    return [tuple(w) for w in fiber_words(bundle, np.array([syms]), ell)[1].tolist()]
 
 
 def transfer_count(bundle: BundleSFT, u, ell: int) -> int:

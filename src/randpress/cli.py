@@ -29,7 +29,6 @@ from .pressure import (
     greedy_maximal_separated,
     log_partition_sum,
     pressure_curve,
-    set_max_workers,
 )
 from .varprinciple import empirical_measure_diagnostic, vp_gap
 
@@ -247,7 +246,11 @@ _VERB_RUNNERS = {
 def run(config_path: str, overrides: list[str] | None = None,
         verb: str | None = None, threads: int | None = None,
         output_dir: str | None = None) -> int:
-    """Run one experiment; returns the process exit code."""
+    """Run one experiment; returns the process exit code.
+
+    threads is accepted for compatibility and ignored: every verb runs on the
+    calling thread.
+    """
     started = time.monotonic()
     try:
         overrides = list(overrides or [])
@@ -256,8 +259,6 @@ def run(config_path: str, overrides: list[str] | None = None,
         if output_dir is not None:
             overrides.append(f"output.dir={output_dir}")
         exp = load_experiment(config_path, overrides)
-        if threads is not None:
-            set_max_workers(threads)
         try:
             results, code = _VERB_RUNNERS[exp.run.verb](exp)
         except InvariantViolation as exc:
@@ -284,7 +285,7 @@ def main(argv=None) -> int:
                         metavar="PATH=VALUE", help="override a config key, e.g. run.seed=7")
     parser.add_argument("--verb", default=None, help="override run.verb")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (results unchanged)")
+                        help="ignored; kept so existing command lines still run")
     parser.add_argument("--out", default=None, help="override output.dir")
     args = parser.parse_args(argv)
     return run(args.config, args.overrides, verb=args.verb,

@@ -25,6 +25,11 @@ class SubadditivePotential(ABC):
     def eval(self, u, w, n: int) -> float:
         """Value of f_n on the cylinder given by the first n coordinates of (u, w)."""
 
+    def eval_batch(self, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int) -> np.ndarray:
+        """f_n on each row of stacked (N, >= n) base and fiber word arrays."""
+        return np.array([self.eval(u, w, n) for u, w in zip(base_arr.tolist(), fiber_arr.tolist())],
+                        dtype=float)
+
     def to_additive(self) -> "AdditivePotential | None":
         """An exactly equivalent additive potential, when one exists."""
         return None
@@ -45,15 +50,19 @@ class AdditivePotential(SubadditivePotential):
         us, ws = _symbols(u), tuple(w)
         return float(sum(self.table[us[k], ws[k]] for k in range(n)))
 
+    def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
+        return self.table[base_arr[:, :n], fiber_arr[:, :n]].sum(axis=1)
+
     def to_additive(self):
         return self
 
 
-def _mat_norm(P: np.ndarray, kind: str) -> float:
+def _mat_norm(P: np.ndarray, kind: str) -> np.ndarray:
+    """Norm of a matrix, or of each matrix in a stack (largest singular value or max row sum)."""
     if kind == "spectral":
-        return float(np.linalg.norm(P, 2))
+        return np.linalg.svd(P, compute_uv=False)[..., 0]
     if kind == "max_row_sum":
-        return float(np.linalg.norm(P, np.inf))
+        return np.abs(P).sum(axis=-1).max(axis=-1)
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -88,8 +97,18 @@ class CocyclePotential(SubadditivePotential):
             P = self.matrices[us[k], ws[k]] @ P
         return P
 
+    def products(self, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int) -> np.ndarray:
+        """Stacked products over the first n coordinates of each (base, fiber) row."""
+        P = np.broadcast_to(np.eye(self.dim), (len(base_arr), self.dim, self.dim))
+        for k in range(n):
+            P = self.matrices[base_arr[:, k], fiber_arr[:, k]] @ P
+        return P
+
     def eval(self, u, w, n: int) -> float:
         return float(np.log(_mat_norm(self.product(u, w, n), self.norm_kind)))
+
+    def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
+        return np.log(_mat_norm(self.products(base_arr, fiber_arr, n), self.norm_kind))
 
     def to_additive(self):
         if self.dim != 1:
@@ -115,14 +134,21 @@ class ScaledInverseNormPotential(SubadditivePotential):
     def eval(self, u, w, n: int) -> float:
         if self.t == 0.0:
             return 0.0
-        P = self.inner.product(u, w, n)
+        return float(self._scaled_log_inverse_norm(self.inner.product(u, w, n)))
+
+    def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
+        if self.t == 0.0:
+            return np.zeros(len(base_arr))
+        return self._scaled_log_inverse_norm(self.inner.products(base_arr, fiber_arr, n))
+
+    def _scaled_log_inverse_norm(self, P: np.ndarray) -> np.ndarray:
         try:
             Pinv = np.linalg.inv(P)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix(str(exc)) from exc
         if not np.isfinite(Pinv).all():
             raise SingularMatrix("non-finite inverse of cocycle product")
-        return float(self.t * np.log(_mat_norm(Pinv, self.inner.norm_kind)))
+        return self.t * np.log(_mat_norm(Pinv, self.inner.norm_kind))
 
     def to_additive(self):
         if self.inner.dim != 1:

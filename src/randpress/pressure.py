@@ -2,24 +2,28 @@
 
 With the 2^-j fiber metric and epsilon = 2^-m, a maximal separated set holds
 exactly one point per admissible (n+m-1)-cylinder and the potential is
-constant on each, so the partition sum is an exact finite sum.  Additive (and
-additive-reducible) potentials get a log-space transfer DP that runs level by
-level along a tree of base words; everything else enumerates fiber words
-under a budget.
+constant on each, so the partition sum is an exact finite sum.  One log-space
+transfer DP runs level by level along a tree of base words.  Additive (and
+additive-reducible) potentials add their one-step table on every level; any
+other potential goes through a batched kernel: its eval_batch values on the
+array-expanded fiber words over the depth-n base words, reduced per last fiber
+symbol and carried down the deeper levels by the same DP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .base import DEFAULT_BUDGET, BaseChain, _symbols, enumerate_base_words, sample_path
-from .bundle import BundleSFT, enumerate_cylinders, separated_predicate
+from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _symbols, sample_path
+from .bundle import BundleSFT, enumerate_cylinders, fiber_budget, fiber_words, separated_predicate
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation
 
 _MONO_TOL = 1e-9
+# Joint (base word, fiber word) rows per eval_batch call, unless one base word has more.
+_JOINT_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,34 +55,67 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
         return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis)
 
 
-def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int) -> np.ndarray:
-    """Log partition sums of an additive potential at the last level of a base-word tree.
+def _segment_logsumexp(vals: np.ndarray, key: np.ndarray, size: int) -> np.ndarray:
+    """Log sum exp of vals per integer key in [0, size), shifted by each group's maximum.
+
+    A group with no values is -inf.
+    """
+    peak = np.full(size, -np.inf)
+    np.maximum.at(peak, key, vals)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.bincount(key, weights=np.exp(vals - peak[key]), minlength=size)) + peak
+
+
+def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int,
+                        V: np.ndarray | None = None) -> np.ndarray:
+    """Log partition sums at the last level of a base-word tree.
 
     Level k has last symbols symbol[k] and parent indices parent[k] into level
     k-1 (a forest of unrelated words has parent[k] = arange).  V[node, a] is
     the log weight of the node's fiber words ending in a; each level applies
     allowed[u_{k-1}] once per parent node, then adds table[u_k] while k < depth.
+    A V passed in replaces the level-0 weights.
     """
     logM = np.where(bundle.allowed == 1, 0.0, -np.inf)  # (S, A, A)
-    V = table[symbol[0]] if depth >= 1 else np.zeros((len(symbol[0]), bundle.num_symbols))
+    if V is None:
+        V = table[symbol[0]] if depth >= 1 else np.zeros((len(symbol[0]), bundle.num_symbols))
     for k in range(1, len(symbol)):
         V = _logsumexp(V[:, :, None] + logM[symbol[k - 1]], axis=1)[parent[k]]
         if k < depth:
             V = V + table[symbol[k]]
     vals = _logsumexp(V, axis=1)
     if not np.isfinite(vals).all():
-        raise EmptyFiber("no admissible fiber word over some base word")
+        raise EmptyFiber("partition sum is 0 or infinite over some base word")
     return vals
 
 
-def _enumerated_log_partition(bundle, potential, u, n, m, budget) -> float:
-    syms = _symbols(u)
-    L = n + m - 1
-    fibers = enumerate_cylinders(bundle, syms, L, budget=budget)
-    if not fibers:
-        raise EmptyFiber("no admissible fiber word over the given base word")
-    vals = np.array([potential.eval(syms, w, n) for w in fibers])
-    return float(logsumexp(vals))
+def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
+                   budget: int) -> np.ndarray:
+    """Log partition sums at depth n over the deepest level of a base-word tree or forest.
+
+    Additive potentials, and depth 0 (f_0 = log||I|| = 0, a log count), run
+    the transfer DP with their table.  Any other potential takes f_n in one
+    eval_batch per chunk of depth-n base words, on every admissible length-n
+    fiber word over them; the values are reduced per (base word, last fiber
+    symbol) and the DP carries them down the deeper levels.
+    """
+    add = potential.to_additive()
+    if add is not None or n == 0:  # at depth 0 the DP reads no table
+        table = None if add is None else add.table
+        return _tree_log_partition(bundle, table, tree.symbol, tree.parent, n)
+    fiber_budget(bundle, len(tree.symbol), budget)
+    A = bundle.num_symbols
+    words = tree.words(n)
+    step = max(1, _JOINT_ROWS // A ** n)
+    V = []
+    for lo in range(0, len(words), step):
+        base = words[lo:lo + step]
+        row, fibers = fiber_words(bundle, base, n)
+        vals = potential.eval_batch(base[row], fibers, n)
+        V.append(_segment_logsumexp(vals, row * A + fibers[:, -1], len(base) * A))
+    V = np.concatenate(V).reshape(-1, A)
+    return _tree_log_partition(bundle, None, tree.symbol[n - 1:], tree.parent[n - 1:], 0, V)
 
 
 def log_partition_sum(
@@ -97,57 +134,19 @@ def log_partition_sum(
     return float(_batch_log_partition(bundle, potential, [syms], n, m, budget)[0])
 
 
-_MAX_WORKERS = 1
-
-
-def set_max_workers(count: int) -> None:
-    """Cap worker threads for the enumerated (non-additive) batch path.
-
-    Per-word results are combined in index order, so the cap never changes
-    output values.
-    """
-    global _MAX_WORKERS
-    if count < 1:
-        raise ValueError("worker count must be >= 1")
-    _MAX_WORKERS = count
-
-
 def _batch_log_partition(bundle, potential, words, n, m, budget) -> np.ndarray:
-    """Log partition sums at depth n over a batch of base words (BaseWords or symbol rows).
-
-    Additive potentials run the tree kernel on the batch as a forest with no
-    shared prefixes; others enumerate fiber words word by word.
-    """
+    """Log partition sums at depth n over a batch of base words (BaseWords or rows), as a forest."""
     L = n + m - 1
     arr = np.array([_symbols(w)[:L] for w in words], dtype=np.int64)
-    add = potential.to_additive()
-    if add is not None:
-        return _tree_log_partition(bundle, add.table, arr.T, [np.arange(len(arr))] * L, n)
-    rows = arr.tolist()
-    if _MAX_WORKERS > 1 and len(rows) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
-            vals = list(
-                pool.map(
-                    lambda w: _enumerated_log_partition(bundle, potential, w, n, m, budget),
-                    rows,
-                )
-            )
-        return np.array(vals)
-    return np.array([_enumerated_log_partition(bundle, potential, w, n, m, budget) for w in rows])
+    forest = PrefixTree(tuple(arr.T), (np.arange(len(arr)),) * L, ())
+    return _log_partition(bundle, potential, forest, n, budget)
 
 
 def _expected_log_z(chain: BaseChain, bundle: BundleSFT, potential, n: int, m: int,
                     budget: int) -> float:
     """Exact E[log Z] at depth n over base words of length n+m-1, on the chain's cached tree."""
     tree = chain.prefix_tree(n + m - 1, budget)
-    add = potential.to_additive()
-    if add is not None:
-        vals = _tree_log_partition(bundle, add.table, tree.symbol, tree.parent, n)
-    else:
-        vals = _batch_log_partition(bundle, potential, tree.words(), n, m, budget)
-    return float(np.dot(tree.prob[-1], vals))
+    return float(np.dot(tree.prob[-1], _log_partition(bundle, potential, tree, n, budget)))
 
 
 def expected_log_sum(
@@ -258,9 +257,7 @@ def greedy_maximal_separated(
         raise ValueError("need m_res >= m_sep >= 1")
     syms = _symbols(u)
     candidates = enumerate_cylinders(bundle, syms, n + m_res - 1, budget=budget)
-    if not candidates:
-        raise EmptyFiber("no admissible fiber word over the given base word")
-    values = [potential.eval(syms, w, n) for w in candidates]
+    values = potential.eval_batch(np.array([syms] * len(candidates)), np.array(candidates), n).tolist()
     order = sorted(range(len(candidates)), key=lambda i: (-values[i], candidates[i]))
     alive = [True] * len(candidates)
     selected: list[int] = []
@@ -275,16 +272,6 @@ def greedy_maximal_separated(
     picked = [candidates[i] for i in selected]
     log_sum = float(logsumexp(np.array([values[i] for i in selected])))
     return picked, log_sum
-
-
-def _power_window(k: int, n: int, m: int, length: int) -> list[int]:
-    """Coordinates where disagreement makes words separated for the k-th power map."""
-    window: set[int] = set()
-    for j in range(n):
-        for i in range(j * k, j * k + m):
-            if i < length:
-                window.add(i)
-    return sorted(window)
 
 
 def check_power_lemma(
@@ -307,30 +294,20 @@ def check_power_lemma(
     if k < 1 or n < 1 or m < 1:
         raise ValueError("k, n, m must be >= 1")
     L = k * n + m - 1
-    words = enumerate_base_words(chain, L, budget=budget)
+    words = chain.prefix_tree(L, budget).words()
     if max_words is not None and len(words) > max_words:
         rng = np.random.default_rng(seed)
-        idx = rng.choice(len(words), size=max_words, replace=False)
-        words = [words[i] for i in sorted(idx)]
-    window = _power_window(k, n, m, L)
-    add = potential.to_additive()
-    worst = np.inf
-    for word in words:
-        fibers = enumerate_cylinders(bundle, word.symbols, L, budget=budget)
-        if not fibers:
-            raise EmptyFiber("no admissible fiber word over some base word")
-        arr = np.array(fibers, dtype=np.int64)
-        if add is not None:
-            us = np.array(word.symbols[: k * n], dtype=np.int64)
-            vals = add.table[us[None, :], arr[:, : k * n]].sum(axis=1)
-        else:
-            vals = np.array([potential.eval(word.symbols, w, k * n) for w in fibers])
-        lhs = float(logsumexp(vals))
-        # Group fiber words by their restriction to the separation window;
-        # the T^k partition sum takes one maximizer per group.
-        _, inverse = np.unique(arr[:, window], axis=0, return_inverse=True)
-        group_max = np.full(inverse.max() + 1, -np.inf)
-        np.maximum.at(group_max, inverse, vals)
-        rhs = float(logsumexp(group_max))
-        worst = min(worst, lhs - rhs)
-    return float(worst)
+        words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
+    fiber_budget(bundle, L, budget)
+    row, fibers = fiber_words(bundle, words, L)
+    vals = potential.eval_batch(words[row], fibers, k * n)
+    lhs = _segment_logsumexp(vals, row, len(words))
+    # Group each base word's fiber words by their restriction to the separation
+    # window; the T^k partition sum takes one maximizer per group.
+    window = sorted({i for j in range(n) for i in range(j * k, min(j * k + m, L))})
+    groups, inverse = np.unique(np.column_stack([row, fibers[:, window]]), axis=0,
+                                return_inverse=True)
+    group_max = np.full(len(groups), -np.inf)
+    np.maximum.at(group_max, inverse, vals)
+    rhs = _segment_logsumexp(group_max, groups[:, 0], len(words))
+    return float(np.min(lhs - rhs))

@@ -28,6 +28,17 @@ def test_stationary_two_state_closed_form():
     assert np.max(np.abs(p @ T - p)) <= 1e-12
 
 
+def test_stationary_ten_states_is_the_left_eigenvector():
+    rng = np.random.default_rng(20)
+    T = rng.uniform(0.0, 1.0, (10, 10)) * (rng.random((10, 10)) < 0.6)
+    T[np.arange(10), (np.arange(10) + 1) % 10] += 0.5  # a cycle keeps it irreducible
+    T[0, 0] += 0.5  # and a self-loop aperiodic
+    T /= T.sum(axis=1, keepdims=True)
+    vals, vecs = np.linalg.eig(T.T)
+    left = np.real(vecs[:, np.argmin(np.abs(vals - 1.0))])
+    np.testing.assert_allclose(stationary_distribution(T), left / left.sum(), rtol=0, atol=1e-12)
+
+
 def test_stationary_rejects_reducible():
     with pytest.raises(NonErgodicChain):
         stationary_distribution(np.eye(2))

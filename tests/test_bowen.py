@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from randpress import (
+    BaseChain,
     BundleSFT,
     CocyclePotential,
     dimension_root,
     lyapunov_spread,
     pressure_at_t,
+    sample_path,
 )
 from randpress.errors import NoBracket, NonMonotone
 
@@ -27,6 +29,31 @@ def test_pressure_at_zero_is_entropy_estimate():
     chain, bundle, coc = fix_e()
     est = pressure_at_t(chain, bundle, coc, 0.0, n=4, m=2)
     assert est.value == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_matrix_cocycle_depth_one_hand_count():
+    """n=1, m=2 on a 2x2 cocycle: the depth-0 term is log A, a plain count.
+
+    Scaled rotations r R(theta) have ||(rR)^-1|| = 1/r, so over a base word
+    starting with s, Z(1) = sum_a deg_s(a) r(s, a)^-t with deg_s(a) the number
+    of fiber symbols allowed after a under s.
+    """
+    chain = BaseChain.from_transition([[0.3, 0.7], [0.6, 0.4]])
+    bundle = BundleSFT.from_matrices([[[1, 1], [1, 1]], [[1, 0], [1, 1]]])
+    r = np.array([[2.0, 3.0], [0.5, 4.0]])
+    B = np.array([[r[s, a] * np.array([[math.cos(s + 2 * a + 0.3), -math.sin(s + 2 * a + 0.3)],
+                                       [math.sin(s + 2 * a + 0.3), math.cos(s + 2 * a + 0.3)]])
+                   for a in range(2)] for s in range(2)])
+    coc = CocyclePotential(B)
+    p0, p1 = 6 / 13, 7 / 13  # stationary vector of the base chain
+    for t in (0.0, 0.6, 1.7):
+        log_z = [math.log(2 * 2 ** -t + 2 * 3 ** -t), math.log(0.5 ** -t + 2 * 4 ** -t)]
+        exact = pressure_at_t(chain, bundle, coc, t, n=1, m=2)
+        assert exact.value == pytest.approx(p0 * log_z[0] + p1 * log_z[1] - math.log(2), abs=1e-12)
+        mc = pressure_at_t(chain, bundle, coc, t, n=1, m=2, mode="monte_carlo", samples=6, seed=4)
+        rows = [log_z[sample_path(chain, 2, seed=(4, i)).symbols[0]] - math.log(2)
+                for i in range(6)]
+        assert mc.value == pytest.approx(float(np.mean(rows)), abs=1e-12)
 
 
 def test_fix_e_affine_exact_all_depths():

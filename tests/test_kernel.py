@@ -1,5 +1,10 @@
-"""Property tests for the level-wise partition-sum kernel against first-principles oracles."""
+"""Property tests for the partition-sum kernels against first-principles oracles.
 
+The additive transfer DP and the batched non-additive (matrix-cocycle) kernel
+are both checked against brute-force enumeration of fiber words.
+"""
+
+import contextlib
 import itertools
 import math
 
@@ -13,10 +18,15 @@ from randpress import (
     AdditivePotential,
     BaseChain,
     BundleSFT,
+    CocyclePotential,
+    ScaledInverseNormPotential,
+    SubadditivePotential,
     expected_log_sum,
     log_partition_sum,
     sample_path,
 )
+from randpress import pressure
+from randpress.errors import BudgetExceeded, SingularMatrix
 
 from fixtures import naive_fiber_words, separated_set_oracle
 
@@ -111,3 +121,130 @@ def test_large_potentials_match_mpmath(system, shifts):
             expected += prob * mpmath.log(z)
         value = expected_log_sum(chain, bundle, pot, n, m).value
         assert abs(value - expected / n) <= 1e-10
+
+
+# --- the batched non-additive kernel -------------------------------------------------
+
+_GENERATOR = st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4).filter(
+    lambda v: abs(v[0] * v[3] - v[1] * v[2]) >= 0.5)
+
+
+class PerWord(SubadditivePotential):
+    """A potential with only a per-word eval, so the kernel takes the default eval_batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def eval(self, u, w, n):
+        return self.inner.eval(u, w, n)
+
+
+@st.composite
+def cocycle_systems(draw):
+    """A systems() draw with its table replaced by 2x2 generators (|det| >= 0.5).
+
+    Returns the chain, bundle, n, m and five potentials on the generators:
+    the cocycle in both norms, the scaled inverse norm, and per-word-only
+    wrappers of the cocycle and the scaled inverse norm.
+    """
+    chain, bundle, pot, n, m = draw(systems())
+    S, A = pot.table.shape
+    B = np.array([draw(_GENERATOR) for _ in range(S * A)]).reshape(S, A, 2, 2)
+    spectral = CocyclePotential(B, norm_kind="spectral")
+    row_sum = CocyclePotential(B, norm_kind="max_row_sum")
+    inverse = ScaledInverseNormPotential(draw(st.sampled_from([spectral, row_sum])),
+                                         draw(st.floats(0.1, 2.0)))
+    return chain, bundle, n, m, (spectral, row_sum, inverse, PerWord(row_sum), PerWord(inverse))
+
+
+@given(cocycle_systems())
+def test_exact_cocycle_expected_log_sum_matches_brute_force(system):
+    chain, bundle, n, m, pots = system
+    L = n + m - 1
+    for pot in pots:
+        naive = sum(prob * naive_log_z(bundle, pot, u, n, L) for u, prob in base_words(chain, L))
+        assert expected_log_sum(chain, bundle, pot, n, m).value == pytest.approx(naive / n,
+                                                                                abs=1e-10)
+
+
+@given(cocycle_systems(), st.integers(0, 2 ** 16))
+def test_monte_carlo_cocycle_rows_match_per_word_partition_sums(system, seed):
+    chain, bundle, n, m, pots = system
+    L, samples = n + m - 1, 4
+    words = [sample_path(chain, L, seed=(seed, i)).symbols for i in range(samples)]
+    for pot in pots:
+        est = expected_log_sum(chain, bundle, pot, n, m, mode="monte_carlo", samples=samples,
+                               seed=seed)
+        rows = np.array([log_partition_sum(bundle, pot, u, n, m) for u in words]) / n
+        assert est.value == pytest.approx(float(np.mean(rows)), abs=1e-12)
+        assert est.std_error == pytest.approx(float(np.std(rows, ddof=1) / math.sqrt(samples)),
+                                              abs=1e-12)
+        for u, row in zip(words, rows):
+            assert row == pytest.approx(naive_log_z(bundle, pot, u, n, L) / n, abs=1e-10)
+
+
+@given(cocycle_systems())
+def test_eval_batch_equals_eval_row_by_row(system):
+    chain, bundle, n, m, pots = system
+    L = n + m - 1
+    rows = [(u, w) for u, _ in base_words(chain, L) for w in naive_fiber_words(bundle, u, L)]
+    base_arr = np.array([u for u, _ in rows])
+    fiber_arr = np.array([w for _, w in rows])
+    table = AdditivePotential(np.arange(bundle.allowed.shape[0] * bundle.num_symbols,
+                                        dtype=float).reshape(-1, bundle.num_symbols))
+    for pot in (*pots, table):
+        batch = pot.eval_batch(base_arr, fiber_arr, n)
+        assert batch.shape == (len(rows),)
+        np.testing.assert_allclose(batch, [pot.eval(u, w, n) for u, w in rows], rtol=0,
+                                   atol=1e-12)
+    # The norms themselves, against numpy's matrix norms of the per-word product.
+    for pot, order in zip(pots[:2], (2, np.inf)):
+        np.testing.assert_allclose(
+            pot.eval_batch(base_arr, fiber_arr, n),
+            [math.log(np.linalg.norm(pot.product(u, w, n), order)) for u, w in rows],
+            rtol=0, atol=1e-12)
+
+
+def test_singular_generator_raises_through_batched_path():
+    chain = BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]])
+    bundle = BundleSFT.from_matrices(np.ones((2, 2, 2), dtype=int))
+    B = np.tile(2.0 * np.eye(2), (2, 2, 1, 1))
+    B[1, 0] = 0.0  # every product through this generator is the zero matrix
+    for kind in ("spectral", "max_row_sum"):
+        pot = ScaledInverseNormPotential(CocyclePotential(B, norm_kind=kind), 0.5)
+        for n, m in ((1, 1), (3, 2)):
+            with pytest.raises(SingularMatrix):
+                expected_log_sum(chain, bundle, pot, n, m)
+            with pytest.raises(SingularMatrix):
+                expected_log_sum(chain, bundle, pot, n, m, mode="monte_carlo", samples=20)
+
+
+@pytest.mark.parametrize("S,A", [(2, 3), (3, 2), (2, 2)])
+@pytest.mark.parametrize("budget", [8, 9, 27, 64])
+def test_budget_exceeded_at_the_same_sizes(S, A, budget):
+    """Exact mode checks S^L, then A^L; Monte Carlo draws its words and checks only A^L."""
+    chain = BaseChain.from_transition(np.full((S, S), 1.0 / S))
+    bundle = BundleSFT.from_matrices(np.ones((S, A, A), dtype=int))
+    pot = CocyclePotential(np.tile(np.array([[2.0, 1.0], [0.0, 1.0]]), (S, A, 1, 1)))
+    for n, m in ((1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)):
+        L = n + m - 1
+        fiber = f"{A}\\^{L} fiber words exceed budget {budget}" if A ** L > budget else None
+        base = f"{S}\\^{L} base words exceed budget {budget}" if S ** L > budget else None
+        for mode, message in (("exact", base or fiber), ("monte_carlo", fiber)):
+            with (pytest.raises(BudgetExceeded, match=message) if message
+                  else contextlib.nullcontext()):
+                expected_log_sum(chain, bundle, pot, n, m, mode=mode, samples=3, budget=budget)
+
+
+@given(cocycle_systems(), st.integers(1, 9))
+def test_chunked_joint_arrays_give_the_same_values(system, rows):
+    """Capping the joint rows per eval_batch call (at least one base word each) changes nothing."""
+    chain, bundle, n, m, pots = system
+    whole = [expected_log_sum(chain, bundle, pot, n, m).value for pot in pots[:3]]
+    cap = pressure._JOINT_ROWS
+    pressure._JOINT_ROWS = rows
+    try:
+        chunked = [expected_log_sum(chain, bundle, pot, n, m).value for pot in pots[:3]]
+    finally:
+        pressure._JOINT_ROWS = cap
+    assert chunked == whole

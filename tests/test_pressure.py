@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from randpress import (
     AdditivePotential,
@@ -9,6 +10,7 @@ from randpress import (
     BundleSFT,
     check_power_lemma,
     enumerate_base_words,
+    enumerate_cylinders,
     expected_log_sum,
     greedy_maximal_separated,
     log_partition_sum,
@@ -16,7 +18,7 @@ from randpress import (
 )
 from randpress.bundle import separated_predicate
 from randpress.errors import InvalidSampleCount
-from randpress.pressure import _batch_log_partition, set_max_workers
+from randpress.pressure import _batch_log_partition
 
 from fixtures import (
     E,
@@ -195,18 +197,43 @@ def test_power_lemma_nonadditive():
     assert check_power_lemma(chain, bundle, coc, 2, 2, 1, max_words=4) >= -1e-12
 
 
-def test_batch_partition_thread_cap_unchanged():
+@pytest.mark.parametrize("k,n,m,max_words", [(1, 2, 2, None), (2, 2, 1, 5), (3, 1, 2, 3),
+                                               (2, 1, 2, None)])
+def test_power_lemma_matches_per_word_oracle(k, n, m, max_words):
+    """Slack from per-word enumeration, over the same words drawn from the same seed."""
+    rng = np.random.default_rng(19)
+    chain = random_chain(rng, 2)
+    bundle = random_bundle(rng, 2, 2)
+    L = k * n + m - 1
+    words = enumerate_base_words(chain, L)
+    if max_words is not None:
+        idx = np.random.default_rng(7).choice(len(words), size=max_words, replace=False)
+        words = [words[i] for i in sorted(idx)]
+    # Words agreeing on the first m coordinates after each multiple of k are
+    # not separated for T^k; each such class keeps its best word.
+    window = sorted({i for j in range(n) for i in range(j * k, j * k + m) if i < L})
+    for pot in (random_cocycle(rng, 2, 2), random_additive(rng, 2, 2)):
+        slacks = []
+        for word in words:
+            best = {}
+            vals = []
+            for w in enumerate_cylinders(bundle, word, L):
+                v = pot.eval(word.symbols, w, k * n)
+                vals.append(v)
+                key = tuple(w[i] for i in window)
+                best[key] = max(best.get(key, -math.inf), v)
+            slacks.append(logsumexp(vals) - logsumexp(list(best.values())))
+        slack = check_power_lemma(chain, bundle, pot, k, n, m, max_words=max_words, seed=7)
+        assert slack == pytest.approx(min(slacks), abs=1e-12)
+
+
+def test_batch_partition_matches_per_word_enumeration():
     rng = np.random.default_rng(18)
     chain = random_chain(rng, 2)
     bundle = random_bundle(rng, 2, 2)
     coc = random_cocycle(rng, 2, 2)
     words = enumerate_base_words(chain, 4)
-    base = _batch_log_partition(bundle, coc, words, 3, 2, 10_000)
-    set_max_workers(3)
-    try:
-        threaded = _batch_log_partition(bundle, coc, words, 3, 2, 10_000)
-    finally:
-        set_max_workers(1)
-    assert np.array_equal(base, threaded)
-    with pytest.raises(ValueError):
-        set_max_workers(0)
+    batched = _batch_log_partition(bundle, coc, words, 3, 2, 10_000)
+    for word, value in zip(words, batched):
+        vals = [coc.eval(word.symbols, w, 3) for w in enumerate_cylinders(bundle, word, 4)]
+        assert value == pytest.approx(float(logsumexp(vals)), abs=1e-12)
