@@ -21,21 +21,11 @@ _STATIONARY_TOL = 1e-10
 
 
 def _strongly_connected(adj: np.ndarray) -> bool:
-    n = adj.shape[0]
-
-    def reach(a):
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            for j in np.nonzero(a[i])[0]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(int(j))
-        return seen
-
-    return bool(reach(adj).all() and reach(adj.T).all())
+    """Whether every state reaches every other, by repeated squaring of the reachability matrix."""
+    reach = (adj | np.eye(adj.shape[0], dtype=bool)).astype(float)
+    for _ in range(adj.shape[0].bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return bool(reach.all())
 
 
 def _period(adj: np.ndarray) -> int:

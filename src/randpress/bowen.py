@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, enumerate_base_words, sample_path
+from .base import DEFAULT_BUDGET, BaseChain, sample_path
 from .bundle import BundleSFT
-from .errors import InvalidSampleCount, NoBracket, NonMonotone, SingularMatrix
-from .measures import RandomMarkovMeasure, cylinder_weights, validate_measure
+from .errors import InvalidSampleCount, NoBracket, NonMonotone
+from .measures import RandomMarkovMeasure, _weighted_words, validate_measure
 from .pressure import _MONO_TOL, PressureEstimate, _batch_log_partition, _expected_log_z
-from .potentials import CocyclePotential, ScaledInverseNormPotential, _mat_norm
+from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_inverse_norm, _mat_norm
 
 
 def pressure_at_t(
@@ -171,17 +171,10 @@ def lyapunov_spread(
     rep = validate_measure(meas, chain, bundle)
     if not rep.valid:
         raise ValueError(f"measure fails validation: {rep}")
-    top = 0.0
-    bottom = 0.0
-    for word in enumerate_base_words(chain, n, budget=budget):
-        fibers, weights = cylinder_weights(meas, word.symbols)
-        for w, wgt in zip(fibers, weights):
-            P = cocycle.product(word.symbols, w, n)
-            try:
-                Pinv = np.linalg.inv(P)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrix(str(exc)) from exc
-            scale = word.probability * float(wgt)
-            top += scale * float(np.log(_mat_norm(P, cocycle.norm_kind)))
-            bottom += scale * float(-np.log(_mat_norm(Pinv, cocycle.norm_kind)))
+    lead = chain.stationary[:, None] * meas.initial
+    top = bottom = 0.0
+    for u, w, wgt in _weighted_words(meas, chain, n, lead, budget):
+        P = cocycle.products(u, w, n)
+        top += float(np.dot(wgt, np.log(_mat_norm(P, cocycle.norm_kind))))
+        bottom -= float(np.dot(wgt, _log_inverse_norm(P, cocycle.norm_kind)))
     return top / n, bottom / n, (top - bottom) / n

@@ -70,18 +70,19 @@ def fiber_budget(bundle: BundleSFT, ell: int, budget: int) -> None:
         raise BudgetExceeded(f"{bundle.num_symbols}^{ell} fiber words exceed budget {budget}")
 
 
-def fiber_words(bundle: BundleSFT, base: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Admissible length-ell fiber words over each row of an (N, >= ell-1) base-word array.
+def fiber_words(support: np.ndarray, base: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Length-ell fiber words over each row of an (N, >= ell-1) base-word array.
 
-    Grown one symbol per level under allowed[u_{k-1}].  Returns (row, words):
-    words[r] lies over base[row[r]], rows in base order and, over one base
-    word, in lexicographic order.
+    Grown one symbol per level under support[u_{k-1}], an (S, A, A) 0/1 array
+    (a bundle's allowed, or the support of a measure's transitions).  Returns
+    (row, words): words[r] lies over base[row[r]], rows in base order and,
+    over one base word, in lexicographic order.
     """
-    A = bundle.num_symbols
+    A = support.shape[1]
     row = np.repeat(np.arange(len(base)), A)
     words = np.tile(np.arange(A), len(base))[:, None]
     for k in range(1, ell):
-        par, sym = np.nonzero(bundle.allowed[base[row, k - 1], words[:, -1]])
+        par, sym = np.nonzero(support[base[row, k - 1], words[:, -1]])
         row, words = row[par], np.column_stack([words[par], sym])
     return row, words
 
@@ -92,7 +93,7 @@ def enumerate_cylinders(bundle: BundleSFT, u, ell: int, budget: int = DEFAULT_BU
     if ell < 1 or ell > len(syms):
         raise ValueError("need |u| >= ell >= 1")
     fiber_budget(bundle, ell, budget)
-    return [tuple(w) for w in fiber_words(bundle, np.array([syms]), ell)[1].tolist()]
+    return [tuple(w) for w in fiber_words(bundle.allowed, np.array([syms]), ell)[1].tolist()]
 
 
 def transfer_count(bundle: BundleSFT, u, ell: int) -> int:

@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .base import enumerate_base_words
 from .bowen import dimension_root, lyapunov_spread
 from .config import Experiment, load_experiment
 from .errors import ConfigError, InvariantViolation, RandpressError
@@ -158,11 +157,11 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
 
     greedy = []
     n, m_sep = 2, 1
-    for word in enumerate_base_words(exp.chain, n + m_sep, budget=run.budget)[:8]:
+    for u in exp.chain.prefix_tree(n + m_sep, run.budget).words()[:8].tolist():
         _sel, log_sum = greedy_maximal_separated(
-            exp.bundle, exp.potential, word.symbols, n, m_sep, m_sep + 1, budget=run.budget
+            exp.bundle, exp.potential, u, n, m_sep, m_sep + 1, budget=run.budget
         )
-        lhs = log_partition_sum(exp.bundle, exp.potential, word.symbols, n, m_sep, budget=run.budget)
+        lhs = log_partition_sum(exp.bundle, exp.potential, u, n, m_sep, budget=run.budget)
         slack = n * np.log(2.0) + log_sum - lhs
         greedy.append(slack)
         if slack < -_SLACK_TOL:

@@ -16,8 +16,26 @@ from .measures import RandomMarkovMeasure, solve_consistent_initial
 from .potentials import AdditivePotential, CocyclePotential, ScaledInverseNormPotential
 
 VERBS = ("pressure", "vp-check", "lemmas", "dimension", "convergence", "diagnose")
+MODES = ("exact", "monte_carlo")
 
 BUDGET_ENV = "RANDPRESS_BUDGET"
+
+# Where libyaml is built in, its parser gives the same tree several times faster.
+_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+_POTENTIAL_KEYS = {
+    "additive": ("kind", "phi"),
+    "cocycle": ("kind", "matrices", "norm"),
+    "scaled_inverse": ("kind", "matrices", "norm", "t"),
+}
+
+
+def _only(tree, keys, path: str) -> None:
+    """Reject a key of the mapping that is not among keys, naming its path."""
+    if isinstance(tree, dict):
+        for key in tree:
+            if key not in keys:
+                raise ConfigError(f"unknown config key: {path}{key}")
 
 
 def _need(tree: dict, key: str, path: str) -> Any:
@@ -29,6 +47,7 @@ def _need(tree: dict, key: str, path: str) -> Any:
 def _per_state_table(spec, states, path) -> list:
     """Accept either a list in state order or a mapping keyed by state name."""
     if isinstance(spec, dict):
+        _only(spec, states, f"{path}.")
         try:
             return [spec[name] for name in states]
         except KeyError as exc:
@@ -53,9 +72,6 @@ class RunSettings:
     t_max: float
     tol_t: float
     tol_p: float
-    iter_cap: int
-    random_checks: int
-    threads: int
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,7 @@ class Experiment:
 
 
 def _build_chain(tree: dict) -> BaseChain:
+    _only(tree, ("states", "transition"), "base.")
     transition = np.asarray(_need(tree, "transition", "base"), dtype=float)
     states = tree.get("states")
     try:
@@ -79,6 +96,7 @@ def _build_chain(tree: dict) -> BaseChain:
 
 
 def _build_bundle(tree: dict, chain: BaseChain) -> BundleSFT:
+    _only(tree, ("alphabet", "allowed", "strict"), "bundle.")
     alphabet = tree.get("alphabet")
     allowed = _per_state_table(_need(tree, "allowed", "bundle"), chain.states, "bundle.allowed")
     try:
@@ -90,30 +108,32 @@ def _build_bundle(tree: dict, chain: BaseChain) -> BundleSFT:
 
 def _build_potential(tree: dict, chain: BaseChain, bundle: BundleSFT):
     kind = _need(tree, "kind", "potential")
+    if kind not in tuple(_POTENTIAL_KEYS):
+        raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+    _only(tree, _POTENTIAL_KEYS[kind], "potential.")
     if kind == "additive":
         phi = _per_state_table(_need(tree, "phi", "potential"), chain.states, "potential.phi")
         table = np.asarray(phi, dtype=float)
         if table.shape != (chain.num_states, bundle.num_symbols):
             raise ConfigError(f"potential.phi: expected shape {(chain.num_states, bundle.num_symbols)}")
         return AdditivePotential(table)
-    if kind in ("cocycle", "scaled_inverse"):
-        mats = _per_state_table(_need(tree, "matrices", "potential"), chain.states, "potential.matrices")
-        B = np.asarray(mats, dtype=float)
-        if B.ndim == 2:  # scalar cocycle given as an (S, A) table
-            B = B[:, :, None, None]
-        if B.ndim != 4 or B.shape[:2] != (chain.num_states, bundle.num_symbols):
-            raise ConfigError("potential.matrices: leading shape must be (states, alphabet)")
-        cocycle = CocyclePotential(B, norm_kind=tree.get("norm", "spectral"))
-        if kind == "cocycle":
-            return cocycle
-        return ScaledInverseNormPotential(cocycle, float(tree.get("t", 0.0)))
-    raise ConfigError(f"potential.kind: unknown kind {kind!r}")
+    mats = _per_state_table(_need(tree, "matrices", "potential"), chain.states, "potential.matrices")
+    B = np.asarray(mats, dtype=float)
+    if B.ndim == 2:  # scalar cocycle given as an (S, A) table
+        B = B[:, :, None, None]
+    if B.ndim != 4 or B.shape[:2] != (chain.num_states, bundle.num_symbols):
+        raise ConfigError("potential.matrices: leading shape must be (states, alphabet)")
+    cocycle = CocyclePotential(B, norm_kind=tree.get("norm", "spectral"))
+    if kind == "cocycle":
+        return cocycle
+    return ScaledInverseNormPotential(cocycle, float(tree.get("t", 0.0)))
 
 
 def _build_measures(specs, chain: BaseChain, bundle: BundleSFT) -> tuple[RandomMarkovMeasure, ...]:
     out = []
     for i, spec in enumerate(specs or []):
         path = f"measures[{i}]"
+        _only(spec, ("transition", "initial", "auto"), f"{path}.")
         Q = np.asarray(
             _per_state_table(_need(spec, "transition", path), chain.states, f"{path}.transition"),
             dtype=float,
@@ -131,8 +151,13 @@ def _build_measures(specs, chain: BaseChain, bundle: BundleSFT) -> tuple[RandomM
 
 def _build_run(tree: dict) -> RunSettings:
     verb = _need(tree, "verb", "run")
+    _only(tree, ("verb", "n_list", "m_list", "N", "mode", "samples", "seed", "budget", "t_max",
+                 "tol_t", "tol_p"), "run.")
     if verb not in VERBS:
         raise ConfigError(f"run.verb: must be one of {VERBS}, got {verb!r}")
+    mode = tree.get("mode", "exact")
+    if mode not in MODES:
+        raise ConfigError(f"run.mode: must be one of {MODES}, got {mode!r}")
     default_budget = int(os.environ.get(BUDGET_ENV, 2_000_000))
     n_list = tuple(int(n) for n in tree.get("n_list", [8]))
     m_list = tuple(int(m) for m in tree.get("m_list", [1]))
@@ -143,16 +168,13 @@ def _build_run(tree: dict) -> RunSettings:
         n_list=n_list,
         m_list=m_list,
         N=int(tree.get("N", max(n_list))),
-        mode=tree.get("mode", "exact"),
+        mode=mode,
         samples=int(tree.get("samples", 0)),
         seed=int(tree.get("seed", 0)),
         budget=int(tree.get("budget", default_budget)),
         t_max=float(tree.get("t_max", 4.0)),
         tol_t=float(tree.get("tol_t", 1e-8)),
         tol_p=float(tree.get("tol_p", 1e-9)),
-        iter_cap=int(tree.get("iter_cap", 500)),
-        random_checks=int(tree.get("random_checks", 100)),
-        threads=int(tree.get("threads", 1)),
     )
 
 
@@ -170,14 +192,14 @@ def apply_overrides(tree: dict, overrides: list[str]) -> dict:
             node = node.setdefault(key, {})
         if not isinstance(node, dict):
             raise ConfigError(f"override path {path!r} does not address a mapping")
-        node[keys[-1]] = yaml.safe_load(raw)
+        node[keys[-1]] = yaml.load(raw, Loader=_LOADER)
     return tree
 
 
 def load_experiment(config_path: str, overrides: list[str] | None = None) -> Experiment:
     try:
         with open(config_path) as fh:
-            tree = yaml.safe_load(fh)
+            tree = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -185,11 +207,13 @@ def load_experiment(config_path: str, overrides: list[str] | None = None) -> Exp
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a mapping")
     tree = apply_overrides(tree, overrides or [])
+    _only(tree, ("base", "bundle", "potential", "measures", "run", "output"), "")
     chain = _build_chain(_need(tree, "base", "<root>"))
     bundle = _build_bundle(_need(tree, "bundle", "<root>"), chain)
     potential = _build_potential(_need(tree, "potential", "<root>"), chain, bundle)
     measures = _build_measures(tree.get("measures"), chain, bundle)
     run = _build_run(_need(tree, "run", "<root>"))
+    _only(tree.get("output"), ("dir",), "output.")
     output_dir = (tree.get("output") or {}).get("dir", "out")
     return Experiment(
         chain=chain, bundle=bundle, potential=potential, measures=measures,

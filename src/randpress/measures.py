@@ -16,6 +16,7 @@ from .base import DEFAULT_BUDGET, BaseChain, enumerate_base_words
 from .bundle import BundleSFT
 from .errors import BudgetExceeded, InvalidMeasure, ShapeMismatch
 from .potentials import SubadditivePotential, sup_norm_f1
+from .pressure import _joint_words
 
 _ROW_TOL = 1e-12
 _CONS_TOL = 1e-10
@@ -152,30 +153,32 @@ def entropy_cylinder_oracle(
     return total / n
 
 
-def cylinder_weights(
-    meas: RandomMarkovMeasure, u
-) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Support-restricted fiber words of length |u| with their measure weights."""
-    words: list[tuple[int, ...]] = []
-    weights: list[float] = []
-    stack = [
-        ((a,), float(meas.initial[u[0], a]))
-        for a in reversed(range(meas.initial.shape[1]))
-        if meas.initial[u[0], a] > 0.0
-    ]
-    n = len(u)
-    while stack:
-        prefix, wgt = stack.pop()
-        if len(prefix) == n:
-            words.append(prefix)
-            weights.append(wgt)
-            continue
-        k = len(prefix) - 1
-        row = meas.transition[u[k], prefix[-1]]
-        for b in reversed(range(row.shape[0])):
-            if row[b] > 0.0:
-                stack.append((prefix + (b,), wgt * float(row[b])))
-    return words, np.array(weights)
+def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, lead: np.ndarray,
+                    budget: int):
+    """Every length-n (base word, fiber word) pair of positive measure weight, in chunks.
+
+    The fiber words grow under the support of Q.  A pair weighs
+    lead[u0, w0] * prod T(u_{k-1}, u_k) * Q_{u_{k-1}}(w_{k-1}, w_k); with lead
+    the time-0 joint law p(s) pi_s(a) that is the measure of the cylinder.
+    Zero-weight rows are dropped before any potential value is taken, so a
+    -inf value on an unreachable word never meets a zero weight.  Yields
+    (base, fiber, weight) arrays.
+    """
+    words = chain.prefix_tree(n, budget).words()
+    for chunk, row, fibers in _joint_words(meas.transition > 0.0, words, n):
+        u = words[chunk][row]
+        wgt = lead[u[:, 0], fibers[:, 0]]
+        for k in range(1, n):
+            wgt = wgt * chain.transition[u[:, k - 1], u[:, k]] * meas.transition[
+                u[:, k - 1], fibers[:, k - 1], fibers[:, k]]
+        keep = wgt > 0.0
+        yield u[keep], fibers[keep], wgt[keep]
+
+
+def _weighted_sum(meas, chain, potential, n: int, lead: np.ndarray, budget: int) -> float:
+    """Sum of f_n against the weights of _weighted_words, one eval_batch per chunk."""
+    return float(sum(np.dot(wgt, potential.eval_batch(u, w, n))
+                     for u, w, wgt in _weighted_words(meas, chain, n, lead, budget)))
 
 
 def potential_average(
@@ -189,7 +192,8 @@ def potential_average(
     """a_n = integral of f_n against the measure, exact at depth n.
 
     Additive potentials on consistent measures collapse to n times the
-    one-step average; otherwise the expectation is enumerated.
+    one-step average; otherwise f_n is evaluated in batch on every cylinder
+    of positive weight.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -201,12 +205,8 @@ def potential_average(
                 np.dot(meas.initial[s], add.table[s])
             )
         return n * one_step
-    total = 0.0
-    for word in enumerate_base_words(chain, n, budget=budget):
-        fibers, weights = cylinder_weights(meas, word.symbols)
-        for w, wgt in zip(fibers, weights):
-            total += word.probability * wgt * potential.eval(word.symbols, w, n)
-    return total
+    lead = chain.stationary[:, None] * meas.initial
+    return _weighted_sum(meas, chain, potential, n, lead, budget)
 
 
 @dataclass(frozen=True)
@@ -244,44 +244,22 @@ def f_star_bracket(
     )
 
 
-def _window_expectation(
-    meas: RandomMarkovMeasure,
-    chain: BaseChain,
-    potential: SubadditivePotential,
-    i: int,
-    k: int,
-) -> float:
-    """E[f_k composed with the i-fold skew shift], via the joint Markov kernel.
+def _window_sum(meas: RandomMarkovMeasure, chain: BaseChain, potential: SubadditivePotential,
+                n: int, k: int, budget: int = DEFAULT_BUDGET) -> float:
+    """Sum over i < n of E[f_k composed with the i-fold skew shift], via the joint Markov kernel.
 
     The pair process (base symbol, fiber symbol) is Markov with kernel
-    P(s,s') Q_s(a,b); the window marginal at offset i is exact regardless of
-    whether the measure is invariant.
+    P(s,s') Q_s(a,b), so the window at offset i weighs like a cylinder with
+    the time-i joint law D_i in place of the time-0 one; this is exact
+    whether or not the measure is invariant.  f_k is taken once on the
+    k-windows, against the summed laws D_0 + ... + D_{n-1}.
     """
-    S, A = meas.initial.shape
     D = chain.stationary[:, None] * meas.initial  # joint at time 0
-    for _ in range(i):
-        D2 = np.zeros_like(D)
-        for s in range(S):
-            push = D[s][:, None] * meas.transition[s]  # (A, A): mass a -> b
-            D2 += chain.transition[s][:, None] * push.sum(axis=0)[None, :]
-        D = D2
-    total = 0.0
-    stack = [((s,), (a,), float(D[s, a])) for s in range(S) for a in range(A) if D[s, a] > 0.0]
-    while stack:
-        v, x, wgt = stack.pop()
-        if len(v) == k:
-            total += wgt * potential.eval(v, x, k)
-            continue
-        j = len(v) - 1
-        for s2 in range(S):
-            pb = chain.transition[v[j], s2]
-            if pb <= 0.0:
-                continue
-            for b in range(A):
-                qb = meas.transition[v[j], x[j], b]
-                if qb > 0.0:
-                    stack.append((v + (s2,), x + (b,), wgt * float(pb) * float(qb)))
-    return total
+    lead = D.copy()
+    for _ in range(1, n):
+        D = chain.transition.T @ np.einsum("sa,sab->sb", D, meas.transition)
+        lead += D
+    return _weighted_sum(meas, chain, potential, k, lead, budget)
 
 
 def check_lemma34(
@@ -304,6 +282,5 @@ def check_lemma34(
         raise InvalidMeasure(f"measure fails validation: {rep}")
     C = sup_norm_f1(potential, chain, bundle)
     lhs = k * potential_average(meas, chain, bundle, potential, n, budget=budget)
-    shifted = sum(_window_expectation(meas, chain, potential, i, k) for i in range(n))
-    rhs = 4.0 * k * k * C + shifted
+    rhs = 4.0 * k * k * C + _window_sum(meas, chain, potential, n, k, budget)
     return float(rhs - lhs)

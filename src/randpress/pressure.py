@@ -67,6 +67,19 @@ def _segment_logsumexp(vals: np.ndarray, key: np.ndarray, size: int) -> np.ndarr
         return np.log(np.bincount(key, weights=np.exp(vals - peak[key]), minlength=size)) + peak
 
 
+def _joint_words(support: np.ndarray, words: np.ndarray, ell: int):
+    """The length-ell fiber words under support over an (N, >= ell-1) base-word array, in chunks.
+
+    Yields (chunk, row, fibers) per slice of consecutive base words:
+    fibers[r] lies over words[chunk][row[r]].  A chunk holds at most
+    _JOINT_ROWS joint rows, unless one base word has more.
+    """
+    step = max(1, _JOINT_ROWS // support.shape[1] ** ell)
+    for lo in range(0, len(words), step):
+        chunk = slice(lo, min(lo + step, len(words)))
+        yield (chunk, *fiber_words(support, words[chunk], ell))
+
+
 def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int,
                         V: np.ndarray | None = None) -> np.ndarray:
     """Log partition sums at the last level of a base-word tree.
@@ -107,11 +120,9 @@ def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
     fiber_budget(bundle, len(tree.symbol), budget)
     A = bundle.num_symbols
     words = tree.words(n)
-    step = max(1, _JOINT_ROWS // A ** n)
     V = []
-    for lo in range(0, len(words), step):
-        base = words[lo:lo + step]
-        row, fibers = fiber_words(bundle, base, n)
+    for chunk, row, fibers in _joint_words(bundle.allowed, words, n):
+        base = words[chunk]
         vals = potential.eval_batch(base[row], fibers, n)
         V.append(_segment_logsumexp(vals, row * A + fibers[:, -1], len(base) * A))
     V = np.concatenate(V).reshape(-1, A)
@@ -299,7 +310,7 @@ def check_power_lemma(
         rng = np.random.default_rng(seed)
         words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
     fiber_budget(bundle, L, budget)
-    row, fibers = fiber_words(bundle, words, L)
+    row, fibers = fiber_words(bundle.allowed, words, L)
     vals = potential.eval_batch(words[row], fibers, k * n)
     lhs = _segment_logsumexp(vals, row, len(words))
     # Group each base word's fiber words by their restriction to the separation

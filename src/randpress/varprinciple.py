@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .base import DEFAULT_BUDGET, BaseChain, enumerate_base_words
-from .bundle import BundleSFT, enumerate_cylinders
+from .base import DEFAULT_BUDGET, BaseChain
+from .bundle import BundleSFT, fiber_budget
 from .errors import InvalidMeasure, InvariantViolation
 from .measures import (
     FStarBracket,
@@ -19,7 +18,7 @@ from .measures import (
     solve_consistent_initial,
     validate_measure,
 )
-from .pressure import PressureEstimate, expected_log_sum
+from .pressure import PressureEstimate, _joint_words, _segment_logsumexp, expected_log_sum
 
 
 @dataclass(frozen=True)
@@ -178,16 +177,17 @@ def empirical_measure_diagnostic(
     lead = np.zeros((S, A))
     lag = np.zeros((S, A))
     hi = min(n, L - 1)  # shifted window end; needs position hi within the word
-    for word in enumerate_base_words(chain, L, budget=budget):
-        fibers = enumerate_cylinders(bundle, word.symbols, L, budget=budget)
-        vals = np.array([potential.eval(word.symbols, w, n) for w in fibers])
-        nu = np.exp(vals - logsumexp(vals))
-        for w, wgt in zip(fibers, nu):
-            p = word.probability * float(wgt)
-            for i in range(n):
-                marginal[word.symbols[i], w[i]] += p / n
-            for i in range(hi):
-                lead[word.symbols[i], w[i]] += p / hi
-                lag[word.symbols[i + 1], w[i + 1]] += p / hi
-    defect = float(np.abs(lead - lag).sum()) if hi > 0 else 0.0
+    tree = chain.prefix_tree(L, budget)
+    fiber_budget(bundle, L, budget)
+    words, prob = tree.words(), tree.prob[-1]
+    for chunk, row, fibers in _joint_words(bundle.allowed, words, L):
+        u = words[chunk][row]
+        vals = potential.eval_batch(u, fibers, n)
+        log_z = _segment_logsumexp(vals, row, len(words[chunk]))
+        p = (prob[chunk][row] * np.exp(vals - log_z[row]))[:, None]
+        np.add.at(marginal, (u[:, :n], fibers[:, :n]), p / n)
+        if hi > 0:
+            np.add.at(lead, (u[:, :hi], fibers[:, :hi]), p / hi)
+            np.add.at(lag, (u[:, 1:hi + 1], fibers[:, 1:hi + 1]), p / hi)
+    defect = float(np.abs(lead - lag).sum())
     return marginal, defect

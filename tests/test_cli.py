@@ -1,13 +1,19 @@
 import csv
+import importlib
 import json
 import math
+import pathlib
+import re
 
 import pytest
 import yaml
 
-from randpress import cli
+from randpress import cli, config
 from randpress.config import apply_overrides, load_experiment
 from randpress.errors import ConfigError, InvariantViolation
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+CONFIGS = REPO / "configs"
 
 FIX_A_TREE = {
     "base": {"states": ["s0"], "transition": [[1.0]]},
@@ -197,3 +203,64 @@ def test_apply_overrides_nested_and_malformed():
     assert tree["output"]["dir"] == "here"
     with pytest.raises(ConfigError):
         apply_overrides(tree, ["no-equals-sign"])
+
+
+@pytest.mark.parametrize("edit,path", [
+    (lambda t: t["run"].update(n_lsit=[3]), "run.n_lsit"),
+    (lambda t: t["run"].update(threads=2), "run.threads"),
+    (lambda t: t["run"].update(iter_cap=10), "run.iter_cap"),
+    (lambda t: t["run"].update(random_checks=5), "run.random_checks"),
+    (lambda t: t.update(outptu={"dir": "x"}), "outptu"),
+    (lambda t: t["output"].update(directory="x"), "output.directory"),
+    (lambda t: t["base"].update(stationary=[1.0]), "base.stationary"),
+    (lambda t: t["bundle"].update(alphabets=["0", "1"]), "bundle.alphabets"),
+    (lambda t: t["bundle"].update(allowed={"s0": [[1, 1], [1, 1]], "s9": [[1, 1], [1, 1]]}),
+     "bundle.allowed.s9"),
+    (lambda t: t["potential"].update(norm="spectral"), "potential.norm"),
+    (lambda t: t["measures"][0].update(seed=3), "measures[0].seed"),
+])
+def test_unknown_config_key_names_its_path(tmp_path, edit, path):
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    edit(tree)
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match=f"unknown config key: {re.escape(path)}$"):
+        load_experiment(cfg)
+
+
+def test_unknown_key_exits_one_and_override_typo_is_caught(tmp_path, capsys):
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    assert cli.run(cfg, overrides=["run.n_lsit=[3]"], output_dir=str(tmp_path / "o")) == 1
+    assert "run.n_lsit" in capsys.readouterr().err
+
+
+def test_invalid_mode_rejected_at_load(tmp_path):
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree["run"]["mode"] = "exakt"
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match="run.mode"):
+        load_experiment(cfg)
+    assert load_experiment(cfg, ["run.mode=monte_carlo"]).run.mode == "monte_carlo"
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        load_experiment(str(path))
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for name in workloads.WORKLOADS:
+        for i, case in enumerate(workloads.build(name, 0)):
+            load_experiment(write_config(tmp_path, case.config, f"{name}-{i}.yaml"))
+
+
+def test_yaml_loader_gives_the_safe_loader_tree():
+    assert config._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        text = path.read_text()
+        assert yaml.load(text, Loader=config._LOADER) == yaml.safe_load(text)
+
+
+def test_malformed_yaml_raises_config_error(tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("run:\n  verb: [pressure\n  seed: 1\n")
+    with pytest.raises(ConfigError, match="cannot parse config"):
+        load_experiment(str(path))

@@ -1,7 +1,8 @@
 """Property tests for the partition-sum kernels against first-principles oracles.
 
-The additive transfer DP and the batched non-additive (matrix-cocycle) kernel
-are both checked against brute-force enumeration of fiber words.
+The additive transfer DP, the batched non-additive (matrix-cocycle) kernel and
+the batched measure-weighted averages are all checked against brute-force
+enumeration of fiber words.
 """
 
 import contextlib
@@ -19,13 +20,19 @@ from randpress import (
     BaseChain,
     BundleSFT,
     CocyclePotential,
+    RandomMarkovMeasure,
     ScaledInverseNormPotential,
     SubadditivePotential,
+    check_lemma34,
+    empirical_measure_diagnostic,
     expected_log_sum,
     log_partition_sum,
+    lyapunov_spread,
+    potential_average,
     sample_path,
+    validate_measure,
 )
-from randpress import pressure
+from randpress import measures, pressure
 from randpress.errors import BudgetExceeded, SingularMatrix
 
 from fixtures import naive_fiber_words, separated_set_oracle
@@ -248,3 +255,190 @@ def test_chunked_joint_arrays_give_the_same_values(system, rows):
     finally:
         pressure._JOINT_ROWS = cap
     assert chunked == whole
+
+
+# --- measure-weighted averages ----------------------------------------------------------
+
+def _rows_with_a_positive_entry(weights, fallback):
+    """Normalized rows; an all-zero row takes the fallback row's pattern instead."""
+    weights = np.where(weights.sum(axis=-1, keepdims=True) > 0.0, weights, fallback)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+@st.composite
+def measure_systems(draw):
+    """A cocycle_systems() draw with an additive potential and two random measures.
+
+    `valid` mixes the A x A permutation matrices with drawn weights (some 0),
+    so every Q_s is doubly stochastic and the uniform initial row is
+    consistent with every base transition; the bundle is widened to the
+    support of these Q_s so that the measure lies inside it.  `free` has
+    drawn initial rows and drawn transition rows inside allowed, with zeros
+    inside allowed, and need not be invariant.
+    """
+    chain, bundle, n, m, pots = draw(cocycle_systems())
+    S, A = bundle.allowed.shape[:2]
+    perms = np.array([np.eye(A)[list(p)] for p in itertools.permutations(range(A))])
+    mix = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=S * len(perms),
+                                 max_size=S * len(perms)))).reshape(S, len(perms))
+    mix = _rows_with_a_positive_entry(mix, np.eye(len(perms))[0])
+    Q = np.einsum("sp,pab->sab", mix, perms)
+    bundle = BundleSFT.from_matrices(bundle.allowed | (Q > 0.0))
+    valid = RandomMarkovMeasure(initial=np.full((S, A), 1.0 / A), transition=Q)
+    assert validate_measure(valid, chain, bundle).valid
+    cells = st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5])
+    q = np.array(draw(st.lists(cells, min_size=S * A * A, max_size=S * A * A))).reshape(S, A, A)
+    q = _rows_with_a_positive_entry(q * bundle.allowed, bundle.allowed)
+    pi = np.array(draw(st.lists(cells, min_size=S * A, max_size=S * A))).reshape(S, A)
+    free = RandomMarkovMeasure(initial=_rows_with_a_positive_entry(pi, np.ones(A)), transition=q)
+    additive = AdditivePotential(pots[0].matrices[:, :, 0, 0])
+    return chain, bundle, n, m, (*pots, additive), (valid, free)
+
+
+def naive_cylinders(chain, lead, Q, n):
+    """(u, w, weight) over all length-n words with lead[u0, w0] * prod T * prod Q > 0."""
+    S, A = lead.shape
+    for u in itertools.product(range(S), repeat=n):
+        for w in itertools.product(range(A), repeat=n):
+            wgt = lead[u[0], w[0]]
+            for k in range(1, n):
+                wgt *= chain.transition[u[k - 1], u[k]] * Q[u[k - 1], w[k - 1], w[k]]
+            if wgt > 0.0:
+                yield u, w, wgt
+
+
+def naive_average(chain, meas, pot, n, lead=None):
+    lead = chain.stationary[:, None] * meas.initial if lead is None else lead
+    return sum(wgt * pot.eval(u, w, n) for u, w, wgt in naive_cylinders(chain, lead, meas.transition, n))
+
+
+def naive_joint_laws(chain, meas, count):
+    """Laws of the (base symbol, fiber symbol) pair at times 0 .. count-1, pushed one pair at a time."""
+    S, A = meas.initial.shape
+    D = chain.stationary[:, None] * meas.initial
+    laws = []
+    for _ in range(count):
+        laws.append(D)
+        nxt = np.zeros((S, A))
+        for s, a, s2, b in itertools.product(range(S), range(A), range(S), range(A)):
+            nxt[s2, b] += D[s, a] * chain.transition[s, s2] * meas.transition[s, a, b]
+        D = nxt
+    return laws
+
+
+@given(measure_systems())
+def test_potential_average_matches_brute_force(system):
+    chain, bundle, n, m, pots, meas_pair = system
+    for meas in meas_pair:
+        for pot in pots:
+            assert potential_average(meas, chain, bundle, pot, n) == pytest.approx(
+                naive_average(chain, meas, pot, n), abs=1e-10)
+
+
+@given(measure_systems())
+def test_lemma34_window_sum_matches_brute_force(system):
+    """The shifted a_k terms of Lemma 3.4, one window per offset; then the whole slack."""
+    chain, bundle, n, m, pots, (valid, free) = system
+    L = n + m - 1
+    for meas in (valid, free):
+        laws = naive_joint_laws(chain, meas, L)
+        for pot in pots:
+            expect = sum(naive_average(chain, meas, pot, n, lead=D) for D in laws)
+            assert measures._window_sum(meas, chain, pot, L, n) == pytest.approx(expect,
+                                                                               abs=1e-10)
+    if L > n:
+        laws = naive_joint_laws(chain, valid, L)
+        for pot in pots:
+            C = sum(chain.stationary[s] * max(abs(pot.eval((s,), (a,), 1))
+                                               for a in range(bundle.num_symbols))
+                    for s in range(chain.num_states))
+            window = sum(naive_average(chain, valid, pot, n, lead=D) for D in laws)
+            expect = 4.0 * n * n * C + window - n * naive_average(chain, valid, pot, L)
+            assert check_lemma34(valid, chain, bundle, pot, L, n) == pytest.approx(expect,
+                                                                                abs=1e-10)
+
+
+@given(measure_systems())
+def test_lyapunov_spread_matches_brute_force(system):
+    chain, bundle, n, m, pots, (valid, _free) = system
+    lead = chain.stationary[:, None] * valid.initial
+    for cocycle, order in zip(pots[:2], (2, np.inf)):
+        top = bottom = 0.0
+        for u, w, wgt in naive_cylinders(chain, lead, valid.transition, n):
+            P = cocycle.product(u, w, n)
+            top += wgt * math.log(np.linalg.norm(P, order))
+            bottom -= wgt * math.log(np.linalg.norm(np.linalg.inv(P), order))
+        got = lyapunov_spread(chain, bundle, cocycle, valid, n)
+        np.testing.assert_allclose(got, (top / n, bottom / n, (top - bottom) / n), rtol=0,
+                                   atol=1e-10)
+
+
+@given(measure_systems())
+def test_empirical_measure_diagnostic_matches_brute_force(system):
+    chain, bundle, n, m, pots, _measures = system
+    L, hi = n + m - 1, min(n, n + m - 2)
+    S, A = chain.num_states, bundle.num_symbols
+    for pot in pots:
+        marginal, lead, lag = np.zeros((S, A)), np.zeros((S, A)), np.zeros((S, A))
+        for u, prob in base_words(chain, L):
+            fibers = naive_fiber_words(bundle, u, L)
+            log_z = naive_log_z(bundle, pot, u, n, L)
+            for w in fibers:
+                p = prob * math.exp(pot.eval(u, w, n) - log_z)
+                for i in range(n):
+                    marginal[u[i], w[i]] += p / n
+                for i in range(hi):
+                    lead[u[i], w[i]] += p / hi
+                    lag[u[i + 1], w[i + 1]] += p / hi
+        got, defect = empirical_measure_diagnostic(chain, bundle, pot, n, m)
+        np.testing.assert_allclose(got, marginal, rtol=0, atol=1e-10)
+        assert defect == pytest.approx(float(np.abs(lead - lag).sum()), abs=1e-10)
+
+
+@given(measure_systems(), st.integers(1, 9))
+def test_chunked_measure_sums_give_the_same_values(system, rows):
+    """Capping the joint rows per eval_batch call changes the measure sums only in the last bits."""
+    chain, bundle, n, m, pots, (valid, free) = system
+
+    def values():
+        return [potential_average(free, chain, bundle, pots[2], n),
+                measures._window_sum(free, chain, pots[0], n + m - 1, n),
+                *lyapunov_spread(chain, bundle, pots[1], valid, n),
+                *empirical_measure_diagnostic(chain, bundle, pots[2], n, m)[0].ravel()]
+
+    whole = values()
+    cap = pressure._JOINT_ROWS
+    pressure._JOINT_ROWS = rows
+    try:
+        chunked = values()
+    finally:
+        pressure._JOINT_ROWS = cap
+    np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+
+
+def test_singular_generator_at_zero_weight_gives_no_nan():
+    """Fiber symbol 1 is allowed but has zero measure, and its generator is the zero matrix.
+
+    Its f value is -inf (or a singular inverse); dropping the zero-weight
+    words first keeps every average finite and exact.
+    """
+    chain = BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]])
+    bundle = BundleSFT.from_matrices(np.ones((2, 2, 2), dtype=int))
+    B = np.tile(np.diag([2.0, 0.5]), (2, 2, 1, 1))
+    B[:, 1] = 0.0
+    Q = np.tile(np.array([[1.0, 0.0], [1.0, 0.0]]), (2, 1, 1))  # zeros inside allowed
+    meas = RandomMarkovMeasure(initial=np.tile([1.0, 0.0], (2, 1)), transition=Q)
+    assert validate_measure(meas, chain, bundle).valid
+    log2 = math.log(2.0)
+    for kind in ("spectral", "max_row_sum"):
+        cocycle = CocyclePotential(B, norm_kind=kind)
+        inverse = ScaledInverseNormPotential(cocycle, 0.5)
+        for n in (1, 2, 4):
+            assert potential_average(meas, chain, bundle, cocycle, n) == pytest.approx(n * log2)
+            assert potential_average(meas, chain, bundle, inverse, n) == pytest.approx(
+                0.5 * n * log2)
+            assert measures._window_sum(meas, chain, cocycle, 3, n) == pytest.approx(3 * n * log2)
+            np.testing.assert_allclose(lyapunov_spread(chain, bundle, cocycle, meas, n),
+                                       (log2, -log2, 2 * log2))
+        # ||f_1|| is +inf here (log 0 on the unreachable symbol), so the slack is +inf, not NaN.
+        assert check_lemma34(meas, chain, bundle, cocycle, n=3, k=2) == math.inf

@@ -146,3 +146,56 @@ def test_scalar_cocycle_reduces_to_additive():
 def test_bernoulli_chain_helper():
     chain = bernoulli_chain()
     assert np.allclose(chain.stationary, [0.5, 0.5])
+
+
+def _replayed_worst_violation(pot, chain, bundle, sample_count, seed, max_block=4):
+    """Per-word reference: the same random draws in the same order, one eval per term.
+
+    A NaN violation (-inf minus -inf) is skipped, as Python's max skips it.
+    """
+    rng = np.random.default_rng(seed)
+    worst = -math.inf
+    for _ in range(sample_count):
+        n = int(rng.integers(1, max_block + 1))
+        m = int(rng.integers(1, max_block + 1))
+        u = [int(rng.choice(chain.num_states, p=chain.stationary))]
+        for _ in range(n + m - 1):
+            u.append(int(rng.choice(chain.num_states, p=chain.transition[u[-1]])))
+        w = [int(rng.integers(bundle.num_symbols))]
+        for k in range(n + m - 1):
+            w.append(int(rng.choice(np.nonzero(bundle.allowed[u[k], w[-1]])[0])))
+        viol = pot.eval(u, w, n + m) - pot.eval(u, w, n) - pot.eval(u[n:], w[n:], m)
+        worst = max(worst, viol)
+    return worst
+
+
+def test_subadditivity_batches_the_same_draws_as_a_per_word_replay():
+    rng = np.random.default_rng(9)
+    chain = random_chain(rng, 2)
+    bundle = random_bundle(rng, 2, 3)
+    coc = random_cocycle(rng, 2, 3)
+    zero = coc.matrices.copy()
+    zero[1, 2] = 0.0  # f is -inf on words through this generator
+    pots = (
+        AdditivePotential(rng.normal(size=(2, 3))),
+        coc,
+        CocyclePotential(coc.matrices, norm_kind="max_row_sum"),
+        ScaledInverseNormPotential(coc, 0.8),
+        CocyclePotential(zero, norm_kind="max_row_sum"),
+    )
+    for pot in pots:
+        for seed in (0, 11):
+            expect = _replayed_worst_violation(pot, chain, bundle, 300, seed)
+            assert check_subadditivity(pot, chain, bundle, sample_count=300,
+                                       seed=seed) == pytest.approx(expect, abs=1e-12)
+
+
+def test_sup_norm_matches_per_word_eval():
+    rng = np.random.default_rng(10)
+    chain = random_chain(rng, 3)
+    bundle = random_bundle(rng, 3, 2)
+    for pot in (random_cocycle(rng, 3, 2), AdditivePotential(rng.normal(size=(3, 2))),
+                ScaledInverseNormPotential(random_cocycle(rng, 3, 2), 1.5)):
+        expect = sum(chain.stationary[s] * max(abs(pot.eval((s,), (a,), 1)) for a in range(2))
+                     for s in range(3))
+        assert sup_norm_f1(pot, chain, bundle) == pytest.approx(expect, abs=1e-12)
