@@ -8,7 +8,6 @@ with their stationary cylinder probabilities are a complete surrogate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 import numpy as np
 
@@ -20,31 +19,16 @@ _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 
 
-def _strongly_connected(adj: np.ndarray) -> bool:
-    """Whether every state reaches every other, by repeated squaring of the reachability matrix."""
-    reach = (adj | np.eye(adj.shape[0], dtype=bool)).astype(float)
-    for _ in range(adj.shape[0].bit_length()):
-        reach = np.minimum(reach @ reach, 1.0)
-    return bool(reach.all())
+def _eventually_positive(adj: np.ndarray) -> bool:
+    """Whether some power of a 0/1 matrix is all positive, by repeated squaring.
 
-
-def _period(adj: np.ndarray) -> int:
-    """Period of a strongly connected digraph via BFS level differences."""
-    n = adj.shape[0]
-    dist = np.full(n, -1, dtype=int)
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        for j in np.nonzero(adj[i])[0]:
-            if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                queue.append(int(j))
-    g = 0
-    for i in range(n):
-        for j in np.nonzero(adj[i])[0]:
-            g = gcd(g, dist[i] + 1 - dist[j])
-    return abs(g) if g != 0 else 1
+    A primitive S x S matrix has its ((S-1)^2 + 1)-th power positive
+    (Wielandt), and every later power too.
+    """
+    power = adj.astype(float)
+    for _ in range(((adj.shape[0] - 1) ** 2).bit_length()):
+        power = np.minimum(power @ power, 1.0)
+    return bool(power.all())
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -56,9 +40,11 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     if np.max(np.abs(T.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
         raise ValueError("transition matrix rows must sum to 1")
     adj = T > 0.0
-    if not _strongly_connected(adj):
+    # adj | I is primitive exactly when the graph is strongly connected; then
+    # adj itself is primitive exactly when the graph is aperiodic.
+    if not _eventually_positive(adj | np.eye(n, dtype=bool)):
         raise NonErgodicChain("positive-transition graph is not strongly connected")
-    if _period(adj) != 1:
+    if not _eventually_positive(adj):
         raise NonErgodicChain("positive-transition graph is periodic")
     # Solve p (T - I) = 0 together with sum(p) = 1.
     A = np.vstack([T.T - np.eye(n), np.ones(n)])

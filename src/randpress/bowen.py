@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, sample_path
+from .base import DEFAULT_BUDGET, BaseChain, PrefixTree
 from .bundle import BundleSFT
-from .errors import InvalidSampleCount, NoBracket, NonMonotone
+from .errors import NoBracket, NonMonotone
 from .measures import RandomMarkovMeasure, _weighted_words, validate_measure
-from .pressure import _MONO_TOL, PressureEstimate, _batch_log_partition, _expected_log_z
+from .pressure import _MONO_TOL, PressureEstimate, _estimate, _log_partition
 from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_inverse_norm, _mat_norm
 
 
@@ -33,27 +33,21 @@ def pressure_at_t(
     seed: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> PressureEstimate:
-    """Depth-increment pressure of the scaled inverse-norm family at scale t."""
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    """Depth-increment pressure of the scaled inverse-norm family at scale t.
+
+    Each base word of length n+m-1 contributes log Z(n) - log Z(n-1); the
+    lower depth reads the word's first n+m-2 symbols, its parent in the tree.
+    """
     potential = ScaledInverseNormPotential(cocycle, t)
-    if mode == "exact":
-        e_hi = _expected_log_z(chain, bundle, potential, n, m, budget)
-        # E[log Z(n-1)] reads the first n+m-2 levels of the same base tree.
-        e_lo = _expected_log_z(chain, bundle, potential, n - 1, m, budget) if n + m > 2 else 0.0
-        return PressureEstimate(n=n, m=m, value=e_hi - e_lo, mode="exact")
-    if mode == "monte_carlo":
-        if samples < 1:
-            raise InvalidSampleCount(f"samples must be >= 1, got {samples}")
-        words = [sample_path(chain, n + m - 1, seed=(seed, i)) for i in range(samples)]
-        incs = _batch_log_partition(bundle, potential, words, n, m, budget)
-        if n + m > 2:
-            incs = incs - _batch_log_partition(bundle, potential, words, n - 1, m, budget)
-        value = float(np.mean(incs))
-        std_error = float(np.std(incs, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-        return PressureEstimate(n=n, m=m, value=value, mode="monte_carlo",
-                                std_error=std_error, samples=samples, seed=seed)
-    raise ValueError(f"unknown mode {mode!r}")
+
+    def increment(tree: PrefixTree) -> np.ndarray:
+        hi = _log_partition(bundle, potential, tree, n, budget)
+        if len(tree.symbol) == 1:  # n = m = 1: f_0 = 0 over words of length 0
+            return hi
+        lower = PrefixTree(tree.symbol[:-1], tree.parent[:-1], tree.prob[:-1])
+        return hi - _log_partition(bundle, potential, lower, n - 1, budget)[tree.parent[-1]]
+
+    return _estimate(chain, n, m, mode, samples, seed, budget, increment)
 
 
 def _generators_conformal(cocycle: CocyclePotential) -> bool:

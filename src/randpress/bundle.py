@@ -96,17 +96,6 @@ def enumerate_cylinders(bundle: BundleSFT, u, ell: int, budget: int = DEFAULT_BU
     return [tuple(w) for w in fiber_words(bundle.allowed, np.array([syms]), ell)[1].tolist()]
 
 
-def transfer_count(bundle: BundleSFT, u, ell: int) -> int:
-    """Number of admissible length-ell fiber words via the matrix product."""
-    syms = _symbols(u)
-    if ell < 1 or ell > len(syms):
-        raise ValueError("need |u| >= ell >= 1")
-    vec = np.ones(bundle.num_symbols, dtype=object)
-    for k in range(ell - 2, -1, -1):
-        vec = bundle.allowed[syms[k]].astype(object) @ vec
-    return int(vec.sum())
-
-
 def apply_skew(bundle: BundleSFT, u, w, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """k-fold skew product: shift both the base word and the fiber word."""
     syms, fib = _symbols(u), tuple(w)

@@ -243,13 +243,8 @@ _VERB_RUNNERS = {
 
 
 def run(config_path: str, overrides: list[str] | None = None,
-        verb: str | None = None, threads: int | None = None,
-        output_dir: str | None = None) -> int:
-    """Run one experiment; returns the process exit code.
-
-    threads is accepted for compatibility and ignored: every verb runs on the
-    calling thread.
-    """
+        verb: str | None = None, output_dir: str | None = None) -> int:
+    """Run one experiment; returns the process exit code."""
     started = time.monotonic()
     try:
         overrides = list(overrides or [])
@@ -283,12 +278,9 @@ def main(argv=None) -> int:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="PATH=VALUE", help="override a config key, e.g. run.seed=7")
     parser.add_argument("--verb", default=None, help="override run.verb")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="ignored; kept so existing command lines still run")
     parser.add_argument("--out", default=None, help="override output.dir")
     args = parser.parse_args(argv)
-    return run(args.config, args.overrides, verb=args.verb,
-               threads=args.threads, output_dir=args.out)
+    return run(args.config, args.overrides, verb=args.verb, output_dir=args.out)
 
 
 if __name__ == "__main__":

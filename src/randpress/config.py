@@ -155,6 +155,10 @@ def _build_run(tree: dict) -> RunSettings:
                  "tol_t", "tol_p"), "run.")
     if verb not in VERBS:
         raise ConfigError(f"run.verb: must be one of {VERBS}, got {verb!r}")
+    if verb in ("vp-check", "lemmas", "diagnose"):
+        for key in ("mode", "samples"):
+            if key in tree:
+                raise ConfigError(f"run.{key}: verb {verb!r} computes exact sums and does not read it")
     mode = tree.get("mode", "exact")
     if mode not in MODES:
         raise ConfigError(f"run.mode: must be one of {MODES}, got {mode!r}")

@@ -46,6 +46,13 @@ class MeasureReport:
     valid: bool
 
 
+def _consistency_residual(pi: np.ndarray, Q: np.ndarray, chain: BaseChain) -> float:
+    """Worst |pi_s Q_s - pi_{s'}| over the positive base transitions s -> s'."""
+    pushed = [pi[s] @ Q[s] for s in range(len(pi))]
+    return max(float(np.max(np.abs(pushed[s] - pi[s2])))
+               for s, s2 in zip(*np.nonzero(chain.transition > 0.0)))
+
+
 def validate_measure(
     meas: RandomMarkovMeasure, chain: BaseChain, bundle: BundleSFT
 ) -> MeasureReport:
@@ -59,12 +66,7 @@ def validate_measure(
     row = float(np.max(np.abs(meas.transition.sum(axis=2) - 1.0)))
     init = float(np.max(np.abs(meas.initial.sum(axis=1) - 1.0)))
     support = int(np.sum((meas.transition > 0.0) & (bundle.allowed == 0)))
-    cons = 0.0
-    for s in range(S):
-        pushed = meas.initial[s] @ meas.transition[s]
-        for s2 in range(S):
-            if chain.transition[s, s2] > 0.0:
-                cons = max(cons, float(np.max(np.abs(pushed - meas.initial[s2]))))
+    cons = _consistency_residual(meas.initial, meas.transition, chain)
     valid = row <= _ROW_TOL and init <= _ROW_TOL and support == 0 and cons <= _CONS_TOL
     return MeasureReport(row, init, support, cons, valid)
 
@@ -98,13 +100,7 @@ def solve_consistent_initial(
     x, *_ = np.linalg.lstsq(Amat, b, rcond=None)
     pi = np.maximum(x.reshape(S, A), 0.0)
     pi = pi / pi.sum(axis=1, keepdims=True)
-    resid = 0.0
-    for s in range(S):
-        pushed = pi[s] @ Q[s]
-        for s2 in range(S):
-            if chain.transition[s, s2] > 0.0:
-                resid = max(resid, float(np.max(np.abs(pushed - pi[s2]))))
-    return pi, resid
+    return pi, _consistency_residual(pi, Q, chain)
 
 
 def fiber_entropy(meas: RandomMarkovMeasure, chain: BaseChain) -> float:

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _symbols, sample_path
-from .bundle import BundleSFT, enumerate_cylinders, fiber_budget, fiber_words, separated_predicate
+from .bundle import BundleSFT, enumerate_cylinders, fiber_budget, fiber_words
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation
 
 _MONO_TOL = 1e-9
@@ -48,7 +47,7 @@ class PressureCurve:
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """Max-shifted log sum exp along one axis (scipy's costs several times more on small arrays)."""
+    """Max-shifted log sum exp along one axis."""
     peak = x.max(axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0  # an all -inf slice stays -inf
     with np.errstate(divide="ignore"):
@@ -142,22 +141,40 @@ def log_partition_sum(
     syms = _symbols(u)
     if len(syms) < n + m - 1:
         raise ValueError(f"base word must have length >= {n + m - 1}")
-    return float(_batch_log_partition(bundle, potential, [syms], n, m, budget)[0])
+    return float(_log_partition(bundle, potential, _forest([syms[:n + m - 1]]), n, budget)[0])
 
 
-def _batch_log_partition(bundle, potential, words, n, m, budget) -> np.ndarray:
-    """Log partition sums at depth n over a batch of base words (BaseWords or rows), as a forest."""
+def _forest(rows) -> PrefixTree:
+    """Unrelated base words of one length as a tree whose every level keeps the row order."""
+    arr = np.array(rows, dtype=np.int64)
+    return PrefixTree(tuple(arr.T), (np.arange(len(arr)),) * arr.shape[1], ())
+
+
+def _estimate(chain: BaseChain, n: int, m: int, mode: str, samples: int, seed: int,
+              budget: int, row) -> PressureEstimate:
+    """Expectation of a per-word value over the base words of length n+m-1.
+
+    row maps a tree or forest of these words to one value per deepest-level
+    word.  Exact mode sums it against the cylinder probabilities of the
+    chain's cached prefix tree; Monte Carlo mode averages it over seeded
+    stationary-chain samples with per-sample derived streams, combined in
+    index order for bit-reproducibility.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be >= 1")
     L = n + m - 1
-    arr = np.array([_symbols(w)[:L] for w in words], dtype=np.int64)
-    forest = PrefixTree(tuple(arr.T), (np.arange(len(arr)),) * L, ())
-    return _log_partition(bundle, potential, forest, n, budget)
-
-
-def _expected_log_z(chain: BaseChain, bundle: BundleSFT, potential, n: int, m: int,
-                    budget: int) -> float:
-    """Exact E[log Z] at depth n over base words of length n+m-1, on the chain's cached tree."""
-    tree = chain.prefix_tree(n + m - 1, budget)
-    return float(np.dot(tree.prob[-1], _log_partition(bundle, potential, tree, n, budget)))
+    if mode == "exact":
+        tree = chain.prefix_tree(L, budget)
+        return PressureEstimate(n=n, m=m, value=float(np.dot(tree.prob[-1], row(tree))),
+                                mode="exact")
+    if mode == "monte_carlo":
+        if samples < 1:
+            raise InvalidSampleCount(f"samples must be >= 1, got {samples}")
+        vals = row(_forest([sample_path(chain, L, seed=(seed, i)).symbols for i in range(samples)]))
+        std_error = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+        return PressureEstimate(n=n, m=m, value=float(np.mean(vals)), mode="monte_carlo",
+                                std_error=std_error, samples=samples, seed=seed)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def expected_log_sum(
@@ -177,24 +194,8 @@ def expected_log_sum(
     seeded stationary-chain samples with per-sample derived streams, combined
     in index order for bit-reproducibility.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    L = n + m - 1
-    if mode == "exact":
-        value = _expected_log_z(chain, bundle, potential, n, m, budget) / n
-        return PressureEstimate(n=n, m=m, value=value, mode="exact")
-    if mode == "monte_carlo":
-        if samples < 1:
-            raise InvalidSampleCount(f"samples must be >= 1, got {samples}")
-        words = [sample_path(chain, L, seed=(seed, i)) for i in range(samples)]
-        vals = _batch_log_partition(bundle, potential, words, n, m, budget) / n
-        value = float(np.mean(vals))
-        std_error = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-        return PressureEstimate(
-            n=n, m=m, value=value, mode="monte_carlo", std_error=std_error,
-            samples=samples, seed=seed,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    return _estimate(chain, n, m, mode, samples, seed, budget,
+                     lambda tree: _log_partition(bundle, potential, tree, n, budget) / n)
 
 
 def pressure_curve(
@@ -262,27 +263,19 @@ def greedy_maximal_separated(
     Candidates are (n+m_res-1)-cylinders; separation is tested at 2^-m_sep.
     Repeatedly selects the remaining candidate maximizing f_n and discards
     everything not separated from it; returns the selected representatives
-    and log sum exp(f_n) over them.
+    and log sum exp(f_n) over them.  Not being separated means agreeing on the
+    first n+m_sep-1 symbols, an equivalence relation, so the pass keeps from
+    each class its first candidate in (-f_n, word) order.
     """
     if not (m_res >= m_sep >= 1):
         raise ValueError("need m_res >= m_sep >= 1")
     syms = _symbols(u)
-    candidates = enumerate_cylinders(bundle, syms, n + m_res - 1, budget=budget)
-    values = potential.eval_batch(np.array([syms] * len(candidates)), np.array(candidates), n).tolist()
-    order = sorted(range(len(candidates)), key=lambda i: (-values[i], candidates[i]))
-    alive = [True] * len(candidates)
-    selected: list[int] = []
-    for i in order:
-        if not alive[i]:
-            continue
-        selected.append(i)
-        for j in range(len(candidates)):
-            if alive[j] and j != i and not separated_predicate(candidates[i], candidates[j], n, m_sep):
-                alive[j] = False
-        alive[i] = False
-    picked = [candidates[i] for i in selected]
-    log_sum = float(logsumexp(np.array([values[i] for i in selected])))
-    return picked, log_sum
+    candidates = np.array(enumerate_cylinders(bundle, syms, n + m_res - 1, budget=budget))
+    values = potential.eval_batch(np.array([syms] * len(candidates)), candidates, n)
+    order = np.argsort(-values, kind="stable")  # candidates come in word order
+    _, first = np.unique(candidates[order, :n + m_sep - 1], axis=0, return_index=True)
+    selected = order[np.sort(first)]
+    return [tuple(w) for w in candidates[selected].tolist()], float(_logsumexp(values[selected], 0))
 
 
 def check_power_lemma(

@@ -201,6 +201,17 @@ def naive_fiber_words(bundle, base_symbols, length):
     return out
 
 
+def transfer_count(bundle, u, ell):
+    """Number of admissible length-ell fiber words over u, by an exact integer matrix product."""
+    syms = tuple(u)
+    if ell < 1 or ell > len(syms):
+        raise ValueError("need |u| >= ell >= 1")
+    vec = np.ones(bundle.num_symbols, dtype=object)
+    for k in range(ell - 2, -1, -1):
+        vec = bundle.allowed[syms[k]].astype(object) @ vec
+    return int(vec.sum())
+
+
 def separated_set_oracle(bundle, potential, base_symbols, n, m, length):
     """Exhaustive maximal-separated-set partition sum, from first principles.
 

@@ -49,6 +49,32 @@ def test_stationary_rejects_periodic():
         stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_stationary_accepts_the_wielandt_chain():
+    """A 6-cycle plus the chord 5 -> 1: primitive, first positive power the 26th."""
+    T = np.zeros((6, 6))
+    T[np.arange(5), np.arange(1, 6)] = 1.0
+    T[5, 0] = T[5, 1] = 0.5
+    adj = (T > 0.0).astype(int)
+    assert not np.linalg.matrix_power(adj, 25).all()
+    assert np.linalg.matrix_power(adj, 26).all()
+    p = stationary_distribution(T)
+    np.testing.assert_allclose(p @ T, p, atol=1e-12)
+
+
+def test_stationary_rejects_period_three():
+    T = np.zeros((6, 6))
+    for c in range(3):  # every state of class c steps to both states of class c + 1
+        T[2 * c:2 * c + 2, (2 * c + 2) % 6:(2 * c + 2) % 6 + 2] = 0.5
+    with pytest.raises(NonErgodicChain, match="periodic"):
+        stationary_distribution(T)
+
+
+def test_stationary_rejects_an_absorbing_state():
+    T = np.array([[0.5, 0.5, 0.0], [0.4, 0.1, 0.5], [0.0, 0.0, 1.0]])
+    with pytest.raises(NonErgodicChain, match="not strongly connected"):
+        stationary_distribution(T)
+
+
 def test_stationary_rejects_non_stochastic():
     with pytest.raises(ValueError):
         stationary_distribution(np.array([[0.5, 0.6], [0.5, 0.5]]))

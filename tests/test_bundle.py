@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from randpress import BundleSFT, apply_skew, enumerate_cylinders
-from randpress.bundle import separated_predicate, transfer_count
+from randpress.bundle import separated_predicate
 from randpress.errors import WordTooShort
 
-from fixtures import golden_mean, random_bundle, random_chain
+from fixtures import golden_mean, random_bundle, random_chain, transfer_count
 
 
 def test_zero_row_rejected_with_location():

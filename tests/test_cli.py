@@ -2,8 +2,11 @@ import csv
 import importlib
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -102,8 +105,7 @@ def test_overrides_reach_run_settings(tmp_path):
 
 def test_main_entry_point(tmp_path):
     cfg = write_config(tmp_path, FIX_A_TREE)
-    code = cli.main([cfg, "--out", str(tmp_path / "o"), "--set", "run.m_list=[1]",
-                     "--threads", "2"])
+    code = cli.main([cfg, "--out", str(tmp_path / "o"), "--set", "run.m_list=[1]"])
     assert code == 0
 
 
@@ -240,6 +242,29 @@ def test_invalid_mode_rejected_at_load(tmp_path):
     with pytest.raises(ConfigError, match="run.mode"):
         load_experiment(cfg)
     assert load_experiment(cfg, ["run.mode=monte_carlo"]).run.mode == "monte_carlo"
+
+
+@pytest.mark.parametrize("verb", ["vp-check", "lemmas", "diagnose"])
+@pytest.mark.parametrize("key,value", [("mode", "monte_carlo"), ("mode", "exact"), ("samples", 50)])
+def test_sampling_keys_rejected_on_exact_verbs(tmp_path, verb, key, value):
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree["run"].update({"verb": verb, key: value})
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match=f"^run.{key}: verb '{verb}'"):
+        load_experiment(cfg)
+    tree["run"]["verb"] = "pressure"
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match=f"run.{key}"):
+        load_experiment(cfg, [f"run.verb={verb}"])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, randpress.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):

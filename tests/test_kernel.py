@@ -29,13 +29,15 @@ from randpress import (
     log_partition_sum,
     lyapunov_spread,
     potential_average,
+    pressure_at_t,
     sample_path,
     validate_measure,
 )
 from randpress import measures, pressure
+from randpress.bundle import fiber_words
 from randpress.errors import BudgetExceeded, SingularMatrix
 
-from fixtures import naive_fiber_words, separated_set_oracle
+from fixtures import naive_fiber_words, separated_set_oracle, transfer_count
 
 
 @st.composite
@@ -130,6 +132,16 @@ def test_large_potentials_match_mpmath(system, shifts):
         assert abs(value - expected / n) <= 1e-10
 
 
+@given(systems())
+def test_fiber_word_rows_per_base_word_match_transfer_count(system):
+    chain, bundle, _pot, n, m = system
+    L = n + m - 1
+    words = np.array([u for u, _ in base_words(chain, L)])
+    row, _fibers = fiber_words(bundle.allowed, words, L)
+    assert np.bincount(row, minlength=len(words)).tolist() == [
+        transfer_count(bundle, u, L) for u in words.tolist()]
+
+
 # --- the batched non-additive kernel -------------------------------------------------
 
 _GENERATOR = st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4).filter(
@@ -188,6 +200,42 @@ def test_monte_carlo_cocycle_rows_match_per_word_partition_sums(system, seed):
                                               abs=1e-12)
         for u, row in zip(words, rows):
             assert row == pytest.approx(naive_log_z(bundle, pot, u, n, L) / n, abs=1e-10)
+
+
+def naive_lower_log_z(bundle, potential, u, n, length):
+    """log Z(n-1) over the first length-1 symbols of u; f_0 = 0, so depth 0 counts words."""
+    if length == 1:
+        return 0.0
+    if n == 1:
+        return math.log(transfer_count(bundle, u, length - 1))
+    return naive_log_z(bundle, potential, u[:length - 1], n - 1, length - 1)
+
+
+@given(cocycle_systems(), st.floats(0.1, 2.0), st.integers(0, 2 ** 16))
+def test_pressure_at_t_matches_brute_force_increments(system, t, seed):
+    """Exact: E[log Z(n) - log Z(n-1)] by brute force; Monte Carlo: the per-word increments."""
+    chain, bundle, n, m, pots = system
+    scalar = CocyclePotential(np.abs(pots[0].matrices[:, :, :1, :1]) + 0.5)
+    samples = 4
+    for cocycle in (scalar, pots[0], pots[1]):
+        pot = ScaledInverseNormPotential(cocycle, t)
+        for depth, res in dict.fromkeys([(n, m), (1, 1), (1, 2)]):
+            L = depth + res - 1
+            expect = sum(prob * (naive_log_z(bundle, pot, u, depth, L)
+                                 - naive_lower_log_z(bundle, pot, u, depth, L))
+                         for u, prob in base_words(chain, L))
+            got = pressure_at_t(chain, bundle, cocycle, t, depth, res).value
+            assert got == pytest.approx(expect, abs=1e-10)
+            words = [sample_path(chain, L, seed=(seed, i)).symbols for i in range(samples)]
+            rows = np.array([log_partition_sum(bundle, pot, u, depth, res) - (
+                log_partition_sum(bundle, pot, u, depth - 1, res) if depth > 1
+                else naive_lower_log_z(bundle, pot, u, depth, L))
+                for u in words])
+            est = pressure_at_t(chain, bundle, cocycle, t, depth, res, mode="monte_carlo",
+                                samples=samples, seed=seed)
+            assert est.value == pytest.approx(float(np.mean(rows)), abs=1e-12)
+            assert est.std_error == pytest.approx(
+                float(np.std(rows, ddof=1) / math.sqrt(samples)), abs=1e-12)
 
 
 @given(cocycle_systems())

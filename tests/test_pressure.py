@@ -18,7 +18,7 @@ from randpress import (
 )
 from randpress.bundle import separated_predicate
 from randpress.errors import InvalidSampleCount
-from randpress.pressure import _batch_log_partition
+from randpress.pressure import _log_partition
 
 from fixtures import (
     E,
@@ -177,6 +177,41 @@ def test_greedy_two_power_bound_random():
         assert lhs <= n * math.log(2) + log_sum + 1e-12
 
 
+def pairwise_greedy(bundle, potential, u, n, m_sep, m_res):
+    """The greedy pass as a pairwise separation loop: the reference for the grouped one."""
+    candidates = enumerate_cylinders(bundle, u, n + m_res - 1)
+    values = potential.eval_batch(np.array([u] * len(candidates)), np.array(candidates), n).tolist()
+    order = sorted(range(len(candidates)), key=lambda i: (-values[i], candidates[i]))
+    alive = [True] * len(candidates)
+    selected = []
+    for i in order:
+        if not alive[i]:
+            continue
+        selected.append(i)
+        for j in range(len(candidates)):
+            if alive[j] and j != i and not separated_predicate(candidates[i], candidates[j], n, m_sep):
+                alive[j] = False
+        alive[i] = False
+    return [candidates[i] for i in selected], float(logsumexp([values[i] for i in selected]))
+
+
+def test_greedy_matches_the_pairwise_reference():
+    rng = np.random.default_rng(19)
+    for trial in range(120):
+        S, A = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+        bundle = random_bundle(rng, S, A)
+        # Tables rounded to one decimal tie many candidates, so the word order breaks ties.
+        pot = (random_cocycle(rng, S, A) if trial % 2 else
+               AdditivePotential(np.round(rng.normal(size=(S, A)), 1)))
+        n, m_sep = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        m_res = m_sep + int(rng.integers(0, 2))
+        u = tuple(int(x) for x in rng.integers(0, S, size=n + m_res - 1))
+        picked, log_sum = greedy_maximal_separated(bundle, pot, u, n, m_sep, m_res)
+        ref_picked, ref_log_sum = pairwise_greedy(bundle, pot, u, n, m_sep, m_res)
+        assert picked == ref_picked
+        assert log_sum == pytest.approx(ref_log_sum, abs=1e-12)
+
+
 def test_power_lemma_k1_zero_slack():
     chain, bundle, pot = fix_a()
     assert check_power_lemma(chain, bundle, pot, 1, 3, 2) == pytest.approx(0.0, abs=1e-12)
@@ -233,7 +268,7 @@ def test_batch_partition_matches_per_word_enumeration():
     bundle = random_bundle(rng, 2, 2)
     coc = random_cocycle(rng, 2, 2)
     words = enumerate_base_words(chain, 4)
-    batched = _batch_log_partition(bundle, coc, words, 3, 2, 10_000)
+    batched = _log_partition(bundle, coc, chain.prefix_tree(4), 3, 10_000)
     for word, value in zip(words, batched):
         vals = [coc.eval(word.symbols, w, 3) for w in enumerate_cylinders(bundle, word, 4)]
         assert value == pytest.approx(float(logsumexp(vals)), abs=1e-12)
