@@ -17,6 +17,8 @@ DEFAULT_BUDGET = 2_000_000
 
 _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
+# Generator.choice accepts a probability vector whose sum is 1 within sqrt(eps).
+_CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def _eventually_positive(adj: np.ndarray) -> bool:
@@ -167,19 +169,59 @@ def enumerate_base_words(chain: BaseChain, n: int, budget: int = DEFAULT_BUDGET)
     return [BaseWord(tuple(w), p) for w, p in zip(tree.words().tolist(), tree.prob[-1].tolist())]
 
 
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of each probability vector along the last axis.
+
+    The normalised cumsum Generator.choice computes, so searchsorted(cdf, u,
+    side="right") is the symbol choice(p=p) draws from the uniform u.  Raises
+    the ValueError choice raises for a vector with NaN or negative entries
+    or with a sum off 1 by more than sqrt(eps).
+    """
+    total = p.sum(axis=-1)
+    if np.isnan(total).any():
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0.0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if (np.abs(total - 1.0) > _CHOICE_SUM_TOL).any():
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _walk(chain: BaseChain, uniforms: np.ndarray) -> np.ndarray:
+    """Stationary-chain words from an (N, L) array of uniforms, all rows a column at a time.
+
+    Symbol k of row i is the one choice(p=...) draws from uniforms[i, k]: the
+    number of cdf entries <= that uniform.
+    """
+    cdf0, cdfT = _choice_cdf(chain.stationary), _choice_cdf(chain.transition)
+    out = np.empty(uniforms.shape, dtype=np.int64)
+    out[:, 0] = np.searchsorted(cdf0, uniforms[:, 0], side="right")
+    for k in range(1, uniforms.shape[1]):
+        out[:, k] = (cdfT[out[:, k - 1]] <= uniforms[:, k, None]).sum(axis=1)
+    return out
+
+
+def _sample_paths(chain: BaseChain, L: int, seed: int, samples: int) -> np.ndarray:
+    """(samples, L) stationary-chain words; row i reads the stream default_rng((seed, i)).
+
+    Each row is bit-identical to sample_path(chain, L, (seed, i)).symbols.
+    """
+    uniforms = np.empty((samples, L))
+    for i in range(samples):
+        np.random.default_rng((seed, i)).random(out=uniforms[i])
+    return _walk(chain, uniforms)
+
+
 def sample_path(chain: BaseChain, n: int, seed) -> BaseWord:
     """Deterministic stationary-chain sample of a length-n word.
 
     A pure function of (chain, n, seed); seed may be an int or a sequence of
-    ints (used to derive independent per-sample streams).
+    ints (used to derive independent per-sample streams).  Each symbol takes
+    one uniform of the stream, as Generator.choice(p=...) would.
     """
     if n < 1:
         raise ValueError("path length must be >= 1")
-    rng = np.random.default_rng(seed)
-    k = chain.num_states
-    symbols = np.empty(n, dtype=int)
-    symbols[0] = rng.choice(k, p=chain.stationary)
-    for i in range(1, n):
-        symbols[i] = rng.choice(k, p=chain.transition[symbols[i - 1]])
-    syms = tuple(int(s) for s in symbols)
+    syms = tuple(_walk(chain, np.random.default_rng(seed).random((1, n)))[0].tolist())
     return BaseWord(syms, chain.word_probability(syms))

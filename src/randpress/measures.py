@@ -80,7 +80,10 @@ def solve_consistent_initial(
     residual after projection.
     """
     Q = np.asarray(transition, dtype=float)
-    S, A = Q.shape[0], Q.shape[1]
+    S = chain.num_states
+    if Q.ndim != 3 or Q.shape[0] != S or Q.shape[1] != Q.shape[2]:
+        raise ShapeMismatch(f"fiber transition shape {Q.shape} does not match (S={S}, A, A)")
+    A = Q.shape[1]
     rows, rhs = [], []
     for s in range(S):
         for s2 in range(S):

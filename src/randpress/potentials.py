@@ -9,11 +9,12 @@ exactly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseChain, _symbols
+from .base import BaseChain, _choice_cdf, _symbols
 from .bundle import BundleSFT
 from .errors import SingularMatrix
 
@@ -162,15 +163,28 @@ class ScaledInverseNormPotential(SubadditivePotential):
         return AdditivePotential(-self.t * np.log(np.abs(b)))
 
 
-def _random_admissible_pair(chain: BaseChain, bundle: BundleSFT, length: int, rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    u = [int(rng.choice(chain.num_states, p=chain.stationary))]
-    for _ in range(length - 1):
-        u.append(int(rng.choice(chain.num_states, p=chain.transition[u[-1]])))
-    w = [int(rng.integers(bundle.num_symbols))]
-    for k in range(length - 1):
-        choices = np.nonzero(bundle.allowed[u[k], w[-1]])[0]
-        w.append(int(rng.choice(choices)))
-    return tuple(u), tuple(w)
+def _admissible_pair_sampler(chain: BaseChain, bundle: BundleSFT):
+    """draw(length, rng): a stationary base word and an admissible fiber word over it.
+
+    The draws are those of choice(p=...) per base symbol and choice(columns)
+    per fiber symbol, in that order, from tables built once: one uniform
+    through a cdf per base symbol, then one bounded integer per fiber symbol.
+    """
+    cdf0, cdfT = _choice_cdf(chain.stationary).tolist(), _choice_cdf(chain.transition).tolist()
+    cols = [[np.flatnonzero(row).tolist() for row in M] for M in bundle.allowed]
+
+    def draw(length: int, rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        uniforms = rng.random(length).tolist()
+        u = [bisect_right(cdf0, uniforms[0])]
+        for x in uniforms[1:]:
+            u.append(bisect_right(cdfT[u[-1]], x))
+        w = [int(rng.integers(bundle.num_symbols))]
+        for k in range(length - 1):
+            choices = cols[u[k]][w[-1]]
+            w.append(choices[rng.integers(len(choices))])
+        return tuple(u), tuple(w)
+
+    return draw
 
 
 def check_subadditivity(
@@ -188,12 +202,13 @@ def check_subadditivity(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    draw = _admissible_pair_sampler(chain, bundle)
     rng = np.random.default_rng(seed)
     pairs: dict[tuple[int, int], list] = {}  # the drawn (u, w) pairs per block sizes (n, m)
     for _ in range(sample_count):
         n = int(rng.integers(1, max_block + 1))
         m = int(rng.integers(1, max_block + 1))
-        pairs.setdefault((n, m), []).append(_random_admissible_pair(chain, bundle, n + m, rng))
+        pairs.setdefault((n, m), []).append(draw(n + m, rng))
     worst = -np.inf
     for (n, m), drawn in pairs.items():
         u, w = (np.array(side) for side in zip(*drawn))

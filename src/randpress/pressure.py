@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _symbols, sample_path
+from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _sample_paths, _symbols
 from .bundle import BundleSFT, enumerate_cylinders, fiber_budget, fiber_words
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation
 
@@ -146,7 +146,7 @@ def log_partition_sum(
 
 def _forest(rows) -> PrefixTree:
     """Unrelated base words of one length as a tree whose every level keeps the row order."""
-    arr = np.array(rows, dtype=np.int64)
+    arr = np.asarray(rows, dtype=np.int64)
     return PrefixTree(tuple(arr.T), (np.arange(len(arr)),) * arr.shape[1], ())
 
 
@@ -157,8 +157,8 @@ def _estimate(chain: BaseChain, n: int, m: int, mode: str, samples: int, seed: i
     row maps a tree or forest of these words to one value per deepest-level
     word.  Exact mode sums it against the cylinder probabilities of the
     chain's cached prefix tree; Monte Carlo mode averages it over seeded
-    stationary-chain samples with per-sample derived streams, combined in
-    index order for bit-reproducibility.
+    stationary-chain samples with per-sample derived streams, drawn together
+    column by column and combined in index order for bit-reproducibility.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
@@ -170,7 +170,7 @@ def _estimate(chain: BaseChain, n: int, m: int, mode: str, samples: int, seed: i
     if mode == "monte_carlo":
         if samples < 1:
             raise InvalidSampleCount(f"samples must be >= 1, got {samples}")
-        vals = row(_forest([sample_path(chain, L, seed=(seed, i)).symbols for i in range(samples)]))
+        vals = row(_forest(_sample_paths(chain, L, seed, samples)))
         std_error = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
         return PressureEstimate(n=n, m=m, value=float(np.mean(vals)), mode="monte_carlo",
                                 std_error=std_error, samples=samples, seed=seed)

@@ -175,6 +175,27 @@ def _stationary_of(Q):
         return nxt / nxt.sum()
 
 
+def reference_sample_path(chain, n, seed):
+    """A stationary-chain word drawn symbol by symbol with Generator.choice, as a tuple."""
+    rng = np.random.default_rng(seed)
+    k = chain.num_states
+    symbols = [int(rng.choice(k, p=chain.stationary))]
+    for _ in range(n - 1):
+        symbols.append(int(rng.choice(k, p=chain.transition[symbols[-1]])))
+    return tuple(symbols)
+
+
+def reference_admissible_pair(chain, bundle, length, rng):
+    """A (base word, fiber word) pair drawn symbol by symbol with Generator.choice."""
+    u = [int(rng.choice(chain.num_states, p=chain.stationary))]
+    for _ in range(length - 1):
+        u.append(int(rng.choice(chain.num_states, p=chain.transition[u[-1]])))
+    w = [int(rng.integers(bundle.num_symbols))]
+    for k in range(length - 1):
+        w.append(int(rng.choice(np.nonzero(bundle.allowed[u[k], w[-1]])[0])))
+    return tuple(u), tuple(w)
+
+
 def naive_metric(x, y):
     """d(x, y) = 2^{-first disagreement index}, straight from the definition."""
     for k, (a, b) in enumerate(zip(x, y)):

@@ -2,14 +2,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from randpress import (
+    AdditivePotential,
     BaseChain,
     enumerate_base_words,
+    expected_log_sum,
     sample_path,
     stationary_distribution,
 )
+from randpress.base import _sample_paths
 from randpress.errors import BudgetExceeded, NonErgodicChain
+
+from fixtures import full_shift_bundle, reference_sample_path
 
 
 def test_stationary_single_state():
@@ -145,6 +152,61 @@ def test_sample_path_frequencies():
         word = sample_path(chain, 10_000, seed=seed)
         freq = word.symbols.count(0) / 10_000
         assert abs(freq - 0.5) <= 0.02
+
+
+@st.composite
+def chains(draw):
+    """Random ergodic chain with up to 4 states; zero transitions allowed."""
+    S = draw(st.integers(1, 4))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5]),
+                                     min_size=S * S, max_size=S * S))).reshape(S, S)
+    # A cycle through every state and a self-loop at state 0 keep the chain
+    # irreducible and aperiodic whichever transitions were drawn as zero.
+    weights[np.arange(S), (np.arange(S) + 1) % S] += 1.0
+    weights[0, 0] += 0.5
+    return BaseChain.from_transition(weights / weights.sum(axis=1, keepdims=True))
+
+
+ONE_STATE = BaseChain.from_transition([[1.0]])
+ZERO_TRANSITIONS = BaseChain.from_transition([[0.0, 1.0, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
+
+
+@given(chains(), st.integers(1, 40), st.integers(1, 12), st.integers(0, 2 ** 32))
+@example(ONE_STATE, 1, 1, 3)
+@example(ONE_STATE, 9, 4, 3)
+@example(ZERO_TRANSITIONS, 1, 7, 3)
+@example(ZERO_TRANSITIONS, 9, 1, 3)
+def test_sample_paths_match_the_choice_loop(chain, L, samples, seed):
+    paths = _sample_paths(chain, L, seed, samples)
+    assert paths.shape == (samples, L) and paths.dtype == np.int64
+    for i in range(samples):
+        assert tuple(paths[i].tolist()) == reference_sample_path(chain, L, (seed, i))
+    assert sample_path(chain, L, seed).symbols == reference_sample_path(chain, L, seed)
+
+
+@pytest.mark.parametrize("stationary, match", [
+    ([0.7, 0.7], "do not sum to 1"), ([np.nan, 1.0], "contain NaN"),
+    ([-0.1, 1.1], "not non-negative")])
+def test_sampling_rejects_a_stationary_vector_choice_rejects(stationary, match):
+    """The constructor does not validate an explicit stationary vector; sampling does."""
+    chain = BaseChain(("a", "b"), np.full((2, 2), 0.5), stationary=stationary)
+    pot = AdditivePotential(np.zeros((2, 2)))
+    for sample in (lambda: reference_sample_path(chain, 4, 0),
+                   lambda: sample_path(chain, 4, seed=0),
+                   lambda: _sample_paths(chain, 4, 0, 3),
+                   lambda: expected_log_sum(chain, full_shift_bundle(2, 2), pot, 2, 1,
+                                            mode="monte_carlo", samples=3)):
+        with pytest.raises(ValueError, match=match):
+            sample()
+
+
+def test_sampling_checks_every_transition_row_up_front():
+    """A bad row raises before any draw, whether or not a path would reach its state."""
+    chain = BaseChain(("a", "b"), np.array([[1.0, 0.0], [0.9, 0.3]]), stationary=[1.0, 0.0])
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        _sample_paths(chain, 4, 0, 3)
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        sample_path(chain, 1, seed=0)
 
 
 def test_prefix_tree_shapes():

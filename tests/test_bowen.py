@@ -11,7 +11,6 @@ from randpress import (
     dimension_root,
     lyapunov_spread,
     pressure_at_t,
-    sample_path,
 )
 from randpress.errors import NoBracket, NonMonotone
 
@@ -21,6 +20,7 @@ from fixtures import (
     fix_f,
     full_shift_bundle,
     one_state_chain,
+    reference_sample_path,
     uniform_measure,
 )
 
@@ -51,7 +51,7 @@ def test_matrix_cocycle_depth_one_hand_count():
         exact = pressure_at_t(chain, bundle, coc, t, n=1, m=2)
         assert exact.value == pytest.approx(p0 * log_z[0] + p1 * log_z[1] - math.log(2), abs=1e-12)
         mc = pressure_at_t(chain, bundle, coc, t, n=1, m=2, mode="monte_carlo", samples=6, seed=4)
-        rows = [log_z[sample_path(chain, 2, seed=(4, i)).symbols[0]] - math.log(2)
+        rows = [log_z[reference_sample_path(chain, 2, (4, i))[0]] - math.log(2)
                 for i in range(6)]
         assert mc.value == pytest.approx(float(np.mean(rows)), abs=1e-12)
 

@@ -30,14 +30,18 @@ from randpress import (
     lyapunov_spread,
     potential_average,
     pressure_at_t,
-    sample_path,
     validate_measure,
 )
 from randpress import measures, pressure
 from randpress.bundle import fiber_words
 from randpress.errors import BudgetExceeded, SingularMatrix
 
-from fixtures import naive_fiber_words, separated_set_oracle, transfer_count
+from fixtures import (
+    naive_fiber_words,
+    reference_sample_path,
+    separated_set_oracle,
+    transfer_count,
+)
 
 
 @st.composite
@@ -102,7 +106,7 @@ def test_monte_carlo_rows_match_per_word_partition_sums(system, seed):
     L, samples = n + m - 1, 5
     est = expected_log_sum(chain, bundle, pot, n, m, mode="monte_carlo", samples=samples,
                            seed=seed)
-    words = [sample_path(chain, L, seed=(seed, i)).symbols for i in range(samples)]
+    words = [reference_sample_path(chain, L, (seed, i)) for i in range(samples)]
     rows = np.array([log_partition_sum(bundle, pot, u, n, m) for u in words]) / n
     assert est.value == pytest.approx(float(np.mean(rows)), abs=1e-12)
     assert est.std_error == pytest.approx(float(np.std(rows, ddof=1) / math.sqrt(samples)),
@@ -190,7 +194,7 @@ def test_exact_cocycle_expected_log_sum_matches_brute_force(system):
 def test_monte_carlo_cocycle_rows_match_per_word_partition_sums(system, seed):
     chain, bundle, n, m, pots = system
     L, samples = n + m - 1, 4
-    words = [sample_path(chain, L, seed=(seed, i)).symbols for i in range(samples)]
+    words = [reference_sample_path(chain, L, (seed, i)) for i in range(samples)]
     for pot in pots:
         est = expected_log_sum(chain, bundle, pot, n, m, mode="monte_carlo", samples=samples,
                                seed=seed)
@@ -226,7 +230,7 @@ def test_pressure_at_t_matches_brute_force_increments(system, t, seed):
                          for u, prob in base_words(chain, L))
             got = pressure_at_t(chain, bundle, cocycle, t, depth, res).value
             assert got == pytest.approx(expect, abs=1e-10)
-            words = [sample_path(chain, L, seed=(seed, i)).symbols for i in range(samples)]
+            words = [reference_sample_path(chain, L, (seed, i)) for i in range(samples)]
             rows = np.array([log_partition_sum(bundle, pot, u, depth, res) - (
                 log_partition_sum(bundle, pot, u, depth - 1, res) if depth > 1
                 else naive_lower_log_z(bundle, pot, u, depth, L))

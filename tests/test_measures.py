@@ -68,6 +68,13 @@ def test_validate_shape_mismatch():
         validate_measure(meas, chain, bundle)
 
 
+def test_solve_consistent_initial_shape_mismatch():
+    chain = bernoulli_chain()
+    Q = np.full((1, 2, 2), 0.5)  # one base symbol's Q on a 2-state chain
+    with pytest.raises(ShapeMismatch):
+        solve_consistent_initial(Q, chain)
+
+
 def test_solve_consistent_initial_recovers_stationary():
     rng = np.random.default_rng(1)
     chain = random_chain(rng, 2)

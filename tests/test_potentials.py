@@ -5,12 +5,14 @@ import pytest
 
 from randpress import (
     AdditivePotential,
+    BaseChain,
     CocyclePotential,
     ScaledInverseNormPotential,
     check_subadditivity,
     sup_norm_f1,
 )
 from randpress.errors import SingularMatrix
+from randpress.potentials import _admissible_pair_sampler
 
 from fixtures import (
     bernoulli_chain,
@@ -21,6 +23,7 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
+    reference_admissible_pair,
 )
 
 
@@ -158,12 +161,7 @@ def _replayed_worst_violation(pot, chain, bundle, sample_count, seed, max_block=
     for _ in range(sample_count):
         n = int(rng.integers(1, max_block + 1))
         m = int(rng.integers(1, max_block + 1))
-        u = [int(rng.choice(chain.num_states, p=chain.stationary))]
-        for _ in range(n + m - 1):
-            u.append(int(rng.choice(chain.num_states, p=chain.transition[u[-1]])))
-        w = [int(rng.integers(bundle.num_symbols))]
-        for k in range(n + m - 1):
-            w.append(int(rng.choice(np.nonzero(bundle.allowed[u[k], w[-1]])[0])))
+        u, w = reference_admissible_pair(chain, bundle, n + m, rng)
         viol = pot.eval(u, w, n + m) - pot.eval(u, w, n) - pot.eval(u[n:], w[n:], m)
         worst = max(worst, viol)
     return worst
@@ -188,6 +186,31 @@ def test_subadditivity_batches_the_same_draws_as_a_per_word_replay():
             expect = _replayed_worst_violation(pot, chain, bundle, 300, seed)
             assert check_subadditivity(pot, chain, bundle, sample_count=300,
                                        seed=seed) == pytest.approx(expect, abs=1e-12)
+
+
+def test_pair_draws_match_the_choice_loop_and_leave_the_stream_in_step():
+    """Pairs and the stream position after them equal the symbol-by-symbol choice loop's."""
+    rng = np.random.default_rng(12)
+    weights = np.array([[0.0, 1.0, 0.5], [0.7, 0.0, 0.3], [0.2, 0.2, 0.6]])  # zero transitions
+    for chain in (random_chain(rng, 2), one_state_chain(),
+                  BaseChain.from_transition(weights / weights.sum(axis=1, keepdims=True))):
+        S = chain.num_states
+        for bundle in (random_bundle(rng, S, 3), random_bundle(rng, S, 1),
+                       full_shift_bundle(S, 2)):
+            draw = _admissible_pair_sampler(chain, bundle)
+            for seed in range(40):
+                got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                for length in (1, 2, 5, 8):
+                    assert draw(length, got_rng) == reference_admissible_pair(
+                        chain, bundle, length, ref_rng)
+                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_subadditivity_rejects_a_stationary_vector_choice_rejects():
+    chain = BaseChain(("a", "b"), np.full((2, 2), 0.5), stationary=[0.7, 0.7])
+    pot = AdditivePotential(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="do not sum to 1"):
+        check_subadditivity(pot, chain, full_shift_bundle(2, 2), sample_count=5)
 
 
 def test_sup_norm_matches_per_word_eval():
