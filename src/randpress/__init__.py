@@ -1,13 +1,12 @@
 """Pressure, entropy and dimension workbench for random subshifts."""
 
-from .base import BaseChain, BaseWord, enumerate_base_words, sample_path, stationary_distribution
-from .bundle import BundleSFT, apply_skew, enumerate_cylinders, separated_predicate
+from .base import BaseChain, stationary_distribution
+from .bundle import BundleSFT
 from .bowen import DimensionRoot, dimension_root, lyapunov_spread, pressure_at_t
 from .measures import (
     FStarBracket,
     RandomMarkovMeasure,
     check_lemma34,
-    entropy_cylinder_oracle,
     f_star_bracket,
     fiber_entropy,
     potential_average,

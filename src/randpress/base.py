@@ -61,21 +61,6 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BaseWord:
-    """Finite admissible base word with its stationary cylinder probability."""
-
-    symbols: tuple[int, ...]
-    probability: float
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-def _symbols(word) -> tuple[int, ...]:
-    return tuple(word.symbols) if isinstance(word, BaseWord) else tuple(word)
-
-
-@dataclass(frozen=True)
 class PrefixTree:
     """Admissible base words of lengths 1..L, level k holding the words of length k+1.
 
@@ -127,16 +112,6 @@ class BaseChain:
     def num_states(self) -> int:
         return len(self.states)
 
-    def is_admissible(self, symbols) -> bool:
-        return all(self.transition[a, b] > 0.0 for a, b in zip(symbols, symbols[1:]))
-
-    def word_probability(self, symbols) -> float:
-        """Stationary cylinder probability p(u0) * prod T(u_k, u_{k+1})."""
-        prob = float(self.stationary[symbols[0]])
-        for a, b in zip(symbols, symbols[1:]):
-            prob *= float(self.transition[a, b])
-        return prob
-
     def prefix_tree(self, length: int, budget: int = DEFAULT_BUDGET) -> PrefixTree:
         """Prefix tree of the admissible words of lengths 1..length.
 
@@ -163,12 +138,6 @@ class BaseChain:
         return PrefixTree(tree.symbol[:length], tree.parent[:length], tree.prob[:length])
 
 
-def enumerate_base_words(chain: BaseChain, n: int, budget: int = DEFAULT_BUDGET) -> list[BaseWord]:
-    """All admissible length-n words with their cylinder probabilities, in lexicographic order."""
-    tree = chain.prefix_tree(n, budget)
-    return [BaseWord(tuple(w), p) for w, p in zip(tree.words().tolist(), tree.prob[-1].tolist())]
-
-
 def _choice_cdf(p: np.ndarray) -> np.ndarray:
     """Cumulative distribution of each probability vector along the last axis.
 
@@ -189,39 +158,19 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _walk(chain: BaseChain, uniforms: np.ndarray) -> np.ndarray:
-    """Stationary-chain words from an (N, L) array of uniforms, all rows a column at a time.
-
-    Symbol k of row i is the one choice(p=...) draws from uniforms[i, k]: the
-    number of cdf entries <= that uniform.
-    """
-    cdf0, cdfT = _choice_cdf(chain.stationary), _choice_cdf(chain.transition)
-    out = np.empty(uniforms.shape, dtype=np.int64)
-    out[:, 0] = np.searchsorted(cdf0, uniforms[:, 0], side="right")
-    for k in range(1, uniforms.shape[1]):
-        out[:, k] = (cdfT[out[:, k - 1]] <= uniforms[:, k, None]).sum(axis=1)
-    return out
-
-
 def _sample_paths(chain: BaseChain, L: int, seed: int, samples: int) -> np.ndarray:
     """(samples, L) stationary-chain words; row i reads the stream default_rng((seed, i)).
 
-    Each row is bit-identical to sample_path(chain, L, (seed, i)).symbols.
+    Each symbol takes one uniform of its row's stream: symbol k of row i is
+    the one Generator.choice(p=...) draws from uniform k, the number of cdf
+    entries <= it.  All rows are walked together a column at a time.
     """
+    cdf0, cdfT = _choice_cdf(chain.stationary), _choice_cdf(chain.transition)
     uniforms = np.empty((samples, L))
     for i in range(samples):
         np.random.default_rng((seed, i)).random(out=uniforms[i])
-    return _walk(chain, uniforms)
-
-
-def sample_path(chain: BaseChain, n: int, seed) -> BaseWord:
-    """Deterministic stationary-chain sample of a length-n word.
-
-    A pure function of (chain, n, seed); seed may be an int or a sequence of
-    ints (used to derive independent per-sample streams).  Each symbol takes
-    one uniform of the stream, as Generator.choice(p=...) would.
-    """
-    if n < 1:
-        raise ValueError("path length must be >= 1")
-    syms = tuple(_walk(chain, np.random.default_rng(seed).random((1, n)))[0].tolist())
-    return BaseWord(syms, chain.word_probability(syms))
+    out = np.empty(uniforms.shape, dtype=np.int64)
+    out[:, 0] = np.searchsorted(cdf0, uniforms[:, 0], side="right")
+    for k in range(1, L):
+        out[:, k] = (cdfT[out[:, k - 1]] <= uniforms[:, k, None]).sum(axis=1)
+    return out

@@ -15,7 +15,7 @@ import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain, PrefixTree
 from .bundle import BundleSFT
-from .errors import NoBracket, NonMonotone
+from .errors import InvalidMeasure, NoBracket, NonMonotone
 from .measures import RandomMarkovMeasure, _weighted_words, validate_measure
 from .pressure import _MONO_TOL, PressureEstimate, _estimate, _log_partition
 from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_inverse_norm, _mat_norm
@@ -164,7 +164,7 @@ def lyapunov_spread(
     """
     rep = validate_measure(meas, chain, bundle)
     if not rep.valid:
-        raise ValueError(f"measure fails validation: {rep}")
+        raise InvalidMeasure(f"measure fails validation: {rep}")
     lead = chain.stationary[:, None] * meas.initial
     top = bottom = 0.0
     for u, w, wgt in _weighted_words(meas, chain, n, lead, budget):

@@ -1,4 +1,4 @@
-"""Random subshift of finite type: fibers, skew product, separation structure.
+"""Random subshift of finite type: the bundle and its fiber words.
 
 Fiber admissibility is controlled by one 0/1 matrix per base symbol, indexed
 at the source time: a fiber word w over a base word u is admissible when
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, _symbols
-from .errors import BudgetExceeded, WordTooShort
+from .errors import BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,6 @@ class BundleSFT:
     def num_symbols(self) -> int:
         return len(self.alphabet)
 
-    def is_admissible(self, base_symbols, fiber_symbols) -> bool:
-        u, w = _symbols(base_symbols), tuple(fiber_symbols)
-        return all(self.allowed[u[k], w[k], w[k + 1]] == 1 for k in range(len(w) - 1))
-
 
 def fiber_budget(bundle: BundleSFT, ell: int, budget: int) -> None:
     """Raise BudgetExceeded when A^ell fiber words exceed the budget."""
@@ -85,35 +80,3 @@ def fiber_words(support: np.ndarray, base: np.ndarray, ell: int) -> tuple[np.nda
         par, sym = np.nonzero(support[base[row, k - 1], words[:, -1]])
         row, words = row[par], np.column_stack([words[par], sym])
     return row, words
-
-
-def enumerate_cylinders(bundle: BundleSFT, u, ell: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """All admissible fiber words of length ell over the base word u, in lexicographic order."""
-    syms = _symbols(u)
-    if ell < 1 or ell > len(syms):
-        raise ValueError("need |u| >= ell >= 1")
-    fiber_budget(bundle, ell, budget)
-    return [tuple(w) for w in fiber_words(bundle.allowed, np.array([syms]), ell)[1].tolist()]
-
-
-def apply_skew(bundle: BundleSFT, u, w, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """k-fold skew product: shift both the base word and the fiber word."""
-    syms, fib = _symbols(u), tuple(w)
-    if k < 0 or k >= len(syms) or k >= len(fib):
-        raise IndexError(f"shift {k} out of range for lengths {len(syms)}, {len(fib)}")
-    return syms[k:], fib[k:]
-
-
-def separated_predicate(x, y, n: int, m: int) -> bool:
-    """Whether two fiber words are (epsilon, n)-separated at epsilon = 2^-m.
-
-    With the 2^-j metric this holds exactly when the words disagree at some
-    coordinate in [0, n+m-2].
-    """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    xs, ys = tuple(x), tuple(y)
-    span = n + m - 1
-    if len(xs) < span or len(ys) < span:
-        raise WordTooShort(f"need words of length >= {span}")
-    return any(xs[i] != ys[i] for i in range(span))

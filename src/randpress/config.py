@@ -9,7 +9,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .base import BaseChain
+from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import BundleSFT
 from .errors import ConfigError
 from .measures import RandomMarkovMeasure, solve_consistent_initial
@@ -42,6 +42,20 @@ def _need(tree: dict, key: str, path: str) -> Any:
     if not isinstance(tree, dict) or key not in tree:
         raise ConfigError(f"missing config key: {path}.{key}")
     return tree[key]
+
+
+def _int(value, path: str) -> int:
+    """A YAML integer (not a bool); a float or string would be truncated or fail later."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _int_list(tree: dict, key: str, default: list) -> tuple[int, ...]:
+    values = tree.get(key, default)
+    if not isinstance(values, list):
+        raise ConfigError(f"run.{key}: expected a list of integers, got {values!r}")
+    return tuple(_int(v, f"run.{key}[{i}]") for i, v in enumerate(values))
 
 
 def _per_state_table(spec, states, path) -> list:
@@ -162,20 +176,24 @@ def _build_run(tree: dict) -> RunSettings:
     mode = tree.get("mode", "exact")
     if mode not in MODES:
         raise ConfigError(f"run.mode: must be one of {MODES}, got {mode!r}")
-    default_budget = int(os.environ.get(BUDGET_ENV, 2_000_000))
-    n_list = tuple(int(n) for n in tree.get("n_list", [8]))
-    m_list = tuple(int(m) for m in tree.get("m_list", [1]))
+    env_budget = os.environ.get(BUDGET_ENV)
+    try:
+        default_budget = DEFAULT_BUDGET if env_budget is None else int(env_budget)
+    except ValueError:
+        raise ConfigError(f"{BUDGET_ENV}: expected an integer, got {env_budget!r}") from None
+    n_list = _int_list(tree, "n_list", [8])
+    m_list = _int_list(tree, "m_list", [1])
     if not n_list or not m_list:
         raise ConfigError("run.n_list and run.m_list must be nonempty")
     return RunSettings(
         verb=verb,
         n_list=n_list,
         m_list=m_list,
-        N=int(tree.get("N", max(n_list))),
+        N=_int(tree.get("N", max(n_list)), "run.N"),
         mode=mode,
-        samples=int(tree.get("samples", 0)),
-        seed=int(tree.get("seed", 0)),
-        budget=int(tree.get("budget", default_budget)),
+        samples=_int(tree.get("samples", 0), "run.samples"),
+        seed=_int(tree.get("seed", 0), "run.seed"),
+        budget=_int(tree.get("budget", default_budget), "run.budget"),
         t_max=float(tree.get("t_max", 4.0)),
         tol_t=float(tree.get("tol_t", 1e-8)),
         tol_p=float(tree.get("tol_p", 1e-9)),

@@ -17,10 +17,6 @@ class BudgetExceeded(RandpressError):
     """An enumeration would exceed the configured size cap."""
 
 
-class WordTooShort(RandpressError):
-    """A symbolic word is shorter than the operation requires."""
-
-
 class SingularMatrix(RandpressError):
     """A cocycle product is (numerically) non-invertible."""
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, enumerate_base_words
+from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import BundleSFT
-from .errors import BudgetExceeded, InvalidMeasure, ShapeMismatch
+from .errors import InvalidMeasure, ShapeMismatch
 from .potentials import SubadditivePotential, sup_norm_f1
 from .pressure import _joint_words
 
@@ -117,39 +117,6 @@ def fiber_entropy(meas: RandomMarkovMeasure, chain: BaseChain) -> float:
                 -(pos * np.log(pos)).sum()
             )
     return h
-
-
-def _cylinder_distribution(meas: RandomMarkovMeasure, u) -> np.ndarray:
-    """Probabilities of all A^n fiber words over the base word u.
-
-    Flat array in lexicographic order with the last symbol fastest.
-    """
-    A = meas.initial.shape[1]
-    probs = meas.initial[u[0]].copy()
-    for k in range(1, len(u)):
-        probs = (probs.reshape(-1, A)[:, :, None] * meas.transition[u[k - 1]][None, :, :]).reshape(-1)
-    return probs
-
-
-def entropy_cylinder_oracle(
-    meas: RandomMarkovMeasure,
-    chain: BaseChain,
-    bundle: BundleSFT,
-    n: int,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
-    """(1/n) E_P[entropy of the n-cylinder fiber distribution], by enumeration."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    A = bundle.num_symbols
-    if A ** n > budget:
-        raise BudgetExceeded(f"{A}^{n} fiber cylinders exceed budget {budget}")
-    total = 0.0
-    for word in enumerate_base_words(chain, n, budget=budget):
-        probs = _cylinder_distribution(meas, word.symbols)
-        pos = probs[probs > 0.0]
-        total += word.probability * float(-(pos * np.log(pos)).sum())
-    return total / n
 
 
 def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, lead: np.ndarray,

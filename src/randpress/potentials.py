@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseChain, _choice_cdf, _symbols
+from .base import BaseChain, _choice_cdf
 from .bundle import BundleSFT
 from .errors import SingularMatrix
 
@@ -48,8 +48,7 @@ class AdditivePotential(SubadditivePotential):
         object.__setattr__(self, "table", t)
 
     def eval(self, u, w, n: int) -> float:
-        us, ws = _symbols(u), tuple(w)
-        return float(sum(self.table[us[k], ws[k]] for k in range(n)))
+        return float(sum(self.table[u[k], w[k]] for k in range(n)))
 
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
         return self.table[base_arr[:, :n], fiber_arr[:, :n]].sum(axis=1)
@@ -103,10 +102,9 @@ class CocyclePotential(SubadditivePotential):
         return self.matrices.shape[2]
 
     def product(self, u, w, n: int) -> np.ndarray:
-        us, ws = _symbols(u), tuple(w)
         P = np.eye(self.dim)
         for k in range(n):
-            P = self.matrices[us[k], ws[k]] @ P
+            P = self.matrices[u[k], w[k]] @ P
         return P
 
     def products(self, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int) -> np.ndarray:

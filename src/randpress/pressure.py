@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _sample_paths, _symbols
-from .bundle import BundleSFT, enumerate_cylinders, fiber_budget, fiber_words
+from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _sample_paths
+from .bundle import BundleSFT, fiber_budget, fiber_words
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation
 
 _MONO_TOL = 1e-9
@@ -138,7 +138,7 @@ def log_partition_sum(
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    syms = _symbols(u)
+    syms = tuple(u)
     if len(syms) < n + m - 1:
         raise ValueError(f"base word must have length >= {n + m - 1}")
     return float(_log_partition(bundle, potential, _forest([syms[:n + m - 1]]), n, budget)[0])
@@ -269,9 +269,13 @@ def greedy_maximal_separated(
     """
     if not (m_res >= m_sep >= 1):
         raise ValueError("need m_res >= m_sep >= 1")
-    syms = _symbols(u)
-    candidates = np.array(enumerate_cylinders(bundle, syms, n + m_res - 1, budget=budget))
-    values = potential.eval_batch(np.array([syms] * len(candidates)), candidates, n)
+    base = np.asarray(u, dtype=np.int64)[None]
+    ell = n + m_res - 1
+    if n < 1 or base.shape[1] < ell:
+        raise ValueError(f"need n >= 1 and a base word of length >= {ell}")
+    fiber_budget(bundle, ell, budget)
+    _, candidates = fiber_words(bundle.allowed, base, ell)
+    values = potential.eval_batch(base.repeat(len(candidates), axis=0), candidates, n)
     order = np.argsort(-values, kind="stable")  # candidates come in word order
     _, first = np.unique(candidates[order, :n + m_sep - 1], axis=0, return_index=True)
     selected = order[np.sort(first)]

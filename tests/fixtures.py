@@ -1,6 +1,7 @@
 """Shared fixture systems and independent oracles for the test suite."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from randpress import (
     RandomMarkovMeasure,
     stationary_distribution,
 )
+from randpress.base import DEFAULT_BUDGET
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 E = math.e
@@ -173,6 +175,46 @@ def _stationary_of(Q):
                 break
             pi = nxt
         return nxt / nxt.sum()
+
+
+BaseWord = namedtuple("BaseWord", "symbols probability")
+
+
+def enumerate_base_words(chain, n, budget=DEFAULT_BUDGET):
+    """The admissible length-n words of the chain's prefix tree, in lexicographic order."""
+    tree = chain.prefix_tree(n, budget)
+    return [BaseWord(tuple(w), p) for w, p in zip(tree.words().tolist(), tree.prob[-1].tolist())]
+
+
+def is_admissible(chain, u):
+    """Whether every step of the base word u has a positive transition probability."""
+    return all(chain.transition[a, b] > 0.0 for a, b in zip(u, u[1:]))
+
+
+def word_probability(chain, u):
+    """Stationary cylinder probability p(u0) * prod T(u_k, u_{k+1})."""
+    prob = float(chain.stationary[u[0]])
+    for a, b in zip(u, u[1:]):
+        prob *= float(chain.transition[a, b])
+    return prob
+
+
+def entropy_cylinder_oracle(meas, chain, bundle, n):
+    """(1/n) E_P[entropy of the n-cylinder fiber distribution], by enumeration.
+
+    Over each base word u the A^n fiber-word probabilities are
+    pi_{u0}(w0) * prod Q_{u_{k-1}}(w_{k-1}, w_k), one outer product per symbol.
+    """
+    A = bundle.num_symbols
+    total = 0.0
+    for word in enumerate_base_words(chain, n):
+        u = word.symbols
+        probs = meas.initial[u[0]]
+        for k in range(1, n):
+            probs = (probs.reshape(-1, A)[:, :, None] * meas.transition[u[k - 1]]).reshape(-1)
+        pos = probs[probs > 0.0]
+        total += word.probability * float(-(pos * np.log(pos)).sum())
+    return total / n
 
 
 def reference_sample_path(chain, n, seed):

@@ -19,8 +19,6 @@ from randpress import (
     check_power_lemma,
     check_subadditivity,
     dimension_root,
-    enumerate_base_words,
-    entropy_cylinder_oracle,
     expected_log_sum,
     f_star_bracket,
     fiber_entropy,
@@ -38,6 +36,8 @@ from fixtures import (
     FIX_B_LIMIT,
     FIX_D_PRESSURE,
     GOLDEN,
+    entropy_cylinder_oracle,
+    enumerate_base_words,
     fix_a,
     fix_b,
     fix_d,

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from randpress import (
-    AdditivePotential,
-    BaseChain,
-    enumerate_base_words,
-    expected_log_sum,
-    sample_path,
-    stationary_distribution,
-)
+from randpress import AdditivePotential, BaseChain, expected_log_sum, stationary_distribution
 from randpress.base import _sample_paths
 from randpress.errors import BudgetExceeded, NonErgodicChain
 
-from fixtures import full_shift_bundle, reference_sample_path
+from fixtures import (
+    enumerate_base_words,
+    full_shift_bundle,
+    is_admissible,
+    reference_sample_path,
+    word_probability,
+)
 
 
 def test_stationary_single_state():
@@ -134,23 +133,22 @@ def test_enumerate_budget():
 
 def test_sample_path_deterministic():
     chain = BaseChain.from_transition([[0.7, 0.3], [0.4, 0.6]])
-    a = sample_path(chain, 20, seed=42)
-    b = sample_path(chain, 20, seed=42)
-    assert a == b
-    assert chain.is_admissible(a.symbols)
-    assert a.probability == pytest.approx(chain.word_probability(a.symbols))
+    a = _sample_paths(chain, 20, 42, 1)
+    b = _sample_paths(chain, 20, 42, 1)
+    assert np.array_equal(a, b)
+    assert is_admissible(chain, a[0].tolist())
 
 
 def test_sample_path_single_state():
     chain = BaseChain.from_transition([[1.0]])
-    assert sample_path(chain, 6, seed=0).symbols == (0,) * 6
+    assert _sample_paths(chain, 6, 0, 1).tolist() == [[0] * 6]
 
 
 def test_sample_path_frequencies():
     chain = BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]])
     for seed in range(10):
-        word = sample_path(chain, 10_000, seed=seed)
-        freq = word.symbols.count(0) / 10_000
+        word = _sample_paths(chain, 10_000, seed, 1)[0]
+        freq = np.count_nonzero(word == 0) / 10_000
         assert abs(freq - 0.5) <= 0.02
 
 
@@ -181,7 +179,6 @@ def test_sample_paths_match_the_choice_loop(chain, L, samples, seed):
     assert paths.shape == (samples, L) and paths.dtype == np.int64
     for i in range(samples):
         assert tuple(paths[i].tolist()) == reference_sample_path(chain, L, (seed, i))
-    assert sample_path(chain, L, seed).symbols == reference_sample_path(chain, L, seed)
 
 
 @pytest.mark.parametrize("stationary, match", [
@@ -192,7 +189,7 @@ def test_sampling_rejects_a_stationary_vector_choice_rejects(stationary, match):
     chain = BaseChain(("a", "b"), np.full((2, 2), 0.5), stationary=stationary)
     pot = AdditivePotential(np.zeros((2, 2)))
     for sample in (lambda: reference_sample_path(chain, 4, 0),
-                   lambda: sample_path(chain, 4, seed=0),
+                   lambda: _sample_paths(chain, 4, 0, 1),
                    lambda: _sample_paths(chain, 4, 0, 3),
                    lambda: expected_log_sum(chain, full_shift_bundle(2, 2), pot, 2, 1,
                                             mode="monte_carlo", samples=3)):
@@ -206,7 +203,7 @@ def test_sampling_checks_every_transition_row_up_front():
     with pytest.raises(ValueError, match="do not sum to 1"):
         _sample_paths(chain, 4, 0, 3)
     with pytest.raises(ValueError, match="do not sum to 1"):
-        sample_path(chain, 1, seed=0)
+        _sample_paths(chain, 1, 0, 1)
 
 
 def test_prefix_tree_shapes():
@@ -219,9 +216,9 @@ def test_prefix_tree_shapes():
 def test_prefix_tree_matches_brute_force_and_is_kept():
     chain = BaseChain.from_transition([[0.5, 0.5], [1.0, 0.0]])  # 1 -> 1 forbidden
     tree = chain.prefix_tree(4)
-    brute = [u for u in itertools.product(range(2), repeat=4) if chain.is_admissible(u)]
+    brute = [u for u in itertools.product(range(2), repeat=4) if is_admissible(chain, u)]
     assert [tuple(w) for w in tree.words().tolist()] == brute
-    assert tree.prob[-1].tolist() == [chain.word_probability(u) for u in brute]
+    assert tree.prob[-1].tolist() == [word_probability(chain, u) for u in brute]
     short = chain.prefix_tree(2)
     assert len(short.symbol) == 2 and short.symbol[1] is tree.symbol[1]
     assert len(chain.prefix_tree(6).symbol) == 6

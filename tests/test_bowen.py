@@ -8,11 +8,12 @@ from randpress import (
     BaseChain,
     BundleSFT,
     CocyclePotential,
+    RandomMarkovMeasure,
     dimension_root,
     lyapunov_spread,
     pressure_at_t,
 )
-from randpress.errors import NoBracket, NonMonotone
+from randpress.errors import InvalidMeasure, NoBracket, NonMonotone
 
 from fixtures import (
     fix_b,
@@ -232,6 +233,13 @@ def test_lyapunov_spread_diagonal_gap():
     coc = CocyclePotential(B)
     _, _, spread = lyapunov_spread(chain, bundle, coc, uniform_measure(), 5)
     assert spread == pytest.approx(1.0, abs=1e-10)
+
+
+def test_lyapunov_spread_rejects_an_invalid_measure():
+    chain, bundle, coc = fix_e()
+    bad = RandomMarkovMeasure(initial=np.array([[0.9, 0.3]]), transition=uniform_measure().transition)
+    with pytest.raises(InvalidMeasure, match="measure fails validation"):
+        lyapunov_spread(chain, bundle, coc, bad, 4)
 
 
 def test_fix_b_alias_shares_structure():

@@ -258,6 +258,48 @@ def test_sampling_keys_rejected_on_exact_verbs(tmp_path, verb, key, value):
         load_experiment(cfg, [f"run.verb={verb}"])
 
 
+@pytest.mark.parametrize("override,path", [
+    ("run.n_list=[2.9, 4.5]", "run.n_list[0]"),
+    ("run.m_list=[1, true]", "run.m_list[1]"),
+    ("run.n_list=4", "run.n_list"),
+    ("run.seed=1.7", "run.seed"),
+    ("run.samples='50'", "run.samples"),
+    ("run.N=2.0", "run.N"),
+    ("run.budget=abc", "run.budget"),
+    ("run.budget=false", "run.budget"),
+])
+def test_integer_keys_reject_other_values(tmp_path, capsys, override, path):
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected "):
+        load_experiment(cfg, [override])
+    assert cli.run(cfg, overrides=[override], output_dir=str(tmp_path / "o")) == 1
+    assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2e6", "abc", ""])
+def test_budget_variable_must_be_an_integer(tmp_path, monkeypatch, value):
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    monkeypatch.setenv(config.BUDGET_ENV, value)
+    with pytest.raises(ConfigError, match="^RANDPRESS_BUDGET: expected an integer"):
+        load_experiment(cfg)
+    monkeypatch.setenv(config.BUDGET_ENV, "5000")
+    assert load_experiment(cfg).run.budget == 5000
+    assert load_experiment(cfg, ["run.budget=7000"]).run.budget == 7000
+
+
+def test_dimension_rejects_an_invalid_measure_with_exit_one(tmp_path, capsys):
+    tree = {
+        "base": {"transition": [[1.0]]},
+        "bundle": {"allowed": [[[1, 1], [1, 1]]]},
+        "potential": {"kind": "cocycle", "matrices": [[3.0, 3.0]]},
+        "measures": [{"transition": [[[0.5, 0.5], [0.5, 0.5]]], "initial": [[0.9, 0.3]]}],
+        "run": {"verb": "dimension", "n_list": [5], "m_list": [1], "t_max": 2.0},
+    }
+    cfg = write_config(tmp_path, tree)
+    assert cli.run(cfg, output_dir=str(tmp_path / "o")) == 1
+    assert "measure fails validation" in capsys.readouterr().err
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, randpress.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -41,6 +41,7 @@ from fixtures import (
     reference_sample_path,
     separated_set_oracle,
     transfer_count,
+    word_probability,
 )
 
 
@@ -74,7 +75,7 @@ def systems(draw, table_scale=5.0):
 def base_words(chain, length):
     """Admissible base words with their cylinder probabilities, by brute force."""
     for u in itertools.product(range(chain.num_states), repeat=length):
-        prob = chain.word_probability(u)
+        prob = word_probability(chain, u)
         if prob > 0.0:
             yield u, prob
 

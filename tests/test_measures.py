@@ -6,7 +6,6 @@ import pytest
 from randpress import (
     RandomMarkovMeasure,
     check_lemma34,
-    entropy_cylinder_oracle,
     f_star_bracket,
     fiber_entropy,
     potential_average,
@@ -19,6 +18,7 @@ from randpress.errors import InvalidMeasure, ShapeMismatch
 from fixtures import (
     GOLDEN,
     bernoulli_chain,
+    entropy_cylinder_oracle,
     fix_a,
     fix_d,
     full_shift_bundle,

@@ -9,21 +9,21 @@ from randpress import (
     BaseChain,
     BundleSFT,
     check_power_lemma,
-    enumerate_base_words,
-    enumerate_cylinders,
     expected_log_sum,
     greedy_maximal_separated,
     log_partition_sum,
     pressure_curve,
 )
-from randpress.bundle import separated_predicate
-from randpress.errors import InvalidSampleCount
+from randpress.errors import BudgetExceeded, InvalidSampleCount
 from randpress.pressure import _log_partition
 
 from fixtures import (
     E,
+    enumerate_base_words,
     fix_a,
     golden_mean,
+    naive_fiber_words,
+    naive_separated,
     one_state_chain,
     random_additive,
     random_bundle,
@@ -155,7 +155,7 @@ def test_greedy_output_pairwise_separated():
     sel, _ = greedy_maximal_separated(bundle, pot, word.symbols, 3, 1, 2)
     for i, x in enumerate(sel):
         for y in sel[i + 1:]:
-            assert separated_predicate(x, y, 3, 1)
+            assert naive_separated(x, y, 3, 1)
 
 
 def test_greedy_two_power_bound_random():
@@ -179,7 +179,7 @@ def test_greedy_two_power_bound_random():
 
 def pairwise_greedy(bundle, potential, u, n, m_sep, m_res):
     """The greedy pass as a pairwise separation loop: the reference for the grouped one."""
-    candidates = enumerate_cylinders(bundle, u, n + m_res - 1)
+    candidates = naive_fiber_words(bundle, u, n + m_res - 1)
     values = potential.eval_batch(np.array([u] * len(candidates)), np.array(candidates), n).tolist()
     order = sorted(range(len(candidates)), key=lambda i: (-values[i], candidates[i]))
     alive = [True] * len(candidates)
@@ -189,7 +189,7 @@ def pairwise_greedy(bundle, potential, u, n, m_sep, m_res):
             continue
         selected.append(i)
         for j in range(len(candidates)):
-            if alive[j] and j != i and not separated_predicate(candidates[i], candidates[j], n, m_sep):
+            if alive[j] and j != i and not naive_separated(candidates[i], candidates[j], n, m_sep):
                 alive[j] = False
         alive[i] = False
     return [candidates[i] for i in selected], float(logsumexp([values[i] for i in selected]))
@@ -210,6 +210,24 @@ def test_greedy_matches_the_pairwise_reference():
         ref_picked, ref_log_sum = pairwise_greedy(bundle, pot, u, n, m_sep, m_res)
         assert picked == ref_picked
         assert log_sum == pytest.approx(ref_log_sum, abs=1e-12)
+
+
+def test_word_inputs_give_identical_results():
+    """A base word as a tuple, a list or an int64 row gives bit-identical sums and picks."""
+    rng = np.random.default_rng(21)
+    bundle = random_bundle(rng, 2, 3)
+    u = (0, 1, 1, 0, 1)
+    for pot in (random_additive(rng, 2, 3), random_cocycle(rng, 2, 3)):
+        forms = (u, list(u), np.array(u, dtype=np.int64))
+        assert len({log_partition_sum(bundle, pot, x, 3, 2) for x in forms}) == 1
+        picks = [greedy_maximal_separated(bundle, pot, x, 3, 1, 2) for x in forms]
+        assert picks[1] == picks[0] and picks[2] == picks[0]
+    with pytest.raises(ValueError, match="length >= 4"):
+        greedy_maximal_separated(bundle, pot, u[:3], 3, 1, 2)
+    with pytest.raises(ValueError, match="n >= 1"):
+        greedy_maximal_separated(bundle, pot, u, 0, 1, 1)
+    with pytest.raises(BudgetExceeded, match=r"^3\^4 fiber words exceed budget 80$"):
+        greedy_maximal_separated(bundle, pot, u, 3, 1, 2, budget=80)
 
 
 def test_power_lemma_k1_zero_slack():
@@ -252,7 +270,7 @@ def test_power_lemma_matches_per_word_oracle(k, n, m, max_words):
         for word in words:
             best = {}
             vals = []
-            for w in enumerate_cylinders(bundle, word, L):
+            for w in naive_fiber_words(bundle, word.symbols, L):
                 v = pot.eval(word.symbols, w, k * n)
                 vals.append(v)
                 key = tuple(w[i] for i in window)
@@ -270,5 +288,5 @@ def test_batch_partition_matches_per_word_enumeration():
     words = enumerate_base_words(chain, 4)
     batched = _log_partition(bundle, coc, chain.prefix_tree(4), 3, 10_000)
     for word, value in zip(words, batched):
-        vals = [coc.eval(word.symbols, w, 3) for w in enumerate_cylinders(bundle, word, 4)]
+        vals = [coc.eval(word.symbols, w, 3) for w in naive_fiber_words(bundle, word.symbols, 4)]
         assert value == pytest.approx(float(logsumexp(vals)), abs=1e-12)
