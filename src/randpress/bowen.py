@@ -16,9 +16,9 @@ import numpy as np
 from .base import DEFAULT_BUDGET, BaseChain, PrefixTree
 from .bundle import BundleSFT
 from .errors import InvalidMeasure, NoBracket, NonMonotone
-from .measures import RandomMarkovMeasure, _weighted_words, validate_measure
+from .measures import RandomMarkovMeasure, _weighted_sum, validate_measure
 from .pressure import _MONO_TOL, PressureEstimate, _estimate, _log_partition
-from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_inverse_norm, _mat_norm
+from .potentials import CocyclePotential, ScaledInverseNormPotential
 
 
 def pressure_at_t(
@@ -166,9 +166,6 @@ def lyapunov_spread(
     if not rep.valid:
         raise InvalidMeasure(f"measure fails validation: {rep}")
     lead = chain.stationary[:, None] * meas.initial
-    top = bottom = 0.0
-    for u, w, wgt in _weighted_words(meas, chain, n, lead, budget):
-        P = cocycle.products(u, w, n)
-        top += float(np.dot(wgt, np.log(_mat_norm(P, cocycle.norm_kind))))
-        bottom -= float(np.dot(wgt, _log_inverse_norm(P, cocycle.norm_kind)))
+    top = _weighted_sum(meas, chain, cocycle, n, lead, budget)
+    bottom = -_weighted_sum(meas, chain, ScaledInverseNormPotential(cocycle, 1.0), n, lead, budget)
     return top / n, bottom / n, (top - bottom) / n

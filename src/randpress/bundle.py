@@ -59,24 +59,34 @@ class BundleSFT:
         return len(self.alphabet)
 
 
-def fiber_budget(bundle: BundleSFT, ell: int, budget: int) -> None:
-    """Raise BudgetExceeded when A^ell fiber words exceed the budget."""
-    if bundle.num_symbols ** ell > budget:
-        raise BudgetExceeded(f"{bundle.num_symbols}^{ell} fiber words exceed budget {budget}")
+# Joint (base word, fiber word) rows per chunk, unless one base word has more.
+_JOINT_ROWS = 1 << 16
 
 
-def fiber_words(support: np.ndarray, base: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Length-ell fiber words over each row of an (N, >= ell-1) base-word array.
+def fiber_budget(num_symbols: int, ell: int, budget: int) -> None:
+    """Raise BudgetExceeded when num_symbols^ell fiber words exceed the budget."""
+    if num_symbols ** ell > budget:
+        raise BudgetExceeded(f"{num_symbols}^{ell} fiber words exceed budget {budget}")
+
+
+def fiber_words(support: np.ndarray, base: np.ndarray, ell: int):
+    """Length-ell fiber words over each row of an (N, >= ell-1) base-word array, in chunks.
 
     Grown one symbol per level under support[u_{k-1}], an (S, A, A) 0/1 array
-    (a bundle's allowed, or the support of a measure's transitions).  Returns
-    (row, words): words[r] lies over base[row[r]], rows in base order and,
-    over one base word, in lexicographic order.
+    (a bundle's allowed, or the support of a measure's transitions).  Yields
+    (chunk, row, words) per slice of consecutive base words: words[r] lies
+    over base[chunk][row[r]], rows in base order and, over one base word, in
+    lexicographic order.  A chunk holds at most _JOINT_ROWS joint rows, unless
+    one base word has more.
     """
     A = support.shape[1]
-    row = np.repeat(np.arange(len(base)), A)
-    words = np.tile(np.arange(A), len(base))[:, None]
-    for k in range(1, ell):
-        par, sym = np.nonzero(support[base[row, k - 1], words[:, -1]])
-        row, words = row[par], np.column_stack([words[par], sym])
-    return row, words
+    step = max(1, _JOINT_ROWS // A ** ell)
+    for lo in range(0, len(base), step):
+        chunk = slice(lo, min(lo + step, len(base)))
+        head = base[chunk]
+        row = np.repeat(np.arange(len(head)), A)
+        words = np.tile(np.arange(A), len(head))[:, None]
+        for k in range(1, ell):
+            par, sym = np.nonzero(support[head[row, k - 1], words[:, -1]])
+            row, words = row[par], np.column_stack([words[par], sym])
+        yield chunk, row, words

@@ -51,6 +51,13 @@ def _int(value, path: str) -> int:
     return value
 
 
+def _float(value, path: str) -> float:
+    """A YAML integer or float (not a bool); a string such as '1e-8' is not a YAML float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _int_list(tree: dict, key: str, default: list) -> tuple[int, ...]:
     values = tree.get(key, default)
     if not isinstance(values, list):
@@ -113,9 +120,11 @@ def _build_bundle(tree: dict, chain: BaseChain) -> BundleSFT:
     _only(tree, ("alphabet", "allowed", "strict"), "bundle.")
     alphabet = tree.get("alphabet")
     allowed = _per_state_table(_need(tree, "allowed", "bundle"), chain.states, "bundle.allowed")
+    strict = tree.get("strict", False)
+    if not isinstance(strict, bool):
+        raise ConfigError(f"bundle.strict: expected true or false, got {strict!r}")
     try:
-        return BundleSFT.from_matrices(np.asarray(allowed), alphabet=alphabet,
-                                       strict=bool(tree.get("strict", False)))
+        return BundleSFT.from_matrices(np.asarray(allowed), alphabet=alphabet, strict=strict)
     except Exception as exc:
         raise ConfigError(f"bundle: {exc}") from exc
 
@@ -140,7 +149,7 @@ def _build_potential(tree: dict, chain: BaseChain, bundle: BundleSFT):
     cocycle = CocyclePotential(B, norm_kind=tree.get("norm", "spectral"))
     if kind == "cocycle":
         return cocycle
-    return ScaledInverseNormPotential(cocycle, float(tree.get("t", 0.0)))
+    return ScaledInverseNormPotential(cocycle, _float(tree.get("t", 0.0), "potential.t"))
 
 
 def _build_measures(specs, chain: BaseChain, bundle: BundleSFT) -> tuple[RandomMarkovMeasure, ...]:
@@ -194,9 +203,9 @@ def _build_run(tree: dict) -> RunSettings:
         samples=_int(tree.get("samples", 0), "run.samples"),
         seed=_int(tree.get("seed", 0), "run.seed"),
         budget=_int(tree.get("budget", default_budget), "run.budget"),
-        t_max=float(tree.get("t_max", 4.0)),
-        tol_t=float(tree.get("tol_t", 1e-8)),
-        tol_p=float(tree.get("tol_p", 1e-9)),
+        t_max=_float(tree.get("t_max", 4.0), "run.t_max"),
+        tol_t=_float(tree.get("tol_t", 1e-8), "run.tol_t"),
+        tol_p=_float(tree.get("tol_p", 1e-9), "run.tol_p"),
     )
 
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain
-from .bundle import BundleSFT
+from .bundle import BundleSFT, fiber_budget, fiber_words
 from .errors import InvalidMeasure, ShapeMismatch
 from .potentials import SubadditivePotential, sup_norm_f1
-from .pressure import _joint_words
 
 _ROW_TOL = 1e-12
 _CONS_TOL = 1e-10
@@ -128,10 +127,12 @@ def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, lead: n
     the time-0 joint law p(s) pi_s(a) that is the measure of the cylinder.
     Zero-weight rows are dropped before any potential value is taken, so a
     -inf value on an unreachable word never meets a zero weight.  Yields
-    (base, fiber, weight) arrays.
+    (base, fiber, weight) arrays.  The budget caps base and fiber words as
+    in exact pressure.
     """
     words = chain.prefix_tree(n, budget).words()
-    for chunk, row, fibers in _joint_words(meas.transition > 0.0, words, n):
+    fiber_budget(meas.transition.shape[1], n, budget)
+    for chunk, row, fibers in fiber_words(meas.transition > 0.0, words, n):
         u = words[chunk][row]
         wgt = lead[u[:, 0], fibers[:, 0]]
         for k in range(1, n):

@@ -23,13 +23,12 @@ class SubadditivePotential(ABC):
     """Family f_n with f_{n+m} <= f_n + f_m composed with the n-fold skew shift."""
 
     @abstractmethod
-    def eval(self, u, w, n: int) -> float:
-        """Value of f_n on the cylinder given by the first n coordinates of (u, w)."""
-
     def eval_batch(self, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int) -> np.ndarray:
-        """f_n on each row of stacked (N, >= n) base and fiber word arrays."""
-        return np.array([self.eval(u, w, n) for u, w in zip(base_arr.tolist(), fiber_arr.tolist())],
-                        dtype=float)
+        """f_n on each row of stacked (N, >= n) base and fiber word arrays.
+
+        Row r takes the value on the cylinder given by the first n coordinates
+        of (base_arr[r], fiber_arr[r]).
+        """
 
     def to_additive(self) -> "AdditivePotential | None":
         """An exactly equivalent additive potential, when one exists."""
@@ -46,9 +45,6 @@ class AdditivePotential(SubadditivePotential):
         t = np.asarray(self.table, dtype=float)
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
-
-    def eval(self, u, w, n: int) -> float:
-        return float(sum(self.table[u[k], w[k]] for k in range(n)))
 
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
         return self.table[base_arr[:, :n], fiber_arr[:, :n]].sum(axis=1)
@@ -101,21 +97,12 @@ class CocyclePotential(SubadditivePotential):
     def dim(self) -> int:
         return self.matrices.shape[2]
 
-    def product(self, u, w, n: int) -> np.ndarray:
-        P = np.eye(self.dim)
-        for k in range(n):
-            P = self.matrices[u[k], w[k]] @ P
-        return P
-
     def products(self, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int) -> np.ndarray:
         """Stacked products over the first n coordinates of each (base, fiber) row."""
         P = np.broadcast_to(np.eye(self.dim), (len(base_arr), self.dim, self.dim))
         for k in range(n):
             P = self.matrices[base_arr[:, k], fiber_arr[:, k]] @ P
         return P
-
-    def eval(self, u, w, n: int) -> float:
-        return float(np.log(_mat_norm(self.product(u, w, n), self.norm_kind)))
 
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
         return np.log(_mat_norm(self.products(base_arr, fiber_arr, n), self.norm_kind))
@@ -140,11 +127,6 @@ class ScaledInverseNormPotential(SubadditivePotential):
     def __post_init__(self):
         if self.t < 0.0:
             raise ValueError("scale t must be >= 0")
-
-    def eval(self, u, w, n: int) -> float:
-        if self.t == 0.0:
-            return 0.0
-        return float(self.t * _log_inverse_norm(self.inner.product(u, w, n), self.inner.norm_kind))
 
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
         if self.t == 0.0:

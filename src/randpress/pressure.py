@@ -21,8 +21,6 @@ from .bundle import BundleSFT, fiber_budget, fiber_words
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation
 
 _MONO_TOL = 1e-9
-# Joint (base word, fiber word) rows per eval_batch call, unless one base word has more.
-_JOINT_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,11 +45,10 @@ class PressureCurve:
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """Max-shifted log sum exp along one axis."""
+    """Max-shifted log sum exp along one axis; callers ignore the divide warning of log 0."""
     peak = x.max(axis=axis, keepdims=True)
     peak[~np.isfinite(peak)] = 0.0  # an all -inf slice stays -inf
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis)
+    return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis)
 
 
 def _segment_logsumexp(vals: np.ndarray, key: np.ndarray, size: int) -> np.ndarray:
@@ -66,17 +63,13 @@ def _segment_logsumexp(vals: np.ndarray, key: np.ndarray, size: int) -> np.ndarr
         return np.log(np.bincount(key, weights=np.exp(vals - peak[key]), minlength=size)) + peak
 
 
-def _joint_words(support: np.ndarray, words: np.ndarray, ell: int):
-    """The length-ell fiber words under support over an (N, >= ell-1) base-word array, in chunks.
-
-    Yields (chunk, row, fibers) per slice of consecutive base words:
-    fibers[r] lies over words[chunk][row[r]].  A chunk holds at most
-    _JOINT_ROWS joint rows, unless one base word has more.
-    """
-    step = max(1, _JOINT_ROWS // support.shape[1] ** ell)
-    for lo in range(0, len(words), step):
-        chunk = slice(lo, min(lo + step, len(words)))
-        yield (chunk, *fiber_words(support, words[chunk], ell))
+def _class_argmax(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Index of the first maximizer of vals in each class of equal key rows, classes in key order."""
+    order = np.lexsort((-vals, *keys.T[::-1]))  # stable: equal values keep index order
+    ranked = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order[first]
 
 
 def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int,
@@ -92,11 +85,12 @@ def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int,
     logM = np.where(bundle.allowed == 1, 0.0, -np.inf)  # (S, A, A)
     if V is None:
         V = table[symbol[0]] if depth >= 1 else np.zeros((len(symbol[0]), bundle.num_symbols))
-    for k in range(1, len(symbol)):
-        V = _logsumexp(V[:, :, None] + logM[symbol[k - 1]], axis=1)[parent[k]]
-        if k < depth:
-            V = V + table[symbol[k]]
-    vals = _logsumexp(V, axis=1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf over fiber words that do not extend
+        for k in range(1, len(symbol)):
+            V = _logsumexp(V[:, :, None] + logM[symbol[k - 1]], axis=1)[parent[k]]
+            if k < depth:
+                V = V + table[symbol[k]]
+        vals = _logsumexp(V, axis=1)
     if not np.isfinite(vals).all():
         raise EmptyFiber("partition sum is 0 or infinite over some base word")
     return vals
@@ -116,11 +110,11 @@ def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
     if add is not None or n == 0:  # at depth 0 the DP reads no table
         table = None if add is None else add.table
         return _tree_log_partition(bundle, table, tree.symbol, tree.parent, n)
-    fiber_budget(bundle, len(tree.symbol), budget)
     A = bundle.num_symbols
+    fiber_budget(A, len(tree.symbol), budget)
     words = tree.words(n)
     V = []
-    for chunk, row, fibers in _joint_words(bundle.allowed, words, n):
+    for chunk, row, fibers in fiber_words(bundle.allowed, words, n):
         base = words[chunk]
         vals = potential.eval_batch(base[row], fibers, n)
         V.append(_segment_logsumexp(vals, row * A + fibers[:, -1], len(base) * A))
@@ -265,7 +259,8 @@ def greedy_maximal_separated(
     everything not separated from it; returns the selected representatives
     and log sum exp(f_n) over them.  Not being separated means agreeing on the
     first n+m_sep-1 symbols, an equivalence relation, so the pass keeps from
-    each class its first candidate in (-f_n, word) order.
+    each class its first candidate in (-f_n, word) order, and selects in that
+    order.
     """
     if not (m_res >= m_sep >= 1):
         raise ValueError("need m_res >= m_sep >= 1")
@@ -273,13 +268,14 @@ def greedy_maximal_separated(
     ell = n + m_res - 1
     if n < 1 or base.shape[1] < ell:
         raise ValueError(f"need n >= 1 and a base word of length >= {ell}")
-    fiber_budget(bundle, ell, budget)
-    _, candidates = fiber_words(bundle.allowed, base, ell)
+    fiber_budget(bundle.num_symbols, ell, budget)
+    [(_, _, candidates)] = fiber_words(bundle.allowed, base, ell)  # one base word, one chunk
     values = potential.eval_batch(base.repeat(len(candidates), axis=0), candidates, n)
-    order = np.argsort(-values, kind="stable")  # candidates come in word order
-    _, first = np.unique(candidates[order, :n + m_sep - 1], axis=0, return_index=True)
-    selected = order[np.sort(first)]
-    return [tuple(w) for w in candidates[selected].tolist()], float(_logsumexp(values[selected], 0))
+    best = _class_argmax(candidates[:, :n + m_sep - 1], values)  # in word order, as candidates
+    selected = best[np.argsort(-values[best], kind="stable")]
+    with np.errstate(divide="ignore"):
+        log_sum = float(_logsumexp(values[selected], 0))
+    return [tuple(w) for w in candidates[selected].tolist()], log_sum
 
 
 def check_power_lemma(
@@ -297,7 +293,8 @@ def check_power_lemma(
 
     For each checked base word, computes log partition sum for T at depth kn
     minus the T^k partition sum at depth n (separation only at multiples of
-    k); returns the minimum slack, which must be >= -1e-12.
+    k); returns the minimum slack, which must be >= -1e-12.  Both sums and
+    the minimum are reduced per chunk of base words.
     """
     if k < 1 or n < 1 or m < 1:
         raise ValueError("k, n, m must be >= 1")
@@ -306,16 +303,16 @@ def check_power_lemma(
     if max_words is not None and len(words) > max_words:
         rng = np.random.default_rng(seed)
         words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
-    fiber_budget(bundle, L, budget)
-    row, fibers = fiber_words(bundle.allowed, words, L)
-    vals = potential.eval_batch(words[row], fibers, k * n)
-    lhs = _segment_logsumexp(vals, row, len(words))
-    # Group each base word's fiber words by their restriction to the separation
-    # window; the T^k partition sum takes one maximizer per group.
+    fiber_budget(bundle.num_symbols, L, budget)
     window = sorted({i for j in range(n) for i in range(j * k, min(j * k + m, L))})
-    groups, inverse = np.unique(np.column_stack([row, fibers[:, window]]), axis=0,
-                                return_inverse=True)
-    group_max = np.full(len(groups), -np.inf)
-    np.maximum.at(group_max, inverse, vals)
-    rhs = _segment_logsumexp(group_max, groups[:, 0], len(words))
-    return float(np.min(lhs - rhs))
+    slack = np.inf
+    for chunk, row, fibers in fiber_words(bundle.allowed, words, L):
+        size = chunk.stop - chunk.start
+        vals = potential.eval_batch(words[chunk][row], fibers, k * n)
+        lhs = _segment_logsumexp(vals, row, size)
+        # Fiber words of one base word that agree on the separation window are
+        # not separated for T^k; its partition sum takes one maximizer per class.
+        best = _class_argmax(np.column_stack([row, fibers[:, window]]), vals)
+        rhs = _segment_logsumexp(vals[best], row[best], size)
+        slack = np.minimum(slack, np.min(lhs - rhs))
+    return float(slack)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain
-from .bundle import BundleSFT, fiber_budget
+from .bundle import BundleSFT, fiber_budget, fiber_words
 from .errors import InvalidMeasure, InvariantViolation
 from .measures import (
     FStarBracket,
@@ -18,7 +18,7 @@ from .measures import (
     solve_consistent_initial,
     validate_measure,
 )
-from .pressure import PressureEstimate, _joint_words, _segment_logsumexp, expected_log_sum
+from .pressure import PressureEstimate, _segment_logsumexp, expected_log_sum
 
 
 @dataclass(frozen=True)
@@ -178,9 +178,9 @@ def empirical_measure_diagnostic(
     lag = np.zeros((S, A))
     hi = min(n, L - 1)  # shifted window end; needs position hi within the word
     tree = chain.prefix_tree(L, budget)
-    fiber_budget(bundle, L, budget)
+    fiber_budget(bundle.num_symbols, L, budget)
     words, prob = tree.words(), tree.prob[-1]
-    for chunk, row, fibers in _joint_words(bundle.allowed, words, L):
+    for chunk, row, fibers in fiber_words(bundle.allowed, words, L):
         u = words[chunk][row]
         vals = potential.eval_batch(u, fibers, n)
         log_z = _segment_logsumexp(vals, row, len(words[chunk]))

@@ -11,6 +11,7 @@ from randpress import (
     BundleSFT,
     CocyclePotential,
     RandomMarkovMeasure,
+    ScaledInverseNormPotential,
     stationary_distribution,
 )
 from randpress.base import DEFAULT_BUDGET
@@ -217,6 +218,34 @@ def entropy_cylinder_oracle(meas, chain, bundle, n):
     return total / n
 
 
+_NORM_ORDER = {"spectral": 2, "max_row_sum": np.inf}
+
+
+def reference_product(cocycle, u, w, n):
+    """The cocycle product B(u_{n-1}, w_{n-1}) ... B(u_0, w_0), one matrix at a time."""
+    P = np.eye(cocycle.dim)
+    for k in range(n):
+        P = cocycle.matrices[u[k], w[k]] @ P
+    return P
+
+
+def reference_value(potential, u, w, n):
+    """f_n of a shipped potential on one (base word, fiber word) pair, by a Python loop.
+
+    Cocycle norms are numpy's matrix norms (order 2 or inf) of the loop
+    product or of its inverse; nothing here calls eval_batch.
+    """
+    if isinstance(potential, AdditivePotential):
+        return float(sum(potential.table[u[k], w[k]] for k in range(n)))
+    if isinstance(potential, CocyclePotential):
+        P = reference_product(potential, u, w, n)
+        return float(np.log(np.linalg.norm(P, _NORM_ORDER[potential.norm_kind])))
+    assert isinstance(potential, ScaledInverseNormPotential)
+    inner = potential.inner
+    P = np.linalg.inv(reference_product(inner, u, w, n))
+    return potential.t * float(np.log(np.linalg.norm(P, _NORM_ORDER[inner.norm_kind])))
+
+
 def reference_sample_path(chain, n, seed):
     """A stationary-chain word drawn symbol by symbol with Generator.choice, as a tuple."""
     rng = np.random.default_rng(seed)
@@ -296,6 +325,6 @@ def separated_set_oracle(bundle, potential, base_symbols, n, m, length):
         for x in cls:
             for y in cls:
                 assert not naive_separated(x, y, n, m) or x == y
-    best = [max(potential.eval(base_symbols, w, n) for w in cls) for cls in classes]
+    best = [max(reference_value(potential, base_symbols, w, n) for w in cls) for cls in classes]
     peak = max(best)
     return peak + math.log(sum(math.exp(v - peak) for v in best))

@@ -1,8 +1,10 @@
 """The public names of the randpress package, pinned."""
 
+import inspect
 import types
 
 import randpress
+from randpress import potentials
 
 PUBLIC_NAMES = {
     "AdditivePotential", "BaseChain", "BundleSFT", "CocyclePotential", "DimensionRoot",
@@ -22,3 +24,15 @@ def test_public_names_are_the_pinned_list():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 32
+
+
+def test_potentials_plug_in_through_eval_batch_alone():
+    """A potential implements eval_batch and may implement to_additive; nothing evaluates one word."""
+    assert randpress.SubadditivePotential.__abstractmethods__ == {"eval_batch"}
+    shipped = [cls for _, cls in inspect.getmembers(potentials, inspect.isclass)
+               if issubclass(cls, randpress.SubadditivePotential)]
+    assert {cls.__name__ for cls in shipped} == {
+        "SubadditivePotential", "AdditivePotential", "CocyclePotential",
+        "ScaledInverseNormPotential"}
+    for cls in shipped:
+        assert not hasattr(cls, "eval") and not hasattr(cls, "product"), cls.__name__

@@ -9,7 +9,8 @@ from fixtures import golden_mean, naive_fiber_words, random_bundle, random_chain
 
 def cylinders(bundle, u, ell):
     """The fiber words of length ell over one base word, as tuples."""
-    return [tuple(w) for w in fiber_words(bundle.allowed, np.array([u]), ell)[1].tolist()]
+    [(_, _, words)] = fiber_words(bundle.allowed, np.array([u]), ell)
+    return [tuple(w) for w in words.tolist()]
 
 
 def test_zero_row_rejected_with_location():

@@ -276,6 +276,38 @@ def test_integer_keys_reject_other_values(tmp_path, capsys, override, path):
     assert path in capsys.readouterr().err
 
 
+SCALED_TREE = {**FIX_A_TREE,
+               "potential": {"kind": "scaled_inverse", "matrices": [[3.0, 3.0]], "t": 0.5}}
+
+
+@pytest.mark.parametrize("override,path", [
+    ("run.t_max=abc", "run.t_max"),
+    ("run.t_max=true", "run.t_max"),
+    ("run.tol_t='0.1'", "run.tol_t"),
+    ("run.tol_t=1e-8", "run.tol_t"),  # YAML 1.1 reads a float without a dot as a string
+    ("run.tol_p=[0.1]", "run.tol_p"),
+    ("potential.t=yes", "potential.t"),
+    ("potential.t=null", "potential.t"),
+    ("bundle.strict='no'", "bundle.strict"),
+    ("bundle.strict=1", "bundle.strict"),
+])
+def test_number_and_bool_keys_reject_other_values(tmp_path, capsys, override, path):
+    cfg = write_config(tmp_path, SCALED_TREE)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected "):
+        load_experiment(cfg, [override])
+    assert cli.run(cfg, overrides=[override], output_dir=str(tmp_path / "o")) == 1
+    assert path in capsys.readouterr().err
+
+
+def test_number_and_bool_keys_take_yaml_numbers_and_bools(tmp_path):
+    cfg = write_config(tmp_path, SCALED_TREE)
+    exp = load_experiment(cfg, ["run.t_max=3", "run.tol_t=1.0e-6", "run.tol_p=0",
+                                "potential.t=2", "bundle.strict=true"])
+    assert (exp.run.t_max, exp.run.tol_t, exp.run.tol_p) == (3.0, 1e-6, 0.0)
+    assert type(exp.run.t_max) is float and type(exp.potential.t) is float
+    assert exp.potential.t == 2.0 and exp.bundle.strict is True
+
+
 @pytest.mark.parametrize("value", ["2e6", "abc", ""])
 def test_budget_variable_must_be_an_integer(tmp_path, monkeypatch, value):
     cfg = write_config(tmp_path, FIX_A_TREE)

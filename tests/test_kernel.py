@@ -24,21 +24,26 @@ from randpress import (
     ScaledInverseNormPotential,
     SubadditivePotential,
     check_lemma34,
+    check_power_lemma,
     empirical_measure_diagnostic,
     expected_log_sum,
+    greedy_maximal_separated,
     log_partition_sum,
     lyapunov_spread,
     potential_average,
     pressure_at_t,
     validate_measure,
 )
-from randpress import measures, pressure
+from randpress import bundle as bundle_module
+from randpress import measures
 from randpress.bundle import fiber_words
 from randpress.errors import BudgetExceeded, SingularMatrix
 
 from fixtures import (
     naive_fiber_words,
+    reference_product,
     reference_sample_path,
+    reference_value,
     separated_set_oracle,
     transfer_count,
     word_probability,
@@ -81,7 +86,7 @@ def base_words(chain, length):
 
 
 def naive_log_z(bundle, potential, u, n, length):
-    vals = [potential.eval(u, w, n) for w in naive_fiber_words(bundle, u, length)]
+    vals = [reference_value(potential, u, w, n) for w in naive_fiber_words(bundle, u, length)]
     peak = max(vals)
     return peak + math.log(sum(math.exp(v - peak) for v in vals))
 
@@ -142,7 +147,7 @@ def test_fiber_word_rows_per_base_word_match_transfer_count(system):
     chain, bundle, _pot, n, m = system
     L = n + m - 1
     words = np.array([u for u, _ in base_words(chain, L)])
-    row, _fibers = fiber_words(bundle.allowed, words, L)
+    row = np.concatenate([chunk.start + r for chunk, r, _ in fiber_words(bundle.allowed, words, L)])
     assert np.bincount(row, minlength=len(words)).tolist() == [
         transfer_count(bundle, u, L) for u in words.tolist()]
 
@@ -153,23 +158,12 @@ _GENERATOR = st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4).filter(
     lambda v: abs(v[0] * v[3] - v[1] * v[2]) >= 0.5)
 
 
-class PerWord(SubadditivePotential):
-    """A potential with only a per-word eval, so the kernel takes the default eval_batch."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def eval(self, u, w, n):
-        return self.inner.eval(u, w, n)
-
-
 @st.composite
 def cocycle_systems(draw):
     """A systems() draw with its table replaced by 2x2 generators (|det| >= 0.5).
 
-    Returns the chain, bundle, n, m and five potentials on the generators:
-    the cocycle in both norms, the scaled inverse norm, and per-word-only
-    wrappers of the cocycle and the scaled inverse norm.
+    Returns the chain, bundle, n, m and three potentials on the generators:
+    the cocycle in both norms and the scaled inverse norm.
     """
     chain, bundle, pot, n, m = draw(systems())
     S, A = pot.table.shape
@@ -178,7 +172,7 @@ def cocycle_systems(draw):
     row_sum = CocyclePotential(B, norm_kind="max_row_sum")
     inverse = ScaledInverseNormPotential(draw(st.sampled_from([spectral, row_sum])),
                                          draw(st.floats(0.1, 2.0)))
-    return chain, bundle, n, m, (spectral, row_sum, inverse, PerWord(row_sum), PerWord(inverse))
+    return chain, bundle, n, m, (spectral, row_sum, inverse)
 
 
 @given(cocycle_systems())
@@ -244,7 +238,8 @@ def test_pressure_at_t_matches_brute_force_increments(system, t, seed):
 
 
 @given(cocycle_systems())
-def test_eval_batch_equals_eval_row_by_row(system):
+def test_eval_batch_equals_the_per_word_reference(system):
+    """eval_batch on stacked rows against a Python-loop product and numpy's matrix norms."""
     chain, bundle, n, m, pots = system
     L = n + m - 1
     rows = [(u, w) for u, _ in base_words(chain, L) for w in naive_fiber_words(bundle, u, L)]
@@ -255,14 +250,8 @@ def test_eval_batch_equals_eval_row_by_row(system):
     for pot in (*pots, table):
         batch = pot.eval_batch(base_arr, fiber_arr, n)
         assert batch.shape == (len(rows),)
-        np.testing.assert_allclose(batch, [pot.eval(u, w, n) for u, w in rows], rtol=0,
-                                   atol=1e-12)
-    # The norms themselves, against numpy's matrix norms of the per-word product.
-    for pot, order in zip(pots[:2], (2, np.inf)):
-        np.testing.assert_allclose(
-            pot.eval_batch(base_arr, fiber_arr, n),
-            [math.log(np.linalg.norm(pot.product(u, w, n), order)) for u, w in rows],
-            rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch, [reference_value(pot, u, w, n) for u, w in rows],
+                                   rtol=0, atol=1e-12)
 
 
 def test_singular_generator_raises_through_batched_path():
@@ -296,18 +285,92 @@ def test_budget_exceeded_at_the_same_sizes(S, A, budget):
                 expected_log_sum(chain, bundle, pot, n, m, mode=mode, samples=3, budget=budget)
 
 
+@pytest.mark.parametrize("S,A", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("budget", [8, 9, 27, 100])
+def test_measure_sums_stop_at_the_budget_of_exact_pressure(S, A, budget):
+    """potential_average, check_lemma34 and lyapunov_spread check S^n, then A^n, as exact mode does."""
+    chain = BaseChain.from_transition(np.full((S, S), 1.0 / S))
+    bundle = BundleSFT.from_matrices(np.ones((S, A, A), dtype=int))
+    cocycle = CocyclePotential(np.tile(np.array([[2.0, 1.0], [0.0, 1.0]]), (S, A, 1, 1)))
+    meas = RandomMarkovMeasure(np.full((S, A), 1.0 / A), np.full((S, A, A), 1.0 / A))
+    for n in range(1, 7):
+        fiber = f"{A}\\^{n} fiber words exceed budget {budget}" if A ** n > budget else None
+        base = f"{S}\\^{n} base words exceed budget {budget}" if S ** n > budget else None
+        calls = [lambda: expected_log_sum(chain, bundle, cocycle, n, 1, budget=budget),
+                 lambda: potential_average(meas, chain, bundle, cocycle, n, budget=budget),
+                 lambda: lyapunov_spread(chain, bundle, cocycle, meas, n, budget=budget)]
+        if n > 1:
+            calls.append(lambda: check_lemma34(meas, chain, bundle, cocycle, n, 1, budget=budget))
+        for call in calls:
+            with (pytest.raises(BudgetExceeded, match=base or fiber) if base or fiber
+                  else contextlib.nullcontext()):
+                call()
+
+
+@contextlib.contextmanager
+def joint_rows(cap):
+    """Cap the joint rows per chunk of bundle.fiber_words (at least one base word each)."""
+    saved = bundle_module._JOINT_ROWS
+    bundle_module._JOINT_ROWS = cap
+    try:
+        yield
+    finally:
+        bundle_module._JOINT_ROWS = saved
+
+
 @given(cocycle_systems(), st.integers(1, 9))
 def test_chunked_joint_arrays_give_the_same_values(system, rows):
-    """Capping the joint rows per eval_batch call (at least one base word each) changes nothing."""
+    """Capping the joint rows per chunk changes no value of a per-base-word reduction."""
     chain, bundle, n, m, pots = system
-    whole = [expected_log_sum(chain, bundle, pot, n, m).value for pot in pots[:3]]
-    cap = pressure._JOINT_ROWS
-    pressure._JOINT_ROWS = rows
-    try:
-        chunked = [expected_log_sum(chain, bundle, pot, n, m).value for pot in pots[:3]]
-    finally:
-        pressure._JOINT_ROWS = cap
+    L = n + m - 1
+    powers = [(1, n, m)] + ([(2, n // 2, m)] if n >= 2 else [])
+    words = chain.prefix_tree(L).words()[:4].tolist()
+
+    def values():
+        out = []
+        for pot in pots:
+            marginal, defect = empirical_measure_diagnostic(chain, bundle, pot, n, m)
+            out += [expected_log_sum(chain, bundle, pot, n, m).value, marginal.tolist(), defect]
+            out += [check_power_lemma(chain, bundle, pot, k, j, res) for k, j, res in powers]
+            out += [greedy_maximal_separated(bundle, pot, u, n, 1, m) for u in words]
+        return out
+
+    whole = values()
+    with joint_rows(rows):
+        chunked = values()
     assert chunked == whole
+
+
+class RowCount(SubadditivePotential):
+    """A plug-in potential with eval_batch alone that records the rows of each call."""
+
+    def __init__(self, inner):
+        self.inner, self.rows = inner, []
+
+    def eval_batch(self, base_arr, fiber_arr, n):
+        self.rows.append(len(base_arr))
+        return self.inner.eval_batch(base_arr, fiber_arr, n)
+
+
+@pytest.mark.parametrize("cap,k,n,m", [(None, 1, 9, 1), (None, 3, 2, 3), (7, 2, 2, 1),
+                                       (100, 1, 4, 2)])
+def test_power_lemma_eval_batch_calls_stay_within_the_chunk_cap(cap, k, n, m):
+    """Every eval_batch call of check_power_lemma takes at most max(cap, A^L) joint rows.
+
+    On S = A = 2 full shifts every one of the 2^L base words carries 2^L fiber
+    words; at k = 1, n = 9 that is 2^18 rows, four times the default cap.
+    """
+    chain = BaseChain.from_transition(np.full((2, 2), 0.5))
+    bundle = BundleSFT.from_matrices(np.ones((2, 2, 2), dtype=int))
+    pot = RowCount(CocyclePotential(np.tile(np.array([[2.0, 1.0], [0.5, 1.0]]), (2, 2, 1, 1)),
+                                    norm_kind="max_row_sum"))
+    L = k * n + m - 1
+    slack = check_power_lemma(chain, bundle, pot.inner, k, n, m)
+    with contextlib.nullcontext() if cap is None else joint_rows(cap):
+        assert check_power_lemma(chain, bundle, pot, k, n, m) == slack
+        bound = max(bundle_module._JOINT_ROWS, 2 ** L)
+    assert sum(pot.rows) == 4 ** L
+    assert max(pot.rows) <= bound
 
 
 # --- measure-weighted averages ----------------------------------------------------------
@@ -362,7 +425,8 @@ def naive_cylinders(chain, lead, Q, n):
 
 def naive_average(chain, meas, pot, n, lead=None):
     lead = chain.stationary[:, None] * meas.initial if lead is None else lead
-    return sum(wgt * pot.eval(u, w, n) for u, w, wgt in naive_cylinders(chain, lead, meas.transition, n))
+    return sum(wgt * reference_value(pot, u, w, n)
+               for u, w, wgt in naive_cylinders(chain, lead, meas.transition, n))
 
 
 def naive_joint_laws(chain, meas, count):
@@ -402,7 +466,7 @@ def test_lemma34_window_sum_matches_brute_force(system):
     if L > n:
         laws = naive_joint_laws(chain, valid, L)
         for pot in pots:
-            C = sum(chain.stationary[s] * max(abs(pot.eval((s,), (a,), 1))
+            C = sum(chain.stationary[s] * max(abs(reference_value(pot, (s,), (a,), 1))
                                                for a in range(bundle.num_symbols))
                     for s in range(chain.num_states))
             window = sum(naive_average(chain, valid, pot, n, lead=D) for D in laws)
@@ -418,7 +482,7 @@ def test_lyapunov_spread_matches_brute_force(system):
     for cocycle, order in zip(pots[:2], (2, np.inf)):
         top = bottom = 0.0
         for u, w, wgt in naive_cylinders(chain, lead, valid.transition, n):
-            P = cocycle.product(u, w, n)
+            P = reference_product(cocycle, u, w, n)
             top += wgt * math.log(np.linalg.norm(P, order))
             bottom -= wgt * math.log(np.linalg.norm(np.linalg.inv(P), order))
         got = lyapunov_spread(chain, bundle, cocycle, valid, n)
@@ -437,7 +501,7 @@ def test_empirical_measure_diagnostic_matches_brute_force(system):
             fibers = naive_fiber_words(bundle, u, L)
             log_z = naive_log_z(bundle, pot, u, n, L)
             for w in fibers:
-                p = prob * math.exp(pot.eval(u, w, n) - log_z)
+                p = prob * math.exp(reference_value(pot, u, w, n) - log_z)
                 for i in range(n):
                     marginal[u[i], w[i]] += p / n
                 for i in range(hi):
@@ -450,22 +514,21 @@ def test_empirical_measure_diagnostic_matches_brute_force(system):
 
 @given(measure_systems(), st.integers(1, 9))
 def test_chunked_measure_sums_give_the_same_values(system, rows):
-    """Capping the joint rows per eval_batch call changes the measure sums only in the last bits."""
+    """Capping the joint rows per chunk changes the measure sums only in the last bits.
+
+    Each chunk is summed with one dot product, so a cap moves the boundaries
+    of the floating-point sum.
+    """
     chain, bundle, n, m, pots, (valid, free) = system
 
     def values():
         return [potential_average(free, chain, bundle, pots[2], n),
                 measures._window_sum(free, chain, pots[0], n + m - 1, n),
-                *lyapunov_spread(chain, bundle, pots[1], valid, n),
-                *empirical_measure_diagnostic(chain, bundle, pots[2], n, m)[0].ravel()]
+                *lyapunov_spread(chain, bundle, pots[1], valid, n)]
 
     whole = values()
-    cap = pressure._JOINT_ROWS
-    pressure._JOINT_ROWS = rows
-    try:
+    with joint_rows(rows):
         chunked = values()
-    finally:
-        pressure._JOINT_ROWS = cap
     np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
 
 

@@ -29,6 +29,7 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
+    reference_value,
     shared_q_measure,
     uniform_measure,
 )
@@ -174,7 +175,7 @@ def test_potential_average_fix_d_hand_enumeration():
     meas = uniform_measure()
     expect = 0.0
     for w in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        expect += 0.25 * pot.eval((0, 0), w, 2)
+        expect += 0.25 * reference_value(pot, (0, 0), w, 2)
     assert potential_average(meas, chain, bundle, pot, 2) == pytest.approx(expect)
 
 

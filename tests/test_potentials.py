@@ -24,23 +24,29 @@ from fixtures import (
     random_chain,
     random_cocycle,
     reference_admissible_pair,
+    reference_value,
 )
+
+
+def eval_row(pot, u, w, n):
+    """f_n on one (base word, fiber word) pair, through a one-row eval_batch call."""
+    return float(pot.eval_batch(np.array([u]), np.array([w]), n)[0])
 
 
 def test_zero_additive_is_zero():
     pot = AdditivePotential(np.zeros((1, 2)))
-    assert pot.eval((0,) * 5, (1, 0, 1, 1, 0), 5) == 0.0
+    assert eval_row(pot, (0,) * 5, (1, 0, 1, 1, 0), 5) == 0.0
 
 
 def test_fix_a_birkhoff_sum():
     _, _, pot = fix_a()
-    assert pot.eval((0, 0, 0), (1, 0, 1), 3) == pytest.approx(2.0)
+    assert eval_row(pot, (0, 0, 0), (1, 0, 1), 3) == pytest.approx(2.0)
 
 
 def test_diagonal_cocycle_max_row_sum():
     B = np.broadcast_to(np.diag([math.e, math.e ** 2]), (1, 2, 2, 2)).copy()
     pot = CocyclePotential(B, norm_kind="max_row_sum")
-    assert pot.eval((0, 0, 0), (0, 1, 0), 3) == pytest.approx(6.0, abs=1e-12)
+    assert eval_row(pot, (0, 0, 0), (0, 1, 0), 3) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_commuting_diagonal_birkhoff_identity():
@@ -52,7 +58,7 @@ def test_commuting_diagonal_birkhoff_identity():
     pot = CocyclePotential(B, norm_kind="max_row_sum")
     w = (0, 1, 1, 0, 1)
     expected = max(sum(diag[a][c] for a in w) for c in range(2))
-    assert pot.eval((0,) * 5, w, 5) == pytest.approx(expected, abs=1e-12)
+    assert eval_row(pot, (0,) * 5, w, 5) == pytest.approx(expected, abs=1e-12)
 
 
 def test_additive_subadditivity_is_equality():
@@ -75,7 +81,7 @@ def test_scaled_inverse_t_zero_is_zero():
     rng = np.random.default_rng(4)
     coc = random_cocycle(rng, 1, 2)
     pot = ScaledInverseNormPotential(coc, 0.0)
-    assert pot.eval((0, 0), (0, 1), 2) == 0.0
+    assert eval_row(pot, (0, 0), (0, 1), 2) == 0.0
     chain, bundle = one_state_chain(), full_shift_bundle()
     assert check_subadditivity(pot, chain, bundle, sample_count=100, seed=0) == 0.0
 
@@ -98,9 +104,9 @@ def test_scaled_inverse_linear_in_t():
     rng = np.random.default_rng(7)
     coc = random_cocycle(rng, 1, 2)
     u, w = (0, 0, 0), (1, 0, 1)
-    v1 = ScaledInverseNormPotential(coc, 1.0).eval(u, w, 3)
+    v1 = eval_row(ScaledInverseNormPotential(coc, 1.0), u, w, 3)
     for t in (0.25, 0.5, 2.0):
-        vt = ScaledInverseNormPotential(coc, t).eval(u, w, 3)
+        vt = eval_row(ScaledInverseNormPotential(coc, t), u, w, 3)
         assert vt == pytest.approx(t * v1, rel=1e-12)
 
 
@@ -116,7 +122,7 @@ def test_singular_product_raises():
     B[0, 1] = np.eye(2)
     pot = ScaledInverseNormPotential(CocyclePotential(B), 1.0)
     with pytest.raises(SingularMatrix):
-        pot.eval((0, 0), (0, 1), 2)
+        eval_row(pot, (0, 0), (0, 1), 2)
 
 
 def test_sup_norm_zero_potential():
@@ -152,7 +158,7 @@ def test_bernoulli_chain_helper():
 
 
 def _replayed_worst_violation(pot, chain, bundle, sample_count, seed, max_block=4):
-    """Per-word reference: the same random draws in the same order, one eval per term.
+    """Per-word reference: the same random draws in the same order, one reference value per term.
 
     A NaN violation (-inf minus -inf) is skipped, as Python's max skips it.
     """
@@ -162,7 +168,8 @@ def _replayed_worst_violation(pot, chain, bundle, sample_count, seed, max_block=
         n = int(rng.integers(1, max_block + 1))
         m = int(rng.integers(1, max_block + 1))
         u, w = reference_admissible_pair(chain, bundle, n + m, rng)
-        viol = pot.eval(u, w, n + m) - pot.eval(u, w, n) - pot.eval(u[n:], w[n:], m)
+        viol = (reference_value(pot, u, w, n + m) - reference_value(pot, u, w, n)
+                - reference_value(pot, u[n:], w[n:], m))
         worst = max(worst, viol)
     return worst
 
@@ -219,6 +226,7 @@ def test_sup_norm_matches_per_word_eval():
     bundle = random_bundle(rng, 3, 2)
     for pot in (random_cocycle(rng, 3, 2), AdditivePotential(rng.normal(size=(3, 2))),
                 ScaledInverseNormPotential(random_cocycle(rng, 3, 2), 1.5)):
-        expect = sum(chain.stationary[s] * max(abs(pot.eval((s,), (a,), 1)) for a in range(2))
+        expect = sum(chain.stationary[s] * max(abs(reference_value(pot, (s,), (a,), 1))
+                                               for a in range(2))
                      for s in range(3))
         assert sup_norm_f1(pot, chain, bundle) == pytest.approx(expect, abs=1e-12)

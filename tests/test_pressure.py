@@ -29,6 +29,7 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
+    reference_value,
 )
 
 
@@ -271,7 +272,7 @@ def test_power_lemma_matches_per_word_oracle(k, n, m, max_words):
             best = {}
             vals = []
             for w in naive_fiber_words(bundle, word.symbols, L):
-                v = pot.eval(word.symbols, w, k * n)
+                v = reference_value(pot, word.symbols, w, k * n)
                 vals.append(v)
                 key = tuple(w[i] for i in window)
                 best[key] = max(best.get(key, -math.inf), v)
@@ -288,5 +289,6 @@ def test_batch_partition_matches_per_word_enumeration():
     words = enumerate_base_words(chain, 4)
     batched = _log_partition(bundle, coc, chain.prefix_tree(4), 3, 10_000)
     for word, value in zip(words, batched):
-        vals = [coc.eval(word.symbols, w, 3) for w in naive_fiber_words(bundle, word.symbols, 4)]
+        vals = [reference_value(coc, word.symbols, w, 3)
+                for w in naive_fiber_words(bundle, word.symbols, 4)]
         assert value == pytest.approx(float(logsumexp(vals)), abs=1e-12)
