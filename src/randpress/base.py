@@ -158,19 +158,25 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample_paths(chain: BaseChain, L: int, seed: int, samples: int) -> np.ndarray:
-    """(samples, L) stationary-chain words; row i reads the stream default_rng((seed, i)).
+def _column_walk(cdf0: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray, over=None) -> np.ndarray:
+    """(N, L) words drawn a column at a time, symbol k of row i from uniforms[i, k].
 
-    Each symbol takes one uniform of its row's stream: symbol k of row i is
-    the one Generator.choice(p=...) draws from uniform k, the number of cdf
-    entries <= it.  All rows are walked together a column at a time.
+    Symbol 0 reads cdf0 and symbol k the cdf row at symbol k-1, or at
+    (over[i, k-1], symbol k-1) with over: the number of row entries <= the
+    uniform, the symbol Generator.choice(p=...) draws from it.
     """
+    out = np.empty(uniforms.shape, dtype=np.int64)
+    out[:, 0] = np.searchsorted(cdf0, uniforms[:, 0], side="right")
+    for k in range(1, uniforms.shape[1]):
+        rows = cdf[out[:, k - 1]] if over is None else cdf[over[:, k - 1], out[:, k - 1]]
+        out[:, k] = (rows <= uniforms[:, k, None]).sum(axis=1)
+    return out
+
+
+def _sample_paths(chain: BaseChain, L: int, seed: int, samples: int) -> np.ndarray:
+    """(samples, L) stationary-chain words; row i walks the uniforms of default_rng((seed, i))."""
     cdf0, cdfT = _choice_cdf(chain.stationary), _choice_cdf(chain.transition)
     uniforms = np.empty((samples, L))
     for i in range(samples):
         np.random.default_rng((seed, i)).random(out=uniforms[i])
-    out = np.empty(uniforms.shape, dtype=np.int64)
-    out[:, 0] = np.searchsorted(cdf0, uniforms[:, 0], side="right")
-    for k in range(1, L):
-        out[:, k] = (cdfT[out[:, k - 1]] <= uniforms[:, k, None]).sum(axis=1)
-    return out
+    return _column_walk(cdf0, cdfT, uniforms)

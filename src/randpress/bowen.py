@@ -16,9 +16,9 @@ import numpy as np
 from .base import DEFAULT_BUDGET, BaseChain, PrefixTree
 from .bundle import BundleSFT
 from .errors import InvalidMeasure, NoBracket, NonMonotone
-from .measures import RandomMarkovMeasure, _weighted_sum, validate_measure
+from .measures import RandomMarkovMeasure, _weighted_words, validate_measure
 from .pressure import _MONO_TOL, PressureEstimate, _estimate, _log_partition
-from .potentials import CocyclePotential, ScaledInverseNormPotential
+from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_inverse_norm, _mat_norm
 
 
 def pressure_at_t(
@@ -166,6 +166,10 @@ def lyapunov_spread(
     if not rep.valid:
         raise InvalidMeasure(f"measure fails validation: {rep}")
     lead = chain.stationary[:, None] * meas.initial
-    top = _weighted_sum(meas, chain, cocycle, n, lead, budget)
-    bottom = -_weighted_sum(meas, chain, ScaledInverseNormPotential(cocycle, 1.0), n, lead, budget)
+    top = inv = 0  # both norms from one product stack per chunk of measure cylinders
+    for u, w, wgt in _weighted_words(meas, chain, n, lead, budget):
+        P = cocycle.products(u, w, n)
+        top += np.dot(wgt, np.log(_mat_norm(P, cocycle.norm_kind)))
+        inv += np.dot(wgt, _log_inverse_norm(P, cocycle.norm_kind))
+    top, bottom = float(top), -float(inv)
     return top / n, bottom / n, (top - bottom) / n

@@ -9,12 +9,11 @@ exactly.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseChain, _choice_cdf
+from .base import BaseChain, _choice_cdf, _column_walk
 from .bundle import BundleSFT
 from .errors import SingularMatrix
 
@@ -143,28 +142,17 @@ class ScaledInverseNormPotential(SubadditivePotential):
         return AdditivePotential(-self.t * np.log(np.abs(b)))
 
 
-def _admissible_pair_sampler(chain: BaseChain, bundle: BundleSFT):
-    """draw(length, rng): a stationary base word and an admissible fiber word over it.
-
-    The draws are those of choice(p=...) per base symbol and choice(columns)
-    per fiber symbol, in that order, from tables built once: one uniform
-    through a cdf per base symbol, then one bounded integer per fiber symbol.
-    """
-    cdf0, cdfT = _choice_cdf(chain.stationary).tolist(), _choice_cdf(chain.transition).tolist()
-    cols = [[np.flatnonzero(row).tolist() for row in M] for M in bundle.allowed]
-
-    def draw(length: int, rng) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        uniforms = rng.random(length).tolist()
-        u = [bisect_right(cdf0, uniforms[0])]
-        for x in uniforms[1:]:
-            u.append(bisect_right(cdfT[u[-1]], x))
-        w = [int(rng.integers(bundle.num_symbols))]
-        for k in range(length - 1):
-            choices = cols[u[k]][w[-1]]
-            w.append(choices[rng.integers(len(choices))])
-        return tuple(u), tuple(w)
-
-    return draw
+def _subadditivity_pairs(chain: BaseChain, bundle: BundleSFT, sample_count: int, seed: int,
+                         max_block: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """check_subadditivity's (sample_count, 2) block sizes and its words of length 2 max_block."""
+    rng = np.random.default_rng(seed)
+    nm = rng.integers(1, max_block + 1, size=(sample_count, 2))
+    x = rng.random((2, sample_count, 2 * max_block))
+    M, A = bundle.allowed, bundle.num_symbols
+    u = _column_walk(_choice_cdf(chain.stationary), _choice_cdf(chain.transition), x[0])
+    w = _column_walk(_choice_cdf(np.full(A, 1.0 / A)),
+                     _choice_cdf(M / M.sum(axis=-1, keepdims=True)), x[1], over=u)
+    return nm, u, w
 
 
 def check_subadditivity(
@@ -178,25 +166,27 @@ def check_subadditivity(
     """Worst sampled violation of f_{n+m} <= f_n + f_m after the n-shift.
 
     Returns max over samples of f_{n+m} - f_n - f_m(shifted); valid potentials
-    stay <= ~1e-12 up to roundoff.
+    stay <= ~1e-12 up to roundoff.  default_rng(seed) draws every (n, m) as
+    integers(1, max_block + 1, (sample_count, 2)), then random((2, sample_count,
+    2 max_block)): the base uniforms, then the fiber uniforms.  Base words walk
+    the stationary chain; a fiber word starts uniform on the alphabet and steps
+    uniformly over the columns allowed at (u_{k-1}, w_{k-1}).  The three terms'
+    words are stacked and f is taken once per distinct length.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    draw = _admissible_pair_sampler(chain, bundle)
-    rng = np.random.default_rng(seed)
-    pairs: dict[tuple[int, int], list] = {}  # the drawn (u, w) pairs per block sizes (n, m)
-    for _ in range(sample_count):
-        n = int(rng.integers(1, max_block + 1))
-        m = int(rng.integers(1, max_block + 1))
-        pairs.setdefault((n, m), []).append(draw(n + m, rng))
-    worst = -np.inf
-    for (n, m), drawn in pairs.items():
-        u, w = (np.array(side) for side in zip(*drawn))
-        with np.errstate(invalid="ignore"):  # -inf minus -inf is NaN, which fmax skips
-            viol = (potential.eval_batch(u, w, n + m) - potential.eval_batch(u, w, n)
-                    - potential.eval_batch(u[:, n:], w[:, n:], m))
-        worst = np.fmax.reduce(viol, initial=worst)
-    return float(worst)
+    nm, u, w = _subadditivity_pairs(chain, bundle, sample_count, seed, max_block)
+    n, m = nm.T
+    row, start = np.tile(np.arange(sample_count), 3), np.concatenate([0 * n, 0 * n, n])
+    length = np.concatenate([n + m, n, m])
+    values = np.empty(3 * sample_count)
+    for ell in np.unique(length).tolist():
+        sel = np.flatnonzero(length == ell)
+        cols = (row[sel, None], start[sel, None] + np.arange(ell))
+        values[sel] = potential.eval_batch(u[cols], w[cols], ell)
+    full, head, tail = values.reshape(3, sample_count)
+    with np.errstate(invalid="ignore"):  # -inf minus -inf is NaN, which fmax skips
+        return float(np.fmax.reduce(full - head - tail, initial=-np.inf))
 
 
 def sup_norm_f1(potential: SubadditivePotential, chain: BaseChain, bundle: BundleSFT) -> float:

@@ -1,6 +1,7 @@
 """Shared fixture systems and independent oracles for the test suite."""
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 
 import numpy as np
@@ -14,7 +15,7 @@ from randpress import (
     ScaledInverseNormPotential,
     stationary_distribution,
 )
-from randpress.base import DEFAULT_BUDGET
+from randpress.base import DEFAULT_BUDGET, _choice_cdf
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 E = math.e
@@ -256,15 +257,31 @@ def reference_sample_path(chain, n, seed):
     return tuple(symbols)
 
 
-def reference_admissible_pair(chain, bundle, length, rng):
-    """A (base word, fiber word) pair drawn symbol by symbol with Generator.choice."""
-    u = [int(rng.choice(chain.num_states, p=chain.stationary))]
-    for _ in range(length - 1):
-        u.append(int(rng.choice(chain.num_states, p=chain.transition[u[-1]])))
-    w = [int(rng.integers(bundle.num_symbols))]
-    for k in range(length - 1):
-        w.append(int(rng.choice(np.nonzero(bundle.allowed[u[k], w[-1]])[0])))
-    return tuple(u), tuple(w)
+def reference_subadditivity_pairs(chain, bundle, sample_count, seed, max_block):
+    """check_subadditivity's (n, m) sizes and (base, fiber) words, one sample and symbol at a time.
+
+    Consumes the same two blocks of default_rng(seed): every (n, m), then the
+    base and the fiber uniforms.  Symbol k of a word is bisect_right of its
+    uniform in the cdf row of the previous symbol: the chain's stationary and
+    transition rows for base words; for fiber words the uniform law on the
+    alphabet, then the uniform law on the columns allowed at (u_{k-1}, w_{k-1}).
+    """
+    rng = np.random.default_rng(seed)
+    nm = rng.integers(1, max_block + 1, size=(sample_count, 2))
+    x = rng.random((2, sample_count, 2 * max_block)).tolist()
+    A, M = bundle.num_symbols, bundle.allowed
+    cdf0, cdfT = _choice_cdf(chain.stationary).tolist(), _choice_cdf(chain.transition).tolist()
+    first = _choice_cdf(np.full(A, 1.0 / A)).tolist()
+    cdfM = _choice_cdf(M / M.sum(axis=-1, keepdims=True)).tolist()
+    base, fiber = [], []
+    for xu, xw in zip(*x):
+        u, w = [bisect_right(cdf0, xu[0])], [bisect_right(first, xw[0])]
+        for k in range(1, 2 * max_block):
+            u.append(bisect_right(cdfT[u[-1]], xu[k]))
+            w.append(bisect_right(cdfM[u[k - 1]][w[-1]], xw[k]))
+        base.append(u)
+        fiber.append(w)
+    return nm, np.array(base), np.array(fiber)
 
 
 def naive_metric(x, y):

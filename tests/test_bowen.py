@@ -9,10 +9,13 @@ from randpress import (
     BundleSFT,
     CocyclePotential,
     RandomMarkovMeasure,
+    ScaledInverseNormPotential,
     dimension_root,
     lyapunov_spread,
+    potential_average,
     pressure_at_t,
 )
+from randpress import bundle as bundle_mod
 from randpress.errors import InvalidMeasure, NoBracket, NonMonotone
 
 from fixtures import (
@@ -21,7 +24,11 @@ from fixtures import (
     fix_f,
     full_shift_bundle,
     one_state_chain,
+    random_bundle,
+    random_chain,
+    random_cocycle,
     reference_sample_path,
+    shared_q_measure,
     uniform_measure,
 )
 
@@ -240,6 +247,24 @@ def test_lyapunov_spread_rejects_an_invalid_measure():
     bad = RandomMarkovMeasure(initial=np.array([[0.9, 0.3]]), transition=uniform_measure().transition)
     with pytest.raises(InvalidMeasure, match="measure fails validation"):
         lyapunov_spread(chain, bundle, coc, bad, 4)
+
+
+@pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
+def test_lyapunov_spread_equals_both_measure_averages_bit_for_bit(monkeypatch, joint_rows):
+    """One walk of the measure cylinders gives potential_average's sums of log||P|| and
+    log||P^-1||, chunk by chunk in the same order."""
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
+    rng = np.random.default_rng(14)
+    for i in range(10):
+        S, A = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+        chain, bundle = random_chain(rng, S), random_bundle(rng, S, A, full=True)
+        meas = shared_q_measure(rng, chain, bundle)
+        coc = random_cocycle(rng, S, A, dim=2 + i % 2, norm_kind=("spectral", "max_row_sum")[i % 2])
+        n = int(rng.integers(1, 6))
+        top, bottom, spread = lyapunov_spread(chain, bundle, coc, meas, n)
+        a_top = potential_average(meas, chain, bundle, coc, n)
+        a_inv = potential_average(meas, chain, bundle, ScaledInverseNormPotential(coc, 1.0), n)
+        assert (top, bottom, spread) == (a_top / n, -a_inv / n, (a_top + a_inv) / n)
 
 
 def test_fix_b_alias_shares_structure():

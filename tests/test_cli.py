@@ -63,6 +63,18 @@ def test_rerun_is_byte_identical(tmp_path):
     assert first == second
 
 
+def test_lemmas_rerun_is_byte_identical(tmp_path):
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree["run"].update({"verb": "lemmas", "n_list": [2], "m_list": [1], "N": 4})
+    cfg = write_config(tmp_path, tree)
+    out = tmp_path / "runs"
+    assert cli.run(cfg, output_dir=str(out)) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert cli.run(cfg, output_dir=str(out)) == 0
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert first == second and b'"subadditivity_worst"' in first["report.json"]
+
+
 def test_zero_row_config_exit_one(tmp_path, capsys):
     tree = json.loads(json.dumps(FIX_A_TREE))
     tree["bundle"]["allowed"] = [[[1, 1], [0, 0]]]

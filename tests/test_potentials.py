@@ -6,13 +6,14 @@ import pytest
 from randpress import (
     AdditivePotential,
     BaseChain,
+    BundleSFT,
     CocyclePotential,
     ScaledInverseNormPotential,
     check_subadditivity,
     sup_norm_f1,
 )
 from randpress.errors import SingularMatrix
-from randpress.potentials import _admissible_pair_sampler
+from randpress.potentials import SubadditivePotential, _subadditivity_pairs
 
 from fixtures import (
     bernoulli_chain,
@@ -23,7 +24,7 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
-    reference_admissible_pair,
+    reference_subadditivity_pairs,
     reference_value,
 )
 
@@ -157,24 +158,44 @@ def test_bernoulli_chain_helper():
     assert np.allclose(chain.stationary, [0.5, 0.5])
 
 
+def _systems():
+    """Chains with and without zero transitions, one state among them, under bundles of
+    three, one (a single column per row) and two fiber symbols."""
+    rng = np.random.default_rng(12)
+    weights = np.array([[0.0, 1.0, 0.5], [0.7, 0.0, 0.3], [0.2, 0.2, 0.6]])  # zero transitions
+    for chain in (random_chain(rng, 2), one_state_chain(),
+                  BaseChain.from_transition(weights / weights.sum(axis=1, keepdims=True))):
+        S = chain.num_states
+        for bundle in (random_bundle(rng, S, 3), random_bundle(rng, S, 1),
+                       full_shift_bundle(S, 2)):
+            yield chain, bundle
+
+
+def test_subadditivity_pairs_equal_a_per_sample_bisect_walk():
+    for chain, bundle in _systems():
+        for max_block in (1, 3, 4):
+            for seed in range(40):
+                got = _subadditivity_pairs(chain, bundle, 25, seed, max_block)
+                expect = reference_subadditivity_pairs(chain, bundle, 25, seed, max_block)
+                for a, b in zip(got, expect):
+                    assert a.shape == b.shape and (a == b).all()
+
+
 def _replayed_worst_violation(pot, chain, bundle, sample_count, seed, max_block=4):
-    """Per-word reference: the same random draws in the same order, one reference value per term.
+    """Per-word reference: the reference pairs, one reference value per term.
 
     A NaN violation (-inf minus -inf) is skipped, as Python's max skips it.
     """
-    rng = np.random.default_rng(seed)
+    nm, base, fiber = reference_subadditivity_pairs(chain, bundle, sample_count, seed, max_block)
     worst = -math.inf
-    for _ in range(sample_count):
-        n = int(rng.integers(1, max_block + 1))
-        m = int(rng.integers(1, max_block + 1))
-        u, w = reference_admissible_pair(chain, bundle, n + m, rng)
+    for (n, m), u, w in zip(nm.tolist(), base.tolist(), fiber.tolist()):
         viol = (reference_value(pot, u, w, n + m) - reference_value(pot, u, w, n)
                 - reference_value(pot, u[n:], w[n:], m))
         worst = max(worst, viol)
     return worst
 
 
-def test_subadditivity_batches_the_same_draws_as_a_per_word_replay():
+def test_subadditivity_equals_a_per_word_replay_of_its_pairs():
     rng = np.random.default_rng(9)
     chain = random_chain(rng, 2)
     bundle = random_bundle(rng, 2, 3)
@@ -195,22 +216,80 @@ def test_subadditivity_batches_the_same_draws_as_a_per_word_replay():
                                        seed=seed) == pytest.approx(expect, abs=1e-12)
 
 
-def test_pair_draws_match_the_choice_loop_and_leave_the_stream_in_step():
-    """Pairs and the stream position after them equal the symbol-by-symbol choice loop's."""
-    rng = np.random.default_rng(12)
-    weights = np.array([[0.0, 1.0, 0.5], [0.7, 0.0, 0.3], [0.2, 0.2, 0.6]])  # zero transitions
-    for chain in (random_chain(rng, 2), one_state_chain(),
-                  BaseChain.from_transition(weights / weights.sum(axis=1, keepdims=True))):
-        S = chain.num_states
-        for bundle in (random_bundle(rng, S, 3), random_bundle(rng, S, 1),
-                       full_shift_bundle(S, 2)):
-            draw = _admissible_pair_sampler(chain, bundle)
-            for seed in range(40):
-                got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                for length in (1, 2, 5, 8):
-                    assert draw(length, got_rng) == reference_admissible_pair(
-                        chain, bundle, length, ref_rng)
-                assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+def test_subadditivity_pairs_are_admissible():
+    for chain, bundle in _systems():
+        for seed in range(5):
+            _, u, w = _subadditivity_pairs(chain, bundle, 200, seed, 4)
+            assert u.shape == w.shape == (200, 8)
+            assert (chain.transition[u[:, :-1], u[:, 1:]] > 0.0).all()
+            assert (bundle.allowed[u[:, :-1], w[:, :-1], w[:, 1:]] == 1).all()
+            assert 0 <= w.min() and w.max() < bundle.num_symbols
+
+
+def test_subadditivity_pairs_follow_the_joint_law():
+    """(u_0, u_1, w_0, w_1) has law p(s) T(s, s') (1/A) allowed(s, a, b) / rowsum(s, a)."""
+    from scipy.special import chdtrc
+
+    weights = np.array([[0.0, 1.0, 0.5], [0.7, 0.0, 0.3], [0.2, 0.2, 0.6]])
+    chain = BaseChain.from_transition(weights / weights.sum(axis=1, keepdims=True))
+    allowed = np.ones((3, 3, 3), dtype=int)
+    allowed[0, 0, 1] = allowed[0, 2, 0] = allowed[0, 2, 2] = allowed[1, 1, 1] = 0
+    allowed[2, :, 2] = 0
+    bundle = BundleSFT.from_matrices(allowed)
+    p, T = chain.stationary, chain.transition
+    law = (p[:, None, None, None] * T[:, :, None, None] / 3
+           * (allowed / allowed.sum(axis=-1, keepdims=True))[:, None])  # (s, s', a, b)
+    _, u, w = _subadditivity_pairs(chain, bundle, 20_000, 0, 1)
+    counts = np.zeros(law.shape)
+    np.add.at(counts, (u[:, 0], u[:, 1], w[:, 0], w[:, 1]), 1)
+    assert counts[law == 0.0].sum() == 0
+    assert law.sum() == pytest.approx(1.0, abs=1e-12)
+    seen, expect = counts[law > 0.0], 20_000 * law[law > 0.0]
+    assert chdtrc(len(seen) - 1, ((seen - expect) ** 2 / expect).sum()) > 1e-3  # chi-square p-value
+
+
+class _PlantedPattern(SubadditivePotential):
+    """f_n = n c 1[u_0 = s, w_0 = a]: violates subadditivity by m c where the
+    pattern sits at 0 and not at n."""
+
+    def __init__(self, s, a, c):
+        self.s, self.a, self.c = s, a, c
+
+    def eval_batch(self, base_arr, fiber_arr, n):
+        return n * self.c * ((base_arr[:, 0] == self.s) & (fiber_arr[:, 0] == self.a))
+
+
+def test_subadditivity_finds_a_planted_violation():
+    chain = BaseChain.from_transition([[0.81, 0.19], [0.01, 0.99]])
+    assert chain.stationary[0] == pytest.approx(0.05)
+    bundle = full_shift_bundle(2, 2)
+    pot = _PlantedPattern(0, 1, 0.75)
+    for seed in range(20):
+        assert check_subadditivity(pot, chain, bundle, sample_count=1000,
+                                   seed=seed) >= 0.75 - 1e-12
+
+
+class _Counting(SubadditivePotential):
+    def __init__(self, inner):
+        self.inner, self.lengths = inner, []
+
+    def eval_batch(self, base_arr, fiber_arr, n):
+        self.lengths.append(n)
+        return self.inner.eval_batch(base_arr, fiber_arr, n)
+
+
+def test_subadditivity_calls_eval_batch_once_per_length():
+    rng = np.random.default_rng(13)
+    chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 3)
+    coc = random_cocycle(rng, 2, 3)
+    for max_block in (1, 2, 4, 6):
+        for sample_count in (1, 1000):
+            pot = _Counting(coc)
+            worst = check_subadditivity(pot, chain, bundle, sample_count=sample_count,
+                                        seed=3, max_block=max_block)
+            assert len(pot.lengths) == len(set(pot.lengths)) <= 2 * max_block
+            assert worst == check_subadditivity(coc, chain, bundle, sample_count=sample_count,
+                                                seed=3, max_block=max_block)
 
 
 def test_subadditivity_rejects_a_stationary_vector_choice_rejects():
