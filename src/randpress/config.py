@@ -58,6 +58,14 @@ def _float(value, path: str) -> float:
     return float(value)
 
 
+def _finite(value, path: str, positive: bool) -> float:
+    """A finite YAML number that is > 0 (positive) or >= 0; NaN and inf fail here, not in a solve."""
+    x = _float(value, path)
+    if not np.isfinite(x) or x < 0.0 or (positive and x == 0.0):
+        raise ConfigError(f"{path}: expected a finite number {'>' if positive else '>='} 0, got {value!r}")
+    return x
+
+
 def _int_list(tree: dict, key: str, default: list) -> tuple[int, ...]:
     values = tree.get(key, default)
     if not isinstance(values, list):
@@ -203,9 +211,9 @@ def _build_run(tree: dict) -> RunSettings:
         samples=_int(tree.get("samples", 0), "run.samples"),
         seed=_int(tree.get("seed", 0), "run.seed"),
         budget=_int(tree.get("budget", default_budget), "run.budget"),
-        t_max=_float(tree.get("t_max", 4.0), "run.t_max"),
-        tol_t=_float(tree.get("tol_t", 1e-8), "run.tol_t"),
-        tol_p=_float(tree.get("tol_p", 1e-9), "run.tol_p"),
+        t_max=_finite(tree.get("t_max", 4.0), "run.t_max", positive=True),
+        tol_t=_finite(tree.get("tol_t", 1e-8), "run.tol_t", positive=False),
+        tol_p=_finite(tree.get("tol_p", 1e-9), "run.tol_p", positive=False),
     )
 
 

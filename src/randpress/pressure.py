@@ -72,52 +72,65 @@ def _class_argmax(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int,
-                        V: np.ndarray | None = None) -> np.ndarray:
-    """Log partition sums at the last level of a base-word tree.
+def _carry(bundle: BundleSFT, table, symbol, parent, depth: int,
+           V: np.ndarray | None = None) -> np.ndarray:
+    """Log weights V[..., node, a] at the last level of a base-word tree.
 
     Level k has last symbols symbol[k] and parent indices parent[k] into level
-    k-1 (a forest of unrelated words has parent[k] = arange).  V[node, a] is
-    the log weight of the node's fiber words ending in a; each level applies
-    allowed[u_{k-1}] once per parent node, then adds table[u_k] while k < depth.
-    A V passed in replaces the level-0 weights.
+    k-1 (a forest of unrelated words has parent[k] = arange).  V[..., node, a]
+    is the log weight of the node's fiber words ending in a (leading axes of
+    table and V are independent DPs); each level applies allowed[u_{k-1}] once
+    per parent node, then adds table[..., u_k, :] while k < depth.  A V passed
+    in replaces the level-0 weights.
     """
     logM = np.where(bundle.allowed == 1, 0.0, -np.inf)  # (S, A, A)
     if V is None:
-        V = table[symbol[0]] if depth >= 1 else np.zeros((len(symbol[0]), bundle.num_symbols))
+        V = table[..., symbol[0], :] if depth >= 1 else np.zeros((len(symbol[0]), bundle.num_symbols))
     with np.errstate(divide="ignore"):  # log 0 = -inf over fiber words that do not extend
         for k in range(1, len(symbol)):
-            V = _logsumexp(V[:, :, None] + logM[symbol[k - 1]], axis=1)[parent[k]]
+            V = _logsumexp(V[..., None] + logM[symbol[k - 1]], axis=-2)[..., parent[k], :]
             if k < depth:
-                V = V + table[symbol[k]]
-        vals = _logsumexp(V, axis=1)
+                V = V + table[..., symbol[k], :]
+    return V
+
+
+def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int,
+                        V: np.ndarray | None = None) -> np.ndarray:
+    """Log partition sums at the last level of a base-word tree: _carry, then a sum over a."""
+    V = _carry(bundle, table, symbol, parent, depth, V)
+    with np.errstate(divide="ignore"):
+        vals = _logsumexp(V, axis=-1)
     if not np.isfinite(vals).all():
         raise EmptyFiber("partition sum is 0 or infinite over some base word")
     return vals
+
+
+def _joint_values(bundle: BundleSFT, f, words: np.ndarray, n: int):
+    """Per fiber_words chunk, (size, key, f(base, fibers, n)) on the length-n fiber words over words.
+
+    key = row * A + last fiber symbol numbers the chunk's size segments.
+    """
+    A = bundle.num_symbols
+    for chunk, row, fibers in fiber_words(bundle.allowed, words, n):
+        yield (chunk.stop - chunk.start) * A, row * A + fibers[:, -1], f(words[chunk][row], fibers, n)
 
 
 def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
                    budget: int) -> np.ndarray:
     """Log partition sums at depth n over the deepest level of a base-word tree or forest.
 
-    Additive potentials, and depth 0 (f_0 = log||I|| = 0, a log count), run
-    the transfer DP with their table.  Any other potential takes f_n in one
-    eval_batch per chunk of depth-n base words, on every admissible length-n
-    fiber word over them; the values are reduced per (base word, last fiber
-    symbol) and the DP carries them down the deeper levels.
+    Additive potentials run the transfer DP with their table.  Any other
+    potential takes f_n in one eval_batch per chunk of depth-n base words, on
+    every admissible length-n fiber word over them; the values are reduced per
+    (base word, last fiber symbol) and the DP carries them down the deeper levels.
     """
     add = potential.to_additive()
-    if add is not None or n == 0:  # at depth 0 the DP reads no table
-        table = None if add is None else add.table
-        return _tree_log_partition(bundle, table, tree.symbol, tree.parent, n)
+    if add is not None:
+        return _tree_log_partition(bundle, add.table, tree.symbol, tree.parent, n)
     A = bundle.num_symbols
     fiber_budget(A, len(tree.symbol), budget)
-    words = tree.words(n)
-    V = []
-    for chunk, row, fibers in fiber_words(bundle.allowed, words, n):
-        base = words[chunk]
-        vals = potential.eval_batch(base[row], fibers, n)
-        V.append(_segment_logsumexp(vals, row * A + fibers[:, -1], len(base) * A))
+    V = [_segment_logsumexp(vals, key, size)
+         for size, key, vals in _joint_values(bundle, potential.eval_batch, tree.words(n), n)]
     V = np.concatenate(V).reshape(-1, A)
     return _tree_log_partition(bundle, None, tree.symbol[n - 1:], tree.parent[n - 1:], 0, V)
 
@@ -144,31 +157,35 @@ def _forest(rows) -> PrefixTree:
     return PrefixTree(tuple(arr.T), (np.arange(len(arr)),) * arr.shape[1], ())
 
 
-def _estimate(chain: BaseChain, n: int, m: int, mode: str, samples: int, seed: int,
-              budget: int, row) -> PressureEstimate:
-    """Expectation of a per-word value over the base words of length n+m-1.
-
-    row maps a tree or forest of these words to one value per deepest-level
-    word.  Exact mode sums it against the cylinder probabilities of the
-    chain's cached prefix tree; Monte Carlo mode averages it over seeded
-    stationary-chain samples with per-sample derived streams, drawn together
-    column by column and combined in index order for bit-reproducibility.
+def _base_words(chain: BaseChain, n: int, m: int, mode: str, samples: int, seed: int,
+                budget: int) -> PrefixTree:
+    """The base words of length n+m-1 to average over: the chain's cached prefix tree
+    (exact), or a forest of seeded stationary-chain samples drawn column by column.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     L = n + m - 1
     if mode == "exact":
-        tree = chain.prefix_tree(L, budget)
-        return PressureEstimate(n=n, m=m, value=float(np.dot(tree.prob[-1], row(tree))),
-                                mode="exact")
+        return chain.prefix_tree(L, budget)
     if mode == "monte_carlo":
         if samples < 1:
             raise InvalidSampleCount(f"samples must be >= 1, got {samples}")
-        vals = row(_forest(_sample_paths(chain, L, seed, samples)))
-        std_error = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-        return PressureEstimate(n=n, m=m, value=float(np.mean(vals)), mode="monte_carlo",
-                                std_error=std_error, samples=samples, seed=seed)
+        return _forest(_sample_paths(chain, L, seed, samples))
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def _estimate(tree: PrefixTree, n: int, m: int, mode: str, samples: int, seed: int,
+              vals: np.ndarray) -> PressureEstimate:
+    """Expectation of one value per deepest-level word of a _base_words tree or forest.
+
+    Exact mode sums vals against the cylinder probabilities; Monte Carlo mode
+    averages them in sample index order, for bit-reproducibility.
+    """
+    if mode == "exact":
+        return PressureEstimate(n=n, m=m, value=float(np.dot(tree.prob[-1], vals)), mode="exact")
+    std_error = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    return PressureEstimate(n=n, m=m, value=float(np.mean(vals)), mode="monte_carlo",
+                            std_error=std_error, samples=samples, seed=seed)
 
 
 def expected_log_sum(
@@ -188,8 +205,9 @@ def expected_log_sum(
     seeded stationary-chain samples with per-sample derived streams, combined
     in index order for bit-reproducibility.
     """
-    return _estimate(chain, n, m, mode, samples, seed, budget,
-                     lambda tree: _log_partition(bundle, potential, tree, n, budget) / n)
+    tree = _base_words(chain, n, m, mode, samples, seed, budget)
+    return _estimate(tree, n, m, mode, samples, seed,
+                     _log_partition(bundle, potential, tree, n, budget) / n)
 
 
 def pressure_curve(

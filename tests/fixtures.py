@@ -15,7 +15,8 @@ from randpress import (
     ScaledInverseNormPotential,
     stationary_distribution,
 )
-from randpress.base import DEFAULT_BUDGET, _choice_cdf
+from randpress import pressure
+from randpress.base import DEFAULT_BUDGET, PrefixTree, _choice_cdf
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 E = math.e
@@ -345,3 +346,17 @@ def separated_set_oracle(bundle, potential, base_symbols, n, m, length):
     best = [max(reference_value(potential, base_symbols, w, n) for w in cls) for cls in classes]
     peak = max(best)
     return peak + math.log(sum(math.exp(v - peak) for v in best))
+
+
+def per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode="exact", samples=0, seed=0):
+    """pressure_at_t at one t the per-t way: its own ScaledInverseNormPotential, its own
+    tree or freshly drawn forest, and two full transfer DPs, at depths n and n-1."""
+    potential = ScaledInverseNormPotential(cocycle, t)
+    tree = pressure._base_words(chain, n, m, mode, samples, seed, DEFAULT_BUDGET)
+    vals = pressure._log_partition(bundle, potential, tree, n, DEFAULT_BUDGET)
+    if len(tree.symbol) > 1:  # n = m = 1: f_0 = 0 over words of length 0
+        lower = PrefixTree(tree.symbol[:-1], tree.parent[:-1], tree.prob[:-1])
+        lo = (pressure._log_partition(bundle, potential, lower, n - 1, DEFAULT_BUDGET) if n > 1
+              else pressure._tree_log_partition(bundle, None, lower.symbol, lower.parent, 0))
+        vals = vals - lo[tree.parent[-1]]
+    return pressure._estimate(tree, n, m, mode, samples, seed, vals)

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 import yaml
@@ -309,6 +310,27 @@ def test_number_and_bool_keys_reject_other_values(tmp_path, capsys, override, pa
         load_experiment(cfg, [override])
     assert cli.run(cfg, overrides=[override], output_dir=str(tmp_path / "o")) == 1
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,path", [
+    ("run.t_max=.nan", "run.t_max"),
+    ("run.t_max=.inf", "run.t_max"),
+    ("run.t_max=-1", "run.t_max"),
+    ("run.t_max=0", "run.t_max"),
+    ("run.tol_t=-1", "run.tol_t"),
+    ("run.tol_p=.nan", "run.tol_p"),
+])
+def test_dimension_keys_must_be_finite_and_in_range(tmp_path, capsys, override, path):
+    """A NaN, infinite or negative t_max, tol_t or tol_p (or t_max = 0) is a config error
+    naming its key: no solve runs, so no numpy warning, misleading EmptyFiber or 60-step spin."""
+    cfg = str(CONFIGS / "random_scalar_dimension.yaml")
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected a finite number "):
+        load_experiment(cfg, [override])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(cfg, overrides=[override], output_dir=str(tmp_path / "o")) == 1
+    assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_number_and_bool_keys_take_yaml_numbers_and_bools(tmp_path):
