@@ -15,8 +15,8 @@ import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import _JOINT_ROWS, BundleSFT, fiber_budget
-from .errors import InvalidMeasure, NoBracket, NonMonotone, SingularMatrix
-from .measures import RandomMarkovMeasure, _weighted_words, validate_measure
+from .errors import NoBracket, NonMonotone, SingularMatrix
+from .measures import RandomMarkovMeasure, _require_valid, _weighted_words
 from .pressure import (_MONO_TOL, PressureEstimate, _base_words, _carry, _estimate, _joint_values,
                        _segment_logsumexp, _tree_log_partition)
 from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_inverse_norm, _mat_norm
@@ -137,7 +137,8 @@ def dimension_root(
     The t-independent work (base words, cocycle values) is done once per
     solve; the five probes are one batched DP pass, each step one more.
     """
-
+    if not (np.isfinite(t_max) and t_max >= 0.0):  # before linspace, which warns on inf
+        raise ValueError(f"scale t must be finite and >= 0, got t_max={t_max}")
     family = _inverse_norm_family(chain, bundle, cocycle, n, m, mode, samples, seed, budget)
     probes = np.linspace(0.0, t_max, 5)
     pvals = [est.value for est in family(probes)]
@@ -198,9 +199,7 @@ def lyapunov_spread(
     m(A) = ||A^{-1}||^{-1}; the spread is a conformality diagnostic for the
     tested measure and depth only.
     """
-    rep = validate_measure(meas, chain, bundle)
-    if not rep.valid:
-        raise InvalidMeasure(f"measure fails validation: {rep}")
+    _require_valid(meas, chain, bundle)
     lead = chain.stationary[:, None] * meas.initial
     top = inv = 0  # both norms from one product stack per chunk of measure cylinders
     for u, w, wgt in _weighted_words(meas, chain, n, lead, budget):
@@ -214,7 +213,8 @@ def lyapunov_spread(
             if not np.isfinite(log_inv).all():
                 raise SingularMatrix("singular cocycle product")
         else:
-            log_top, log_inv = np.log(_mat_norm(P, "max_row_sum")), _log_inverse_norm(P, "max_row_sum")
+            log_inv = _log_inverse_norm(P, "max_row_sum")  # SingularMatrix before a log of 0
+            log_top = np.log(_mat_norm(P, "max_row_sum"))
         top += np.dot(wgt, log_top)
         inv += np.dot(wgt, log_inv)
     top, bottom = float(top), -float(inv)

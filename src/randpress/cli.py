@@ -21,7 +21,7 @@ from . import __version__
 from .bowen import dimension_root, lyapunov_spread
 from .config import Experiment, load_experiment
 from .errors import ConfigError, InvariantViolation, RandpressError
-from .measures import check_lemma34, potential_average
+from .measures import check_lemma34, f_star_bracket
 from .potentials import CocyclePotential, ScaledInverseNormPotential, check_subadditivity
 from .pressure import (
     check_power_lemma,
@@ -53,8 +53,7 @@ def _write_json(exp: Experiment, results: dict) -> str:
     }
     path = _report_path(exp, "report.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -146,8 +145,8 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
         lemma34.append(slack)
         if slack < -_SLACK_TOL:
             violations.append("lemma34")
-        a = [potential_average(meas, exp.chain, exp.bundle, exp.potential, n, budget=run.budget)
-             for n in range(1, min(run.N, 8) + 1)]
+        a = f_star_bracket(meas, exp.chain, exp.bundle, exp.potential, min(run.N, 8),
+                           budget=run.budget).values
         for i in range(1, len(a) + 1):
             for j in range(1, len(a) + 1 - i):
                 viol = a[i + j - 1] - a[i - 1] - a[j - 1]

@@ -47,9 +47,8 @@ class MeasureReport:
 
 def _consistency_residual(pi: np.ndarray, Q: np.ndarray, chain: BaseChain) -> float:
     """Worst |pi_s Q_s - pi_{s'}| over the positive base transitions s -> s'."""
-    pushed = [pi[s] @ Q[s] for s in range(len(pi))]
-    return max(float(np.max(np.abs(pushed[s] - pi[s2])))
-               for s, s2 in zip(*np.nonzero(chain.transition > 0.0)))
+    s, s2 = np.nonzero(chain.transition > 0.0)
+    return float(np.max(np.abs(np.einsum("sa,sab->sb", pi, Q)[s] - pi[s2])))
 
 
 def validate_measure(
@@ -70,6 +69,14 @@ def validate_measure(
     return MeasureReport(row, init, support, cons, valid)
 
 
+def _require_valid(meas: RandomMarkovMeasure, chain: BaseChain, bundle: BundleSFT,
+                   what: str = "measure") -> None:
+    """InvalidMeasure naming `what` unless validate_measure passes."""
+    rep = validate_measure(meas, chain, bundle)
+    if not rep.valid:
+        raise InvalidMeasure(f"{what} fails validation: {rep}")
+
+
 def solve_consistent_initial(
     transition: np.ndarray, chain: BaseChain
 ) -> tuple[np.ndarray, float]:
@@ -83,22 +90,13 @@ def solve_consistent_initial(
     if Q.ndim != 3 or Q.shape[0] != S or Q.shape[1] != Q.shape[2]:
         raise ShapeMismatch(f"fiber transition shape {Q.shape} does not match (S={S}, A, A)")
     A = Q.shape[1]
-    rows, rhs = [], []
-    for s in range(S):
-        for s2 in range(S):
-            if chain.transition[s, s2] > 0.0:
-                block = np.zeros((A, S * A))
-                block[:, s * A:(s + 1) * A] = Q[s].T
-                block[:, s2 * A:(s2 + 1) * A] -= np.eye(A)
-                rows.append(block)
-                rhs.append(np.zeros(A))
-    for s in range(S):
-        norm = np.zeros((1, S * A))
-        norm[0, s * A:(s + 1) * A] = 1.0
-        rows.append(norm)
-        rhs.append(np.ones(1))
-    Amat = np.vstack(rows)
-    b = np.concatenate(rhs)
+    s, s2 = np.nonzero(chain.transition > 0.0)
+    edge = np.arange(len(s))
+    block = np.zeros((len(s), A, S, A))  # edge s -> s': A rows of pi_s Q_s - pi_{s'} = 0
+    block[edge, :, s] = Q[s].transpose(0, 2, 1)
+    block[edge, :, s2] -= np.eye(A)
+    Amat = np.vstack([block.reshape(-1, S * A), np.kron(np.eye(S), np.ones(A))])
+    b = np.concatenate([np.zeros(len(s) * A), np.ones(S)])
     x, *_ = np.linalg.lstsq(Amat, b, rcond=None)
     pi = np.maximum(x.reshape(S, A), 0.0)
     pi = pi / pi.sum(axis=1, keepdims=True)
@@ -107,15 +105,9 @@ def solve_consistent_initial(
 
 def fiber_entropy(meas: RandomMarkovMeasure, chain: BaseChain) -> float:
     """Per-step fiber entropy, closed form over one-step statistics."""
-    h = 0.0
-    for s in range(chain.num_states):
-        for a in range(meas.initial.shape[1]):
-            row = meas.transition[s, a]
-            pos = row[row > 0.0]
-            h += float(chain.stationary[s]) * float(meas.initial[s, a]) * float(
-                -(pos * np.log(pos)).sum()
-            )
-    return h
+    Q = meas.transition
+    row = -(Q * np.log(Q, out=np.zeros_like(Q), where=Q > 0.0)).sum(axis=2)
+    return float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, row))
 
 
 def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, lead: np.ndarray,
@@ -166,12 +158,7 @@ def potential_average(
         raise ValueError("n must be >= 1")
     add = potential.to_additive()
     if add is not None and validate_measure(meas, chain, bundle).valid:
-        one_step = 0.0
-        for s in range(chain.num_states):
-            one_step += float(chain.stationary[s]) * float(
-                np.dot(meas.initial[s], add.table[s])
-            )
-        return n * one_step
+        return n * float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, add.table))
     lead = chain.stationary[:, None] * meas.initial
     return _weighted_sum(meas, chain, potential, n, lead, budget)
 
@@ -180,7 +167,6 @@ def potential_average(
 class FStarBracket:
     upper: float  # min over n <= N of a_n / n, a certified upper bound
     estimate: float  # a_N / N
-    slope: float  # least-squares slope of a_n vs n over the tail
     minus_inf: bool
     values: tuple[float, ...]  # a_1 .. a_N
 
@@ -192,21 +178,16 @@ def f_star_bracket(
     potential: SubadditivePotential,
     N: int,
     budget: int = DEFAULT_BUDGET,
-    floor: float = _F_STAR_FLOOR,
 ) -> FStarBracket:
     """Finite bracket for the sub-additive limit of a_n / n."""
     if N < 1:
         raise ValueError("N must be >= 1")
     a = [potential_average(meas, chain, bundle, potential, n, budget=budget) for n in range(1, N + 1)]
     ratios = [a[i] / (i + 1) for i in range(N)]
-    tail = a[N // 2:]
-    ns = np.arange(N // 2 + 1, N + 1, dtype=float)
-    slope = float(np.polyfit(ns, np.array(tail), 1)[0]) if len(tail) >= 2 else ratios[-1]
     return FStarBracket(
         upper=float(min(ratios)),
         estimate=float(ratios[-1]),
-        slope=slope,
-        minus_inf=bool(ratios[-1] < floor),
+        minus_inf=bool(ratios[-1] < _F_STAR_FLOOR),
         values=tuple(a),
     )
 
@@ -244,9 +225,7 @@ def check_lemma34(
     """
     if not n > k >= 1:
         raise ValueError("need n > k >= 1")
-    rep = validate_measure(meas, chain, bundle)
-    if not rep.valid:
-        raise InvalidMeasure(f"measure fails validation: {rep}")
+    _require_valid(meas, chain, bundle)
     C = sup_norm_f1(potential, chain, bundle)
     lhs = k * potential_average(meas, chain, bundle, potential, n, budget=budget)
     rhs = 4.0 * k * k * C + _window_sum(meas, chain, potential, n, k, budget)

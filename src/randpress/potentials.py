@@ -104,7 +104,8 @@ class CocyclePotential(SubadditivePotential):
         return P
 
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
-        return np.log(_mat_norm(self.products(base_arr, fiber_arr, n), self.norm_kind))
+        with np.errstate(divide="ignore"):  # a zero product gives f_n = -inf by design
+            return np.log(_mat_norm(self.products(base_arr, fiber_arr, n), self.norm_kind))
 
     def to_additive(self):
         if self.dim != 1:

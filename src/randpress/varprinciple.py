@@ -8,15 +8,15 @@ import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import BundleSFT, fiber_budget, fiber_words
-from .errors import InvalidMeasure, InvariantViolation
+from .errors import InvariantViolation
 from .measures import (
     FStarBracket,
     RandomMarkovMeasure,
+    _require_valid,
     f_star_bracket,
     fiber_entropy,
     potential_average,
     solve_consistent_initial,
-    validate_measure,
 )
 from .pressure import PressureEstimate, _segment_logsumexp, expected_log_sum
 
@@ -57,9 +57,7 @@ def vp_gap(
     est = expected_log_sum(chain, bundle, potential, n, m, budget=budget)
     sides = []
     for meas in measures:
-        rep = validate_measure(meas, chain, bundle)
-        if not rep.valid:
-            raise InvalidMeasure(f"measure fails validation: {rep}")
+        _require_valid(meas, chain, bundle)
         h = fiber_entropy(meas, chain)
         br = f_star_bracket(meas, chain, bundle, potential, N, budget=budget)
         sides.append(MeasureSide(h, br, h + br.upper, br.minus_inf))
@@ -110,9 +108,7 @@ def optimize_measure(
     time, are projected back onto the support simplex, and are accepted only
     on improvement, so the trace is nondecreasing.
     """
-    rep = validate_measure(family_seed, chain, bundle)
-    if not rep.valid:
-        raise InvalidMeasure(f"family seed fails validation: {rep}")
+    _require_valid(family_seed, chain, bundle, "family seed")
     S, A = family_seed.initial.shape
     support = bundle.allowed.astype(bool)
     rng = np.random.default_rng(seed)

@@ -220,6 +220,47 @@ def entropy_cylinder_oracle(meas, chain, bundle, n):
     return total / n
 
 
+def reference_consistent_initial(transition, chain):
+    """solve_consistent_initial's pi from a constraint matrix built block by block.
+
+    One (A, S*A) block Q_s^T - I per positive base transition s -> s', in
+    row-major (s, s') order, then one normalisation row per base symbol; the
+    least-squares solution is clipped at 0 and renormalised per row.
+    """
+    Q = np.asarray(transition, dtype=float)
+    S, A = chain.num_states, Q.shape[1]
+    rows, rhs = [], []
+    for s in range(S):
+        for s2 in range(S):
+            if chain.transition[s, s2] > 0.0:
+                block = np.zeros((A, S * A))
+                block[:, s * A:(s + 1) * A] = Q[s].T
+                block[:, s2 * A:(s2 + 1) * A] -= np.eye(A)
+                rows.append(block)
+                rhs.append(np.zeros(A))
+    for s in range(S):
+        norm = np.zeros((1, S * A))
+        norm[0, s * A:(s + 1) * A] = 1.0
+        rows.append(norm)
+        rhs.append(np.ones(1))
+    x, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+    pi = np.maximum(x.reshape(S, A), 0.0)
+    return pi / pi.sum(axis=1, keepdims=True)
+
+
+def reference_fiber_entropy(meas, chain):
+    """Sum over (s, a) of p(s) pi_s(a) times the entropy of the row Q_s(a, .), one row at a time."""
+    h = 0.0
+    for s in range(chain.num_states):
+        for a in range(meas.initial.shape[1]):
+            row = meas.transition[s, a]
+            pos = row[row > 0.0]
+            h += float(chain.stationary[s]) * float(meas.initial[s, a]) * float(
+                -(pos * np.log(pos)).sum()
+            )
+    return h
+
+
 _NORM_ORDER = {"spectral": 2, "max_row_sum": np.inf}
 
 
@@ -241,7 +282,8 @@ def reference_value(potential, u, w, n):
         return float(sum(potential.table[u[k], w[k]] for k in range(n)))
     if isinstance(potential, CocyclePotential):
         P = reference_product(potential, u, w, n)
-        return float(np.log(np.linalg.norm(P, _NORM_ORDER[potential.norm_kind])))
+        with np.errstate(divide="ignore"):  # a zero product gives f_n = -inf by design
+            return float(np.log(np.linalg.norm(P, _NORM_ORDER[potential.norm_kind])))
     assert isinstance(potential, ScaledInverseNormPotential)
     inner = potential.inner
     P = np.linalg.inv(reference_product(inner, u, w, n))

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -385,6 +386,14 @@ def test_negative_or_non_finite_scale_raises_value_error(t):
             pressure_at_t(chain, bundle, coc, t, 3, 1)
         with pytest.raises(ValueError, match="scale t must be finite and >= 0"):
             dimension_root(chain, bundle, coc, 3, 1, t_max=t)
+
+
+def test_infinite_t_max_raises_before_any_numpy_warning():
+    chain, bundle, coc = fix_e()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="scale t must be finite and >= 0"):
+            dimension_root(chain, bundle, coc, 3, 1, t_max=math.inf)
 
 
 def mpmath_exponents(chain, meas, cocycle, n):

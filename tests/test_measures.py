@@ -12,8 +12,8 @@ from randpress import (
     solve_consistent_initial,
     validate_measure,
 )
-from randpress import AdditivePotential, ScaledInverseNormPotential
-from randpress.errors import InvalidMeasure, ShapeMismatch
+from randpress import AdditivePotential, BaseChain, BundleSFT, ScaledInverseNormPotential
+from randpress.errors import InvalidMeasure, NonErgodicChain, ShapeMismatch
 
 from fixtures import (
     GOLDEN,
@@ -29,6 +29,8 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
+    reference_consistent_initial,
+    reference_fiber_entropy,
     reference_value,
     shared_q_measure,
     uniform_measure,
@@ -247,3 +249,66 @@ def test_golden_parry_entropy():
     meas = parry_measure()
     assert validate_measure(meas, chain, bundle).valid
     assert fiber_entropy(meas, chain) == pytest.approx(math.log(GOLDEN), abs=1e-12)
+
+
+def _sparse_systems(count, seed=11):
+    """Random (chain, Q) pairs, S in 1..4 and A in 1..5, with zero base transitions,
+    self-loops and Q rows holding zeros (each row keeps a positive entry)."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    while len(systems) < count:
+        S, A = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        T = rng.uniform(0.1, 1.0, (S, S)) * (rng.random((S, S)) < 0.6)
+        if (T.sum(axis=1) == 0.0).any():
+            continue
+        try:
+            chain = BaseChain.from_transition(T / T.sum(axis=1, keepdims=True))
+        except NonErgodicChain:
+            continue
+        Q = rng.uniform(0.1, 1.0, (S, A, A)) * (rng.random((S, A, A)) < 0.6)
+        Q[np.arange(S)[:, None], np.arange(A), rng.integers(A, size=(S, A))] += 0.5
+        systems.append((chain, Q / Q.sum(axis=2, keepdims=True)))
+    T = [chain.transition for chain, _ in systems]
+    assert any(t.shape == (1, 1) for t in T)
+    assert any((t == 0.0).any() for t in T) and any((np.diag(t) > 0.0).any() for t in T)
+    assert any((t - np.diag(np.diag(t)) > 0.0).any() for t in T)  # edges with s != s'
+    assert any((Q == 0.0).any() for _, Q in systems)
+    return systems
+
+
+def test_stacked_consistency_solve_equals_the_block_loop_bit_for_bit():
+    for chain, Q in _sparse_systems(120):
+        pi, resid = solve_consistent_initial(Q, chain)
+        assert np.array_equal(pi, reference_consistent_initial(Q, chain))
+        pushed = [pi[s] @ Q[s] for s in range(chain.num_states)]
+        assert resid == pytest.approx(max(
+            float(np.max(np.abs(pushed[s] - pi[s2])))
+            for s, s2 in zip(*np.nonzero(chain.transition > 0.0))), rel=1e-12, abs=1e-15)
+
+
+def test_stacked_fiber_entropy_equals_the_row_loop_bit_for_bit():
+    for chain, Q in _sparse_systems(120, seed=12):
+        meas = RandomMarkovMeasure(initial=solve_consistent_initial(Q, chain)[0], transition=Q)
+        assert fiber_entropy(meas, chain) == reference_fiber_entropy(meas, chain)
+
+
+def test_stacked_additive_average_matches_the_symbol_loop():
+    """Within 1e-15 of sum p(s) pi_s(a) |f(s, a)|: the one einsum adds the same terms in
+    another order, so with mixed signs its error scales with the terms, not with the sum."""
+    rng = np.random.default_rng(13)
+    checked = 0
+    for chain, Q in _sparse_systems(120, seed=13):
+        S, A = Q.shape[:2]
+        Q = np.tile(Q[0], (S, 1, 1))  # one row set under every base symbol: consistent pi exists
+        meas = RandomMarkovMeasure(initial=solve_consistent_initial(Q, chain)[0], transition=Q)
+        bundle = BundleSFT.from_matrices((Q > 0.0).astype(int))
+        if not validate_measure(meas, chain, bundle).valid:
+            continue
+        pot = random_additive(rng, S, A)
+        for n in (1, 3):
+            p = chain.stationary
+            ref = n * sum(float(p[s]) * float(np.dot(meas.initial[s], pot.table[s])) for s in range(S))
+            scale = n * float(np.sum(p[:, None] * meas.initial * np.abs(pot.table)))
+            assert abs(potential_average(meas, chain, bundle, pot, n) - ref) <= 1e-15 * scale
+        checked += 1
+    assert checked >= 60
