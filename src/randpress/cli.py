@@ -16,6 +16,7 @@ import sys
 import time
 
 import numpy as np
+import yaml
 
 from . import __version__
 from .bowen import dimension_root, lyapunov_spread
@@ -247,10 +248,9 @@ def run(config_path: str, overrides: list[str] | None = None,
     started = time.monotonic()
     try:
         overrides = list(overrides or [])
-        if verb is not None:
-            overrides.append(f"run.verb={verb}")
-        if output_dir is not None:
-            overrides.append(f"output.dir={output_dir}")
+        for path, value in (("run.verb", verb), ("output.dir", output_dir)):
+            if value is not None:  # taken as given: a YAML-quoted string loads back unchanged
+                overrides.append(f"{path}={yaml.safe_dump(value)}")
         exp = load_experiment(config_path, overrides)
         try:
             results, code = _VERB_RUNNERS[exp.run.verb](exp)

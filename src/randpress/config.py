@@ -169,7 +169,10 @@ def _build_measures(specs, chain: BaseChain, bundle: BundleSFT) -> tuple[RandomM
             _per_state_table(_need(spec, "transition", path), chain.states, f"{path}.transition"),
             dtype=float,
         )
-        if spec.get("auto", False):
+        auto = spec.get("auto", False)
+        if not isinstance(auto, bool):
+            raise ConfigError(f"{path}.auto: expected true or false, got {auto!r}")
+        if auto:
             pi, _resid = solve_consistent_initial(Q, chain)
         else:
             pi = np.asarray(
@@ -254,6 +257,8 @@ def load_experiment(config_path: str, overrides: list[str] | None = None) -> Exp
     run = _build_run(_need(tree, "run", "<root>"))
     _only(tree.get("output"), ("dir",), "output.")
     output_dir = (tree.get("output") or {}).get("dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output.dir: expected a string, got {output_dir!r}")
     return Experiment(
         chain=chain, bundle=bundle, potential=potential, measures=measures,
         run=run, output_dir=output_dir, resolved=tree,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _sample_paths
-from .bundle import BundleSFT, fiber_budget, fiber_words
-from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation
+from .bundle import _JOINT_ROWS, BundleSFT, fiber_budget, fiber_words
+from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation, SingularMatrix
 
 _MONO_TOL = 1e-9
 
@@ -72,32 +72,32 @@ def _class_argmax(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _carry(bundle: BundleSFT, table, symbol, parent, depth: int,
-           V: np.ndarray | None = None) -> np.ndarray:
+def _carry(bundle: BundleSFT, symbol, parent, V: np.ndarray | None = None,
+           table=None) -> np.ndarray:
     """Log weights V[..., node, a] at the last level of a base-word tree.
 
     Level k has last symbols symbol[k] and parent indices parent[k] into level
     k-1 (a forest of unrelated words has parent[k] = arange).  V[..., node, a]
     is the log weight of the node's fiber words ending in a (leading axes of
-    table and V are independent DPs); each level applies allowed[u_{k-1}] once
-    per parent node, then adds table[..., u_k, :] while k < depth.  A V passed
-    in replaces the level-0 weights.
+    table and V are independent DPs); each level after the first applies
+    allowed[u_{k-1}] once per parent node, then adds table[..., u_k, :] if a
+    table is given.  A V passed in replaces the level-0 weights, which are
+    otherwise the table's (or 0: the DP then counts fiber words).
     """
     logM = np.where(bundle.allowed == 1, 0.0, -np.inf)  # (S, A, A)
     if V is None:
-        V = table[..., symbol[0], :] if depth >= 1 else np.zeros((len(symbol[0]), bundle.num_symbols))
+        V = np.zeros((len(symbol[0]), bundle.num_symbols)) if table is None else table[..., symbol[0], :]
     with np.errstate(divide="ignore"):  # log 0 = -inf over fiber words that do not extend
         for k in range(1, len(symbol)):
             V = _logsumexp(V[..., None] + logM[symbol[k - 1]], axis=-2)[..., parent[k], :]
-            if k < depth:
+            if table is not None:
                 V = V + table[..., symbol[k], :]
     return V
 
 
-def _tree_log_partition(bundle: BundleSFT, table, symbol, parent, depth: int,
-                        V: np.ndarray | None = None) -> np.ndarray:
-    """Log partition sums at the last level of a base-word tree: _carry, then a sum over a."""
-    V = _carry(bundle, table, symbol, parent, depth, V)
+def _tree_log_partition(bundle: BundleSFT, symbol, parent, V=None) -> np.ndarray:
+    """Log partition sums at a tree's last level: _carry with no table, then a sum over a."""
+    V = _carry(bundle, symbol, parent, V)
     with np.errstate(divide="ignore"):
         vals = _logsumexp(V, axis=-1)
     if not np.isfinite(vals).all():
@@ -126,13 +126,13 @@ def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
     """
     add = potential.to_additive()
     if add is not None:
-        return _tree_log_partition(bundle, add.table, tree.symbol, tree.parent, n)
-    A = bundle.num_symbols
-    fiber_budget(A, len(tree.symbol), budget)
-    V = [_segment_logsumexp(vals, key, size)
-         for size, key, vals in _joint_values(bundle, potential.eval_batch, tree.words(n), n)]
-    V = np.concatenate(V).reshape(-1, A)
-    return _tree_log_partition(bundle, None, tree.symbol[n - 1:], tree.parent[n - 1:], 0, V)
+        V = _carry(bundle, tree.symbol[:n], tree.parent[:n], table=add.table)
+    else:
+        fiber_budget(bundle.num_symbols, len(tree.symbol), budget)
+        V = np.concatenate([_segment_logsumexp(vals, key, size) for size, key, vals
+                            in _joint_values(bundle, potential.eval_batch, tree.words(n), n)])
+        V = V.reshape(-1, bundle.num_symbols)
+    return _tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V)
 
 
 def log_partition_sum(
@@ -210,6 +210,61 @@ def expected_log_sum(
                      _log_partition(bundle, potential, tree, n, budget) / n)
 
 
+def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m: int, mode: str,
+                      samples: int, seed: int, budget: int):
+    """t -> depth-increment estimates (1/n) E[log Z(n) - log Z(n-1)] of t * f on a vector of t.
+
+    The t-independent work is done once: the base tree or sampled forest, and the additive
+    table or the values of every joint word at depths n and n-1 with their segment keys.
+    Each call scales them by t and runs the DP with a leading t axis.
+    """
+    tree = _base_words(chain, n, m, mode, samples, seed, budget)
+    sym, par, L, A, k = tree.symbol, tree.parent, n + m - 1, bundle.num_symbols, max(n - 2, 0)
+    add = potential.to_additive()
+    if add is None:
+        fiber_budget(A, L, budget)
+        singular = []  # raised by the first t > 0: at t = 0 every joint word weighs 1
+
+        def values(base, fibers, depth):
+            try:
+                return potential.eval_batch(base, fibers, depth)
+            except SingularMatrix as exc:
+                singular.append(exc)
+
+        joint = {d: list(_joint_values(bundle, values, tree.words(d), d))
+                 for d in range(max(n - 1, 1), n + 1)}
+
+        def weights(depth, ts):  # (T, depth-level nodes, A) log weights at each t
+            return np.stack([np.concatenate([
+                _segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key, size)
+                for size, key, vals in joint[depth]]).reshape(-1, A) for t in ts])
+
+    def evaluate(ts) -> list[PressureEstimate]:
+        ts = np.asarray(ts, dtype=float)
+        if not (np.isfinite(ts).all() and (ts >= 0.0).all()):
+            raise ValueError(f"scale t must be finite and >= 0, got {ts.tolist()}")
+        step = max(1, _JOINT_ROWS // len(sym[-1]))  # caps the (T, nodes, A, A) DP arrays
+        if len(ts) > step:
+            return [est for i in range(0, len(ts), step) for est in evaluate(ts[i:i + step])]
+        if add is not None:  # one DP pass through the level-(n-2) and level-(n-1) weights
+            table = ts[:, None, None] * add.table
+            lo = _carry(bundle, sym[:n - 1], par[:n - 1], table=table) if n > 1 else None
+            hi = _carry(bundle, sym[k:n], par[k:n], lo, table)
+        else:
+            if singular and (ts > 0.0).any():
+                raise singular[0]
+            lo = weights(n - 1, ts) if n > 1 else None
+            hi = weights(n, ts)
+        hi = _tree_log_partition(bundle, sym[n - 1:], par[n - 1:], hi)
+        if L > 1:  # at n = 1, f_0 = 0 and the depth-0 DP counts fiber words
+            hi = hi - _tree_log_partition(bundle, sym[k:L - 1], par[k:L - 1], lo)[..., par[-1]]
+        # A row view of hi is not aligned as a fresh array, and BLAS dot may sum it in
+        # another order; a contiguous copy keeps every t bit-identical to a lone call.
+        return [_estimate(tree, n, m, mode, samples, seed, row.copy()) for row in hi]
+
+    return evaluate
+
+
 def pressure_curve(
     chain: BaseChain,
     bundle: BundleSFT,
@@ -231,13 +286,8 @@ def pressure_curve(
         raise ValueError("n_list and m_list must be nonempty")
     if n_list != sorted(n_list) or m_list != sorted(m_list):
         raise ValueError("n_list and m_list must be increasing")
-    rows = []
-    for n in n_list:
-        for m in m_list:
-            rows.append(
-                expected_log_sum(chain, bundle, potential, n, m, mode=mode,
-                                 samples=samples, seed=seed, budget=budget)
-            )
+    rows = [expected_log_sum(chain, bundle, potential, n, m, mode=mode, samples=samples,
+                             seed=seed, budget=budget) for n in n_list for m in m_list]
     by_nm = {(r.n, r.m): r.value for r in rows}
     for n in n_list:
         for m_lo, m_hi in zip(m_list, m_list[1:]):

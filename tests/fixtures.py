@@ -399,6 +399,6 @@ def per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode="exact", samples=0
     if len(tree.symbol) > 1:  # n = m = 1: f_0 = 0 over words of length 0
         lower = PrefixTree(tree.symbol[:-1], tree.parent[:-1], tree.prob[:-1])
         lo = (pressure._log_partition(bundle, potential, lower, n - 1, DEFAULT_BUDGET) if n > 1
-              else pressure._tree_log_partition(bundle, None, lower.symbol, lower.parent, 0))
+              else pressure._tree_log_partition(bundle, lower.symbol, lower.parent))
         vals = vals - lo[tree.parent[-1]]
     return pressure._estimate(tree, n, m, mode, samples, seed, vals)

@@ -125,6 +125,10 @@ def test_dimension_root_zero_entropy():
     root = dimension_root(chain, bundle, coc, n=4, m=1, t_max=1.5)
     assert root.t_star == 0.0
     assert root.converged
+    assert root.bracket == (0.0, 0.0)
+    assert root.iterations == ()
+    assert root.pressure_at_root == pressure_at_t(chain, bundle, coc, 0.0, 4, 1).value
+    assert not root.upper_estimate  # a 1x1 generator is a scaled isometry
 
 
 def test_dimension_root_no_bracket():
@@ -308,7 +312,7 @@ def test_batched_scales_equal_per_t_evaluations_bit_for_bit(monkeypatch, joint_r
     (its own potential, tree or forest and two full DPs per t) agree in value and SE bit for
     bit.  The trees have many leaves, so each t is one row of a (T, N) array; with 40 joint
     rows the deeper trees split the five scales into smaller batches."""
-    monkeypatch.setattr(bowen, "_JOINT_ROWS", joint_rows)
+    monkeypatch.setattr(pressure, "_JOINT_ROWS", joint_rows)
     rng = np.random.default_rng(40 + dim)
     chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 3)
     cocycle = random_cocycle(rng, 2, 3, dim=dim, norm_kind=norm_kind)
@@ -323,6 +327,55 @@ def test_batched_scales_equal_per_t_evaluations_bit_for_bit(monkeypatch, joint_r
                                          samples=samples, seed=seed) for t in FAMILY_SCALES]
         assert batched == [per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode, samples,
                                                seed) for t in FAMILY_SCALES]
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the counter."""
+    calls, f = collections.Counter(), getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return f(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 3), (4, 2), (6, 3)])
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_scalar_family_runs_one_dp_pass_for_any_number_of_scales(monkeypatch, n, m, mode):
+    """Depths n-1 and n share one DP pass and all scales share its t axis, so a call makes
+    n + 2m - 1 log-sum-exps (n - 1 carried levels with the table, m - 1 without, one sum;
+    m - 1 levels and one sum for depth n-1).  At n = 1 the table has one level and depth 0
+    carries m - 2 levels and one sum when m > 1: 2m - 1 in all."""
+    chain, bundle, coc = fix_f()
+    family = bowen._inverse_norm_family(chain, bundle, coc, n, m, mode, 9, 5, DEFAULT_BUDGET)
+    calls = _counting(monkeypatch, pressure, "_logsumexp")
+    for ts in ([0.7], FAMILY_SCALES):
+        calls.clear()
+        assert len(family(ts)) == len(ts)
+        assert calls["_logsumexp"] == (n + 2 * m - 1 if n >= 2 else 2 * m - 1)
+
+
+@pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 40])
+def test_joint_row_cap_splits_the_scales_into_batches(monkeypatch, joint_rows):
+    """pressure._JOINT_ROWS caps the rows of one DP: five scales on a tree of N leaves run
+    in batches of max(1, cap // N) scales, two partition sums (depths n and n-1) each."""
+    monkeypatch.setattr(pressure, "_JOINT_ROWS", joint_rows)
+    rng = np.random.default_rng(42)
+    chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 3)
+    cocycle = random_cocycle(rng, 2, 3, dim=2, norm_kind="spectral")
+    calls = _counting(monkeypatch, pressure, "_tree_log_partition")
+    batches = []
+    for n, m in FAMILY_DEPTHS:
+        family = bowen._inverse_norm_family(chain, bundle, cocycle, n, m, "exact", 0, 0,
+                                            DEFAULT_BUDGET)
+        leaves = len(chain.prefix_tree(n + m - 1, DEFAULT_BUDGET).symbol[-1])
+        calls.clear()
+        family(FAMILY_SCALES)
+        batches.append(-(-len(FAMILY_SCALES) // max(1, joint_rows // leaves)))
+        assert calls["_tree_log_partition"] == batches[-1] * (2 if n + m > 2 else 1)
+    assert max(batches) == (1 if joint_rows > 40 else len(FAMILY_SCALES))
 
 
 def _per_t_family(chain, bundle, cocycle, n, m, mode, samples, seed, budget):
@@ -386,6 +439,17 @@ def test_negative_or_non_finite_scale_raises_value_error(t):
             pressure_at_t(chain, bundle, coc, t, 3, 1)
         with pytest.raises(ValueError, match="scale t must be finite and >= 0"):
             dimension_root(chain, bundle, coc, 3, 1, t_max=t)
+
+
+@pytest.mark.parametrize("tol", [-1e-3, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["tol_t", "tol_p"])
+def test_negative_or_non_finite_tolerance_raises_before_any_probe(monkeypatch, key, tol):
+    """A NaN or negative tol_t would spin all 60 steps, and a negative one sets the step
+    outside the bracket; the API rejects both, as the config loader does."""
+    chain, bundle, coc = fix_e()
+    monkeypatch.setattr(bowen, "_inverse_norm_family", None)  # a probe would raise TypeError
+    with pytest.raises(ValueError, match=f"tolerances must be finite and >= 0, got .*{key}={tol}"):
+        dimension_root(chain, bundle, coc, 4, 1, 2.0, **{key: tol})
 
 
 def test_infinite_t_max_raises_before_any_numpy_warning():

@@ -242,6 +242,37 @@ def test_unknown_config_key_names_its_path(tmp_path, edit, path):
         load_experiment(cfg)
 
 
+def test_out_and_verb_flags_take_their_value_as_given(tmp_path, monkeypatch, capsys):
+    """--out 2024 is the directory '2024', not the YAML integer 2024; --verb yes is 'yes'."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    assert cli.main([cfg, "--out", "2024"]) == 0
+    report = json.loads((tmp_path / "2024" / "report.json").read_text())
+    assert report["config"]["output"]["dir"] == "2024"
+    assert cli.main([cfg, "--verb", "yes", "--out", "o"]) == 1
+    assert "got 'yes'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,path", [
+    (lambda t: t["output"].update(dir=2024), "output.dir"),
+    (lambda t: t["output"].update(dir=None), "output.dir"),
+    (lambda t: t["measures"][0].update(auto="no"), "measures[0].auto"),
+    (lambda t: t["measures"][0].update(auto=1), "measures[0].auto"),
+])
+def test_output_dir_and_auto_must_be_a_string_and_a_bool(tmp_path, monkeypatch, capsys, edit,
+                                                         path):
+    monkeypatch.chdir(tmp_path)
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    edit(tree)
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected "):
+        load_experiment(cfg)
+    assert cli.main([cfg]) == 1
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
+
+
 def test_unknown_key_exits_one_and_override_typo_is_caught(tmp_path, capsys):
     cfg = write_config(tmp_path, FIX_A_TREE)
     assert cli.run(cfg, overrides=["run.n_lsit=[3]"], output_dir=str(tmp_path / "o")) == 1

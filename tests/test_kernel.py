@@ -35,7 +35,8 @@ from randpress import (
     validate_measure,
 )
 from randpress import bundle as bundle_module
-from randpress import measures
+from randpress import measures, pressure
+from randpress.base import DEFAULT_BUDGET
 from randpress.bundle import fiber_words
 from randpress.errors import BudgetExceeded, SingularMatrix
 
@@ -150,6 +151,24 @@ def test_fiber_word_rows_per_base_word_match_transfer_count(system):
     row = np.concatenate([chunk.start + r for chunk, r, _ in fiber_words(bundle.allowed, words, L)])
     assert np.bincount(row, minlength=len(words)).tolist() == [
         transfer_count(bundle, u, L) for u in words.tolist()]
+
+
+@given(systems())
+def test_transfer_dp_split_at_any_level_equals_one_pass(system):
+    """Carrying levels 0..j with the table and going on from that V to the last level is the
+    one pass bit for bit; with no table and no V the DP counts the fiber words."""
+    chain, bundle, pot, n, m = system
+    L = n + m - 1
+    tree = chain.prefix_tree(L, DEFAULT_BUDGET)
+    sym, par = tree.symbol, tree.parent
+    whole = pressure._carry(bundle, sym, par, table=pot.table)
+    for j in range(L):
+        head = pressure._carry(bundle, sym[:j + 1], par[:j + 1], table=pot.table)
+        assert np.array_equal(pressure._carry(bundle, sym[j:], par[j:], head, pot.table), whole)
+    with np.errstate(divide="ignore"):
+        counts = np.log(np.exp(pressure._carry(bundle, sym, par)).sum(axis=-1))
+    assert counts == pytest.approx(
+        [math.log(transfer_count(bundle, u, L)) for u in tree.words().tolist()], abs=1e-12)
 
 
 # --- the batched non-additive kernel -------------------------------------------------
