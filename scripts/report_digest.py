@@ -14,7 +14,12 @@ records it.  The cases are:
 - every perfbench pool case at each seed;
 - the cocycle-matrix pool systems at each seed, run as ``dimension`` in exact
   and in Monte Carlo mode, with every generator scaled by 6 so that the
-  pressure falls in t and the root search runs.
+  pressure falls in t and the root search runs;
+- error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
+  ``pressure`` grid that crosses the base budget and one that crosses the
+  fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
+  and configs whose sections are not mappings or whose ``--set`` value does
+  not parse.
 
 Standard output is one JSON object ``{case: [exit code, sha256(report.json),
 sha256(curve.csv), stderr]}``; a file the case did not write hashes as null,
@@ -65,8 +70,12 @@ def _sha256(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
-def _run(out: Path, config: Path, overrides=(), verb=None) -> list:
-    """[exit code, sha256(report.json), sha256(curve.csv), stderr] of one cli.run call."""
+def _run(out: Path, config: Path, overrides=(), verb=None, out_flag=True) -> list:
+    """[exit code, sha256(report.json), sha256(curve.csv), stderr] of one cli.run call.
+
+    Without out_flag the config's own output.dir is read; only a case that fails at
+    load time may use that.
+    """
     for name in ("report.json", "curve.csv"):
         (out / name).unlink(missing_ok=True)
     err = io.StringIO()
@@ -74,7 +83,8 @@ def _run(out: Path, config: Path, overrides=(), verb=None) -> list:
             warnings.catch_warnings():
         warnings.simplefilter("always")  # every case shows its own warnings
         try:
-            code = cli.run(str(config), list(overrides), verb=verb, output_dir=str(out))
+            code = cli.run(str(config), list(overrides), verb=verb,
+                           output_dir=str(out) if out_flag else None)
         except Exception as exc:  # noqa: BLE001 - recorded, not raised
             code = None
             err.write("".join(traceback.format_exception_only(type(exc), exc)))
@@ -112,6 +122,49 @@ def cases(out: Path, seeds: list[int]):
                        _run(out, _write(out, config)))
 
 
+# A 2x2 cocycle over a 2-state base with A = 2, and the same cocycle with the generator
+# of (1, 0) replaced by the zero matrix, as a scaled_inverse potential.
+COCYCLE = {
+    "base": {"transition": [[0.5, 0.5], [0.5, 0.5]]},
+    "bundle": {"allowed": [[[1, 1], [1, 1]]] * 2},
+    "potential": {"kind": "cocycle", "matrices": [
+        [[[2.0, 0.0], [0.0, 2.0]], [[2.0, 1.0], [0.0, 1.0]]],
+        [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 3.0]]]]},
+    "run": {"verb": "pressure", "n_list": [1, 3], "m_list": [1, 2]},
+}
+SINGULAR = COCYCLE | {"potential": {"kind": "scaled_inverse", "t": 0.5, "matrices": [
+    COCYCLE["potential"]["matrices"][0], [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 3.0]]]]}}
+# 3^7 base words exceed the budget, 2^7 fiber words do not: lemmas' k=3, n=2, m=2 cell.
+LEMMAS = {
+    "base": {"transition": [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]},
+    "bundle": {"allowed": [[[1, 1], [1, 1]]] * 3},
+    "potential": {"kind": "additive", "phi": [[0.0, 1.0], [0.5, 0.2], [0.1, 0.3]]},
+    "measures": [{"transition": [[[0.5, 0.5], [0.5, 0.5]]] * 3, "auto": True}],
+    "run": {"verb": "lemmas", "N": 4, "budget": 1000},
+}
+BAD_SECTIONS = ["measures=5", "measures={a: 1}", "measures=[5]", "bundle=[1]", "run=5",
+                "base=[1]", "potential=additive", "run.seed=[1"]
+
+
+def error_cases(out: Path):
+    """(case name, digest row) of every error-path case, in a fixed order."""
+    for mode in ("exact", "monte_carlo"):
+        config = SINGULAR | {"run": SINGULAR["run"] | {"mode": mode, "samples": 24}}
+        yield f"singular scaled_inverse pressure {mode}", _run(out, _write(out, config))
+    # n = 6 asks for 2^6 words: exact mode checks the base words first, Monte Carlo
+    # draws its base words and checks the fiber words only.
+    for mode, over in (("exact", "base"), ("monte_carlo", "fiber")):
+        grid = COCYCLE["run"] | {"n_list": [2, 6], "mode": mode, "samples": 24, "budget": 40}
+        yield (f"cocycle pressure over the {over} budget",
+               _run(out, _write(out, COCYCLE | {"run": grid})))
+    yield "lemmas power-lemma cell over the base budget", _run(out, _write(out, LEMMAS))
+    product = Path("configs/product_pressure.yaml")
+    for override in BAD_SECTIONS:
+        yield f"{product} --set {override}", _run(out, product, [override])
+    config = yaml.safe_load(product.read_text()) | {"output": 5}
+    yield "output: 5", _run(out, _write(out, config), out_flag=False)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-6"),
@@ -119,7 +172,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
-    json.dump(dict(cases(OUT, args.seeds)), sys.stdout, indent=1)
+    json.dump(dict([*cases(OUT, args.seeds), *error_cases(OUT)]), sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
 

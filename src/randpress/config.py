@@ -30,16 +30,22 @@ _POTENTIAL_KEYS = {
 }
 
 
+def _mapping(tree, path: str) -> dict:
+    """A config section: a mapping, or {} when absent; anything else fails, naming its path."""
+    if tree is not None and not isinstance(tree, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {tree!r}")
+    return tree or {}
+
+
 def _only(tree, keys, path: str) -> None:
-    """Reject a key of the mapping that is not among keys, naming its path."""
-    if isinstance(tree, dict):
-        for key in tree:
-            if key not in keys:
-                raise ConfigError(f"unknown config key: {path}{key}")
+    """Reject a section that is not a mapping, and a key of it not among keys, naming its path."""
+    for key in _mapping(tree, path.rstrip(".")):
+        if key not in keys:
+            raise ConfigError(f"unknown config key: {path}{key}")
 
 
-def _need(tree: dict, key: str, path: str) -> Any:
-    if not isinstance(tree, dict) or key not in tree:
+def _need(tree, key: str, path: str) -> Any:
+    if key not in _mapping(tree, path):
         raise ConfigError(f"missing config key: {path}.{key}")
     return tree[key]
 
@@ -161,6 +167,8 @@ def _build_potential(tree: dict, chain: BaseChain, bundle: BundleSFT):
 
 
 def _build_measures(specs, chain: BaseChain, bundle: BundleSFT) -> tuple[RandomMarkovMeasure, ...]:
+    if specs is not None and not isinstance(specs, list):
+        raise ConfigError(f"measures: expected a list of mappings, got {specs!r}")
     out = []
     for i, spec in enumerate(specs or []):
         path = f"measures[{i}]"
@@ -234,7 +242,10 @@ def apply_overrides(tree: dict, overrides: list[str]) -> dict:
             node = node.setdefault(key, {})
         if not isinstance(node, dict):
             raise ConfigError(f"override path {path!r} does not address a mapping")
-        node[keys[-1]] = yaml.load(raw, Loader=_LOADER)
+        try:
+            node[keys[-1]] = yaml.load(raw, Loader=_LOADER)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override {item!r}: cannot parse the value: {exc}") from exc
     return tree
 
 

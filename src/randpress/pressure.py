@@ -3,11 +3,11 @@
 With the 2^-j fiber metric and epsilon = 2^-m, a maximal separated set holds
 exactly one point per admissible (n+m-1)-cylinder and the potential is
 constant on each, so the partition sum is an exact finite sum.  One log-space
-transfer DP runs level by level along a tree of base words.  Additive (and
+transfer DP runs level by level along a tree of base words, from the weights of
+one level-weights engine at scale 1 or on a vector of scales t: additive (and
 additive-reducible) potentials add their one-step table on every level; any
-other potential goes through a batched kernel: its eval_batch values on the
-array-expanded fiber words over the depth-n base words, reduced per last fiber
-symbol and carried down the deeper levels by the same DP.
+other potential's eval_batch values on the fiber words over the depth-n base
+words are reduced per last fiber symbol and carried down the deeper levels.
 """
 
 from __future__ import annotations
@@ -105,34 +105,55 @@ def _tree_log_partition(bundle: BundleSFT, symbol, parent, V=None) -> np.ndarray
     return vals
 
 
-def _joint_values(bundle: BundleSFT, f, words: np.ndarray, n: int):
-    """Per fiber_words chunk, (size, key, f(base, fibers, n)) on the length-n fiber words over words.
+def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budget: int):
+    """ts -> [(T, level-(d-1) nodes, A) log weights of t * f_d for each d in depths, increasing].
 
-    key = row * A + last fiber symbol numbers the chunk's size segments.
+    The t-independent work is done once.  An additive potential scales its
+    table by t and runs one DP pass through every depth.  Any other potential
+    checks the fiber budget at the tree's length and takes f_d in one
+    eval_batch per chunk of depth-d base words, on every admissible length-d
+    fiber word over them, keyed per (base word, last fiber symbol); each call
+    scales the values by t and reduces them per key.  A SingularMatrix is
+    raised by the first call with a t > 0: at t = 0 every joint word weighs 1.
     """
-    A = bundle.num_symbols
-    for chunk, row, fibers in fiber_words(bundle.allowed, words, n):
-        yield (chunk.stop - chunk.start) * A, row * A + fibers[:, -1], f(words[chunk][row], fibers, n)
+    sym, par, A = tree.symbol, tree.parent, bundle.num_symbols
+    add = potential.to_additive()
+    if add is not None:
+        def weights(ts):  # each depth resumes the pass at level d-1 of the one before
+            table, out = ts[:, None, None] * add.table, [None]
+            for lo, d in zip([1, *depths], depths):
+                out.append(_carry(bundle, sym[lo - 1:d], par[lo - 1:d], out[-1], table))
+            return out[1:]
+        return weights
+    fiber_budget(A, len(sym), budget)
+    singular = []
+
+    def values(base, fibers, d):
+        try:
+            return potential.eval_batch(base, fibers, d)
+        except SingularMatrix as exc:
+            singular.append(exc)
+
+    joint = [[((c.stop - c.start) * A, row * A + fibers[:, -1], values(words[c][row], fibers, d))
+              for c, row, fibers in fiber_words(bundle.allowed, words, d)]
+             for d, words in zip(depths, map(tree.words, depths))]
+
+    def weights(ts):
+        if singular and (ts > 0.0).any():
+            raise singular[0]
+        return [np.stack([np.concatenate([
+            _segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key, size)
+            for size, key, vals in chunks]).reshape(-1, A) for t in ts]) for chunks in joint]
+    return weights
 
 
 def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
                    budget: int) -> np.ndarray:
-    """Log partition sums at depth n over the deepest level of a base-word tree or forest.
-
-    Additive potentials run the transfer DP with their table.  Any other
-    potential takes f_n in one eval_batch per chunk of depth-n base words, on
-    every admissible length-n fiber word over them; the values are reduced per
-    (base word, last fiber symbol) and the DP carries them down the deeper levels.
+    """Log partition sums at depth n over the deepest level of a base-word tree or forest:
+    the level-(n-1) weights of f_n carried down the deeper levels by the DP.
     """
-    add = potential.to_additive()
-    if add is not None:
-        V = _carry(bundle, tree.symbol[:n], tree.parent[:n], table=add.table)
-    else:
-        fiber_budget(bundle.num_symbols, len(tree.symbol), budget)
-        V = np.concatenate([_segment_logsumexp(vals, key, size) for size, key, vals
-                            in _joint_values(bundle, potential.eval_batch, tree.words(n), n)])
-        V = V.reshape(-1, bundle.num_symbols)
-    return _tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V)
+    [V] = _level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
+    return _tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V)[0]
 
 
 def log_partition_sum(
@@ -214,30 +235,13 @@ def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m:
                       samples: int, seed: int, budget: int):
     """t -> depth-increment estimates (1/n) E[log Z(n) - log Z(n-1)] of t * f on a vector of t.
 
-    The t-independent work is done once: the base tree or sampled forest, and the additive
-    table or the values of every joint word at depths n and n-1 with their segment keys.
-    Each call scales them by t and runs the DP with a leading t axis.
+    The t-independent work is done once: the base tree or sampled forest, and the level
+    weights of f at depths n-1 and n.  Each call scales them by t and runs the DP with a
+    leading t axis.
     """
     tree = _base_words(chain, n, m, mode, samples, seed, budget)
-    sym, par, L, A, k = tree.symbol, tree.parent, n + m - 1, bundle.num_symbols, max(n - 2, 0)
-    add = potential.to_additive()
-    if add is None:
-        fiber_budget(A, L, budget)
-        singular = []  # raised by the first t > 0: at t = 0 every joint word weighs 1
-
-        def values(base, fibers, depth):
-            try:
-                return potential.eval_batch(base, fibers, depth)
-            except SingularMatrix as exc:
-                singular.append(exc)
-
-        joint = {d: list(_joint_values(bundle, values, tree.words(d), d))
-                 for d in range(max(n - 1, 1), n + 1)}
-
-        def weights(depth, ts):  # (T, depth-level nodes, A) log weights at each t
-            return np.stack([np.concatenate([
-                _segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key, size)
-                for size, key, vals in joint[depth]]).reshape(-1, A) for t in ts])
+    sym, par, L, k = tree.symbol, tree.parent, n + m - 1, max(n - 2, 0)
+    weights = _level_weights(bundle, potential, tree, range(max(n - 1, 1), n + 1), budget)
 
     def evaluate(ts) -> list[PressureEstimate]:
         ts = np.asarray(ts, dtype=float)
@@ -246,18 +250,10 @@ def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m:
         step = max(1, _JOINT_ROWS // len(sym[-1]))  # caps the (T, nodes, A, A) DP arrays
         if len(ts) > step:
             return [est for i in range(0, len(ts), step) for est in evaluate(ts[i:i + step])]
-        if add is not None:  # one DP pass through the level-(n-2) and level-(n-1) weights
-            table = ts[:, None, None] * add.table
-            lo = _carry(bundle, sym[:n - 1], par[:n - 1], table=table) if n > 1 else None
-            hi = _carry(bundle, sym[k:n], par[k:n], lo, table)
-        else:
-            if singular and (ts > 0.0).any():
-                raise singular[0]
-            lo = weights(n - 1, ts) if n > 1 else None
-            hi = weights(n, ts)
+        *lo, hi = weights(ts)  # lo is empty at n = 1
         hi = _tree_log_partition(bundle, sym[n - 1:], par[n - 1:], hi)
         if L > 1:  # at n = 1, f_0 = 0 and the depth-0 DP counts fiber words
-            hi = hi - _tree_log_partition(bundle, sym[k:L - 1], par[k:L - 1], lo)[..., par[-1]]
+            hi = hi - _tree_log_partition(bundle, sym[k:L - 1], par[k:L - 1], *lo)[..., par[-1]]
         # A row view of hi is not aligned as a fresh array, and BLAS dot may sum it in
         # another order; a contiguous copy keeps every t bit-identical to a lone call.
         return [_estimate(tree, n, m, mode, samples, seed, row.copy()) for row in hi]

@@ -273,6 +273,57 @@ def test_output_dir_and_auto_must_be_a_string_and_a_bool(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
 
 
+@pytest.mark.parametrize("edit,path", [
+    (lambda t: t.update(measures=5), "measures"),
+    (lambda t: t.update(measures={"a": 1}), "measures"),
+    (lambda t: t.update(measures=[5]), "measures[0]"),
+    (lambda t: t.update(output=5), "output"),
+    (lambda t: t.update(bundle=[1]), "bundle"),
+    (lambda t: t.update(run=5), "run"),
+    (lambda t: t.update(base=[1]), "base"),
+    (lambda t: t.update(potential="additive"), "potential"),
+])
+def test_config_section_that_is_not_a_mapping_is_named(tmp_path, monkeypatch, capsys, edit, path):
+    monkeypatch.chdir(tmp_path)
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    edit(tree)
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected a "):
+        load_experiment(cfg)
+    assert cli.main([cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: expected a ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
+
+
+def test_malformed_override_value_names_the_override(tmp_path, capsys):
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    with pytest.raises(ConfigError, match=re.escape("override 'run.seed=[1': cannot parse")):
+        apply_overrides({"run": {}}, ["run.seed=[1"])
+    assert cli.run(cfg, overrides=["run.seed=[1"], output_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("error: override 'run.seed=[1': cannot parse")
+    assert not (tmp_path / "o").exists()
+
+
+def test_lemmas_skips_a_power_lemma_cell_over_the_base_budget(tmp_path):
+    """3^7 base words exceed a budget of 1000 while 2^7 fiber words do not: k=3, n=2, m=2 is
+    skipped like a cell over the fiber budget, and every other cell is checked."""
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree.update({
+        "base": {"transition": [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]},
+        "bundle": {"allowed": [[[1, 1], [1, 1]]] * 3},
+        "potential": {"kind": "additive", "phi": [[0.0, 1.0], [0.5, 0.2], [0.1, 0.3]]},
+        "measures": [{"transition": [[[0.5, 0.5], [0.5, 0.5]]] * 3, "auto": True}],
+        "run": {"verb": "lemmas", "N": 4, "budget": 1000},
+    })
+    out = tmp_path / "o"
+    assert cli.run(write_config(tmp_path, tree), output_dir=str(out)) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    cells = {f"k={k},n={n},m={m}" for k in (1, 2, 3) for n in (1, 2) for m in (1, 2)}
+    assert set(results["power_lemma_slacks"]) == cells - {"k=3,n=2,m=2"}
+    assert results["violations"] == []
+
+
 def test_unknown_key_exits_one_and_override_typo_is_caught(tmp_path, capsys):
     cfg = write_config(tmp_path, FIX_A_TREE)
     assert cli.run(cfg, overrides=["run.n_lsit=[3]"], output_dir=str(tmp_path / "o")) == 1

@@ -285,6 +285,8 @@ def test_singular_generator_raises_through_batched_path():
                 expected_log_sum(chain, bundle, pot, n, m)
             with pytest.raises(SingularMatrix):
                 expected_log_sum(chain, bundle, pot, n, m, mode="monte_carlo", samples=20)
+            with pytest.raises(SingularMatrix):  # the lemmas greedy path, at scale 1
+                log_partition_sum(bundle, pot, [1] * (n + m - 1), n, m)
 
 
 @pytest.mark.parametrize("S,A", [(2, 3), (3, 2), (2, 2)])
