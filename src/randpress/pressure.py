@@ -105,16 +105,16 @@ def _tree_log_partition(bundle: BundleSFT, symbol, parent, V=None) -> np.ndarray
     return vals
 
 
-def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budget: int):
+def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budget: int,
+                   reuse: bool = False):
     """ts -> [(T, level-(d-1) nodes, A) log weights of t * f_d for each d in depths, increasing].
 
-    The t-independent work is done once.  An additive potential scales its
-    table by t and runs one DP pass through every depth.  Any other potential
-    checks the fiber budget at the tree's length and takes f_d in one
-    eval_batch per chunk of depth-d base words, on every admissible length-d
-    fiber word over them, keyed per (base word, last fiber symbol); each call
-    scales the values by t and reduces them per key.  A SingularMatrix is
-    raised by the first call with a t > 0: at t = 0 every joint word weighs 1.
+    An additive potential scales its table by t and runs one DP pass through every
+    depth.  Any other potential checks the fiber budget at the tree's length and takes
+    f_d in one eval_batch per chunk of depth-d base words, on every admissible length-d
+    fiber word over them, keyed per (base word, last fiber symbol).  A call scales each
+    chunk's values by t and reduces them per key as the chunks arrive (one call only,
+    unless reuse keeps the chunks); a SingularMatrix is raised there at any t > 0.
     """
     sym, par, A = tree.symbol, tree.parent, bundle.num_symbols
     add = potential.to_additive()
@@ -126,25 +126,27 @@ def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budge
             return out[1:]
         return weights
     fiber_budget(A, len(sym), budget)
-    singular = []
 
-    def values(base, fibers, d):
-        try:
-            return potential.eval_batch(base, fibers, d)
-        except SingularMatrix as exc:
-            singular.append(exc)
+    def chunks(d):  # (segments, key, values or the SingularMatrix) per fiber_words chunk
+        words = tree.words(d)
+        for c, row, fibers in fiber_words(bundle.allowed, words, d):
+            try:
+                vals = potential.eval_batch(words[c][row], fibers, d)
+            except SingularMatrix as exc:
+                vals = exc
+            yield (c.stop - c.start) * A, row * A + fibers[:, -1], vals
 
-    joint = [[((c.stop - c.start) * A, row * A + fibers[:, -1], values(words[c][row], fibers, d))
-              for c, row, fibers in fiber_words(bundle.allowed, words, d)]
-             for d, words in zip(depths, map(tree.words, depths))]
+    def reduce(depth_chunks, ts):
+        out = []
+        for size, key, vals in depth_chunks:
+            if isinstance(vals, SingularMatrix) and (ts > 0.0).any():
+                raise vals  # at t = 0 every joint word weighs 1
+            out.append([_segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key, size)
+                        for t in ts])
+        return np.concatenate(out, axis=1).reshape(len(ts), -1, A)
 
-    def weights(ts):
-        if singular and (ts > 0.0).any():
-            raise singular[0]
-        return [np.stack([np.concatenate([
-            _segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key, size)
-            for size, key, vals in chunks]).reshape(-1, A) for t in ts]) for chunks in joint]
-    return weights
+    joint = [list(chunks(d)) if reuse else chunks(d) for d in depths]
+    return lambda ts: [reduce(depth_chunks, ts) for depth_chunks in joint]
 
 
 def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
@@ -153,7 +155,7 @@ def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
     the level-(n-1) weights of f_n carried down the deeper levels by the DP.
     """
     [V] = _level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
-    return _tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V)[0]
+    return _tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V[0])
 
 
 def log_partition_sum(
@@ -236,12 +238,13 @@ def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m:
     """t -> depth-increment estimates (1/n) E[log Z(n) - log Z(n-1)] of t * f on a vector of t.
 
     The t-independent work is done once: the base tree or sampled forest, and the level
-    weights of f at depths n-1 and n.  Each call scales them by t and runs the DP with a
-    leading t axis.
+    weights of f at depths n-1 and n, kept for every probe.  Each call scales them by t
+    and runs the DP with a leading t axis.
     """
     tree = _base_words(chain, n, m, mode, samples, seed, budget)
     sym, par, L, k = tree.symbol, tree.parent, n + m - 1, max(n - 2, 0)
-    weights = _level_weights(bundle, potential, tree, range(max(n - 1, 1), n + 1), budget)
+    weights = _level_weights(bundle, potential, tree, range(max(n - 1, 1), n + 1), budget,
+                             reuse=True)
 
     def evaluate(ts) -> list[PressureEstimate]:
         ts = np.asarray(ts, dtype=float)
@@ -363,11 +366,11 @@ def check_power_lemma(
     if k < 1 or n < 1 or m < 1:
         raise ValueError("k, n, m must be >= 1")
     L = k * n + m - 1
+    fiber_budget(bundle.num_symbols, L, budget)  # before the S^L base words are built
     words = chain.prefix_tree(L, budget).words()
     if max_words is not None and len(words) > max_words:
         rng = np.random.default_rng(seed)
         words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
-    fiber_budget(bundle.num_symbols, L, budget)
     window = sorted({i for j in range(n) for i in range(j * k, min(j * k + m, L))})
     slack = np.inf
     for chunk, row, fibers in fiber_words(bundle.allowed, words, L):

@@ -306,6 +306,16 @@ def test_budget_exceeded_at_the_same_sizes(S, A, budget):
                 expected_log_sum(chain, bundle, pot, n, m, mode=mode, samples=3, budget=budget)
 
 
+def test_power_lemma_checks_the_fiber_budget_before_building_base_words():
+    """A power-lemma cell over both budgets names the fiber words: it stops before the
+    S^L base words are enumerated, so lemmas skips it at no cost."""
+    chain = BaseChain.from_transition(np.full((7, 7), 1.0 / 7))
+    bundle = BundleSFT.from_matrices(np.ones((7, 8, 8), dtype=int))
+    pot = CocyclePotential(np.tile(np.array([[2.0, 1.0], [0.0, 1.0]]), (7, 8, 1, 1)))
+    with pytest.raises(BudgetExceeded, match=r"8\^3 fiber words exceed budget 100"):
+        check_power_lemma(chain, bundle, pot, 1, 3, 1, budget=100)
+
+
 @pytest.mark.parametrize("S,A", [(1, 3), (2, 3), (3, 2)])
 @pytest.mark.parametrize("budget", [8, 9, 27, 100])
 def test_measure_sums_stop_at_the_budget_of_exact_pressure(S, A, budget):
@@ -337,6 +347,31 @@ def joint_rows(cap):
         yield
     finally:
         bundle_module._JOINT_ROWS = saved
+
+
+def test_scale_one_sum_reduces_each_chunk_as_it_arrives():
+    """At scale 1 the fiber pass is reduced chunk by chunk, so no chunk is kept past its
+    reduce and a SingularMatrix ends the pass at the first chunk that raises it."""
+
+    class Counting:
+        def __init__(self, pot):
+            self.pot, self.calls = pot, 0
+
+        def to_additive(self):
+            return None
+
+        def eval_batch(self, base, fibers, n):
+            self.calls += 1
+            return self.pot.eval_batch(base, fibers, n)
+
+    chain = BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]])
+    bundle = BundleSFT.from_matrices(np.ones((2, 2, 2), dtype=int))
+    singular = Counting(ScaledInverseNormPotential(CocyclePotential(np.zeros((2, 2, 2, 2))), 1.0))
+    with joint_rows(8):  # 16 base words of length 4, one per chunk
+        assert len(list(fiber_words(bundle.allowed, chain.prefix_tree(4).words(), 4))) == 16
+        with pytest.raises(SingularMatrix):
+            expected_log_sum(chain, bundle, singular, 4, 1)
+    assert singular.calls == 1
 
 
 @given(cocycle_systems(), st.integers(1, 9))
