@@ -15,6 +15,9 @@ records it.  The cases are:
 - the cocycle-matrix pool systems at each seed, run as ``dimension`` in exact
   and in Monte Carlo mode, with every generator scaled by 6 so that the
   pressure falls in t and the root search runs;
+- the lemma-vp pool systems at each seed, scaled the same way and run as
+  exact ``dimension`` at n = N: each carries a valid measure, so the report
+  also holds the Lyapunov spread of ``bowen.lyapunov_spread``;
 - error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
   ``pressure`` grid that crosses the base budget and one that crosses the
   fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
@@ -120,6 +123,15 @@ def cases(out: Path, seeds: list[int]):
                     "mode": mode, "samples": samples, "seed": seed, "budget": run["budget"]}}
                 yield (f"cocycle-matrix dimension {mode} seed={seed} #{i} {case.label}",
                        _run(out, _write(out, config)))
+    for seed in seeds:
+        for i, case in enumerate(workloads.build("lemma-vp", seed)):
+            run, potential = case.config["run"], case.config["potential"]
+            matrices = (6.0 * np.array(potential["matrices"])).tolist()
+            config = case.config | {"potential": potential | {"matrices": matrices}, "run": {
+                "verb": "dimension", "n_list": [run["N"]], "m_list": [1], "N": run["N"],
+                "seed": seed, "budget": run["budget"]}}
+            yield f"lemma-vp dimension exact seed={seed} #{i} {case.label}", _run(
+                out, _write(out, config))
 
 
 # A 2x2 cocycle over a 2-state base with A = 2, and the same cocycle with the generator

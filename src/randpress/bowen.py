@@ -149,9 +149,8 @@ def lyapunov_spread(
     tested measure and depth only.
     """
     _require_valid(meas, chain, bundle)
-    lead = chain.stationary[:, None] * meas.initial
     top = inv = 0  # both norms from one product stack per chunk of measure cylinders
-    for u, w, wgt in _weighted_words(meas, chain, n, lead, budget):
+    for u, w, wgt in _weighted_words(meas, chain, n, budget):
         P = cocycle.products(u, w, n)
         if cocycle.norm_kind == "spectral":  # log 1/sigma_min = other log sigma_i - log|det P|: LU's
             # det keeps the relative accuracy that sigma_min read off the SVD loses at high condition

@@ -23,7 +23,7 @@ from .bowen import dimension_root, lyapunov_spread
 from .config import Experiment, load_experiment
 from .errors import BudgetExceeded, ConfigError, InvariantViolation, RandpressError
 from .measures import check_lemma34, f_star_bracket
-from .potentials import CocyclePotential, ScaledInverseNormPotential, check_subadditivity
+from .potentials import CocyclePotential, check_subadditivity
 from .pressure import (
     check_power_lemma,
     greedy_maximal_separated,
@@ -180,12 +180,10 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
 
 
 def _cocycle_of(exp: Experiment) -> CocyclePotential:
-    pot = exp.potential
-    if isinstance(pot, CocyclePotential):
-        return pot
-    if isinstance(pot, ScaledInverseNormPotential):
-        return pot.inner
-    raise ConfigError("dimension verb requires a cocycle (or scaled_inverse) potential")
+    """The verb builds the scaled inverse family itself, so it takes the cocycle alone."""
+    if not isinstance(exp.potential, CocyclePotential):
+        raise ConfigError("dimension verb requires potential.kind: cocycle")
+    return exp.potential
 
 
 def _run_dimension(exp: Experiment) -> tuple[dict, int]:

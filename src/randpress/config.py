@@ -239,7 +239,9 @@ def apply_overrides(tree: dict, overrides: list[str]) -> dict:
         for key in keys[:-1]:
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {path!r} does not address a mapping")
-            node = node.setdefault(key, {})
+            if node.get(key) is None:  # a bare `output:` is an empty section, not a value
+                node[key] = {}
+            node = node[key]
         if not isinstance(node, dict):
             raise ConfigError(f"override path {path!r} does not address a mapping")
         try:

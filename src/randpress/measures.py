@@ -110,20 +110,19 @@ def fiber_entropy(meas: RandomMarkovMeasure, chain: BaseChain) -> float:
     return float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, row))
 
 
-def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, lead: np.ndarray,
-                    budget: int):
+def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, budget: int):
     """Every length-n (base word, fiber word) pair of positive measure weight, in chunks.
 
     The fiber words grow under the support of Q.  A pair weighs
-    lead[u0, w0] * prod T(u_{k-1}, u_k) * Q_{u_{k-1}}(w_{k-1}, w_k); with lead
-    the time-0 joint law p(s) pi_s(a) that is the measure of the cylinder.
-    Zero-weight rows are dropped before any potential value is taken, so a
-    -inf value on an unreachable word never meets a zero weight.  Yields
-    (base, fiber, weight) arrays.  The budget caps base and fiber words as
-    in exact pressure.
+    p(u0) pi_{u0}(w0) * prod T(u_{k-1}, u_k) * Q_{u_{k-1}}(w_{k-1}, w_k), the
+    measure of its cylinder.  Zero-weight rows are dropped before any
+    potential value is taken, so a -inf value on an unreachable word never
+    meets a zero weight.  Yields (base, fiber, weight) arrays.  The budget caps
+    base and fiber words as in exact pressure.
     """
     words = chain.prefix_tree(n, budget).words()
     fiber_budget(meas.transition.shape[1], n, budget)
+    lead = chain.stationary[:, None] * meas.initial
     for chunk, row, fibers in fiber_words(meas.transition > 0.0, words, n):
         u = words[chunk][row]
         wgt = lead[u[:, 0], fibers[:, 0]]
@@ -132,12 +131,6 @@ def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, lead: n
                 u[:, k - 1], fibers[:, k - 1], fibers[:, k]]
         keep = wgt > 0.0
         yield u[keep], fibers[keep], wgt[keep]
-
-
-def _weighted_sum(meas, chain, potential, n: int, lead: np.ndarray, budget: int) -> float:
-    """Sum of f_n against the weights of _weighted_words, one eval_batch per chunk."""
-    return float(sum(np.dot(wgt, potential.eval_batch(u, w, n))
-                     for u, w, wgt in _weighted_words(meas, chain, n, lead, budget)))
 
 
 def potential_average(
@@ -159,8 +152,8 @@ def potential_average(
     add = potential.to_additive()
     if add is not None and validate_measure(meas, chain, bundle).valid:
         return n * float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, add.table))
-    lead = chain.stationary[:, None] * meas.initial
-    return _weighted_sum(meas, chain, potential, n, lead, budget)
+    return float(sum(np.dot(wgt, potential.eval_batch(u, w, n))
+                     for u, w, wgt in _weighted_words(meas, chain, n, budget)))
 
 
 @dataclass(frozen=True)
@@ -192,24 +185,6 @@ def f_star_bracket(
     )
 
 
-def _window_sum(meas: RandomMarkovMeasure, chain: BaseChain, potential: SubadditivePotential,
-                n: int, k: int, budget: int = DEFAULT_BUDGET) -> float:
-    """Sum over i < n of E[f_k composed with the i-fold skew shift], via the joint Markov kernel.
-
-    The pair process (base symbol, fiber symbol) is Markov with kernel
-    P(s,s') Q_s(a,b), so the window at offset i weighs like a cylinder with
-    the time-i joint law D_i in place of the time-0 one; this is exact
-    whether or not the measure is invariant.  f_k is taken once on the
-    k-windows, against the summed laws D_0 + ... + D_{n-1}.
-    """
-    D = chain.stationary[:, None] * meas.initial  # joint at time 0
-    lead = D.copy()
-    for _ in range(1, n):
-        D = chain.transition.T @ np.einsum("sa,sab->sb", D, meas.transition)
-        lead += D
-    return _weighted_sum(meas, chain, potential, k, lead, budget)
-
-
 def check_lemma34(
     meas: RandomMarkovMeasure,
     chain: BaseChain,
@@ -219,14 +194,15 @@ def check_lemma34(
     k: int,
     budget: int = DEFAULT_BUDGET,
 ) -> float:
-    """Slack of the blocking inequality k a_n <= 4 k^2 ||f_1|| + sum of shifted a_k.
+    """Slack of the blocking inequality k a_n <= 4 k^2 ||f_1|| + n a_k.
 
-    All three terms are computed exactly; the slack must be >= -1e-12.
+    On an invariant measure each of the n shifted windows of f_k averages
+    a_k.  All terms are computed exactly; the slack must be >= -1e-12.
     """
     if not n > k >= 1:
         raise ValueError("need n > k >= 1")
     _require_valid(meas, chain, bundle)
     C = sup_norm_f1(potential, chain, bundle)
     lhs = k * potential_average(meas, chain, bundle, potential, n, budget=budget)
-    rhs = 4.0 * k * k * C + _window_sum(meas, chain, potential, n, k, budget)
+    rhs = 4.0 * k * k * C + n * potential_average(meas, chain, bundle, potential, k, budget=budget)
     return float(rhs - lhs)

@@ -110,7 +110,8 @@ class CocyclePotential(SubadditivePotential):
     def to_additive(self):
         if self.dim != 1:
             return None
-        return AdditivePotential(np.log(np.abs(self.matrices[:, :, 0, 0])))
+        with np.errstate(divide="ignore"):  # a zero generator gives f_1 = -inf, as in eval_batch
+            return AdditivePotential(np.log(np.abs(self.matrices[:, :, 0, 0])))
 
 
 @dataclass(frozen=True)

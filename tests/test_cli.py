@@ -296,6 +296,18 @@ def test_config_section_that_is_not_a_mapping_is_named(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
 
 
+@pytest.mark.parametrize("args", [["--out", "given"], ["--set", "output.dir=given"]])
+def test_empty_output_section_takes_the_given_directory(tmp_path, monkeypatch, args):
+    """A bare `output:` loads as null; --out and --set output.dir fill it in."""
+    monkeypatch.chdir(tmp_path)
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree["output"] = None
+    cfg = write_config(tmp_path, tree)
+    assert cli.main([cfg, *args]) == 0
+    report = json.loads((tmp_path / "given" / "report.json").read_text())
+    assert report["config"]["output"]["dir"] == "given"
+
+
 def test_malformed_override_value_names_the_override(tmp_path, capsys):
     cfg = write_config(tmp_path, FIX_A_TREE)
     with pytest.raises(ConfigError, match=re.escape("override 'run.seed=[1': cannot parse")):
@@ -446,6 +458,17 @@ def test_dimension_rejects_an_invalid_measure_with_exit_one(tmp_path, capsys):
     cfg = write_config(tmp_path, tree)
     assert cli.run(cfg, output_dir=str(tmp_path / "o")) == 1
     assert "measure fails validation" in capsys.readouterr().err
+
+
+def test_dimension_rejects_a_scaled_inverse_potential(tmp_path, monkeypatch, capsys):
+    """The verb builds the scaled inverse family from the cocycle, so a given t would be ignored."""
+    monkeypatch.chdir(tmp_path)
+    tree = SCALED_TREE | {"run": {"verb": "dimension", "n_list": [5], "t_max": 2.0}}
+    cfg = write_config(tmp_path, tree)
+    assert cli.main([cfg]) == 1
+    err = capsys.readouterr().err
+    assert "potential.kind" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -8,6 +8,7 @@ from randpress import (
     AdditivePotential,
     BaseChain,
     BundleSFT,
+    CocyclePotential,
     check_power_lemma,
     expected_log_sum,
     greedy_maximal_separated,
@@ -62,6 +63,20 @@ def test_zero_potential_counts_boundary_cylinders():
     pot = AdditivePotential(np.zeros((1, 2)))
     est = expected_log_sum(chain, bundle, pot, 2, 3)
     assert est.value == pytest.approx((4 / 2) * math.log(2))
+
+
+def test_scalar_cocycle_with_a_zero_generator_matches_its_2x2_embedding():
+    """A zero 1x1 generator gives f = -inf on the additive path without a numpy warning,
+    and the same E[log Z] as its embedding b * I, which takes the batched matrix path."""
+    chain = BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]])
+    bundle = BundleSFT.from_matrices(np.ones((2, 3, 3), dtype=int))
+    b = np.array([[3.0, 0.0, 3.0], [4.0, 4.0, 0.5]])[:, :, None, None]
+    for kind in ("spectral", "max_row_sum"):
+        scalar = expected_log_sum(chain, bundle, CocyclePotential(b, norm_kind=kind), 4, 2)
+        embedded = expected_log_sum(chain, bundle, CocyclePotential(b * np.eye(2), norm_kind=kind),
+                                    4, 2)
+        assert scalar.value == pytest.approx(embedded.value, abs=1e-12)
+        assert embedded.value == pytest.approx(2.24056588852919, abs=1e-12)
 
 
 def test_monte_carlo_single_base_matches_exact():
