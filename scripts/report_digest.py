@@ -15,6 +15,10 @@ records it.  The cases are:
 - the cocycle-matrix pool systems at each seed, run as ``dimension`` in exact
   and in Monte Carlo mode, with every generator scaled by 6 so that the
   pressure falls in t and the root search runs;
+- the cocycle-matrix pool systems at each seed, run as Monte Carlo
+  ``pressure`` over their own ``n_list`` x ``m_list`` with 24 samples drawn
+  from the pool seed: a sampled forest shared by every cell of a grid, on the
+  joint-word path of a matrix cocycle;
 - the lemma-vp pool systems at each seed, scaled the same way and run as
   exact ``dimension`` at n = N: each carries a valid measure, so the report
   also holds the Lyapunov spread of ``bowen.lyapunov_spread``;
@@ -124,6 +128,12 @@ def cases(out: Path, seeds: list[int]):
                 yield (f"cocycle-matrix dimension {mode} seed={seed} #{i} {case.label}",
                        _run(out, _write(out, config)))
     for seed in seeds:
+        for i, case in enumerate(workloads.build("cocycle-matrix", seed)):
+            config = case.config | {"run": case.config["run"] | {
+                "mode": "monte_carlo", "samples": 24, "seed": seed}}
+            yield (f"cocycle-matrix pressure monte_carlo seed={seed} #{i} {case.label}",
+                   _run(out, _write(out, config)))
+    for seed in seeds:
         for i, case in enumerate(workloads.build("lemma-vp", seed)):
             run, potential = case.config["run"], case.config["potential"]
             matrices = (6.0 * np.array(potential["matrices"])).tolist()
@@ -163,8 +173,8 @@ def error_cases(out: Path):
     for mode in ("exact", "monte_carlo"):
         config = SINGULAR | {"run": SINGULAR["run"] | {"mode": mode, "samples": 24}}
         yield f"singular scaled_inverse pressure {mode}", _run(out, _write(out, config))
-    # n = 6 asks for 2^6 words: exact mode checks the base words first, Monte Carlo
-    # draws its base words and checks the fiber words only.
+    # The grid's longest words (n = 6, m = 2) are 2^7: exact mode checks the base words
+    # first, Monte Carlo draws its base words and checks the fiber words only.
     for mode, over in (("exact", "base"), ("monte_carlo", "fiber")):
         grid = COCYCLE["run"] | {"n_list": [2, 6], "mode": mode, "samples": 24, "budget": 40}
         yield (f"cocycle pressure over the {over} budget",

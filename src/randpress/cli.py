@@ -116,6 +116,8 @@ def _run_vp_check(exp: Experiment) -> tuple[dict, int]:
 
 def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
     run = exp.run
+    if exp.measures and run.N < 3:  # Lemma 3.4 runs at n = min(N, 4) against k = 2
+        raise ConfigError(f"run.N: lemmas with a measure needs N >= 3, got {run.N}")
     violations = []
 
     worst_subadd = check_subadditivity(

@@ -50,10 +50,11 @@ def _need(tree, key: str, path: str) -> Any:
     return tree[key]
 
 
-def _int(value, path: str) -> int:
-    """A YAML integer (not a bool); a float or string would be truncated or fail later."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+def _int(value, path: str, least: int | None = None) -> int:
+    """A YAML integer (not a bool), >= least if given; a float or string would be truncated."""
+    bound = "" if least is None else f" >= {least}"
+    if isinstance(value, bool) or not isinstance(value, int) or (least is not None and value < least):
+        raise ConfigError(f"{path}: expected an integer{bound}, got {value!r}")
     return value
 
 
@@ -74,9 +75,12 @@ def _finite(value, path: str, positive: bool) -> float:
 
 def _int_list(tree: dict, key: str, default: list) -> tuple[int, ...]:
     values = tree.get(key, default)
-    if not isinstance(values, list):
-        raise ConfigError(f"run.{key}: expected a list of integers, got {values!r}")
-    return tuple(_int(v, f"run.{key}[{i}]") for i, v in enumerate(values))
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"run.{key}: expected a nonempty list of integers, got {values!r}")
+    ints = tuple(_int(v, f"run.{key}[{i}]", 1) for i, v in enumerate(values))
+    if list(ints) != sorted(ints):  # the verbs read the last entry as the largest
+        raise ConfigError(f"run.{key}: expected a non-decreasing list, got {values!r}")
+    return ints
 
 
 def _per_state_table(spec, states, path) -> list:
@@ -211,16 +215,14 @@ def _build_run(tree: dict) -> RunSettings:
         raise ConfigError(f"{BUDGET_ENV}: expected an integer, got {env_budget!r}") from None
     n_list = _int_list(tree, "n_list", [8])
     m_list = _int_list(tree, "m_list", [1])
-    if not n_list or not m_list:
-        raise ConfigError("run.n_list and run.m_list must be nonempty")
     return RunSettings(
         verb=verb,
         n_list=n_list,
         m_list=m_list,
-        N=_int(tree.get("N", max(n_list)), "run.N"),
+        N=_int(tree.get("N", n_list[-1]), "run.N", 1),
         mode=mode,
         samples=_int(tree.get("samples", 0), "run.samples"),
-        seed=_int(tree.get("seed", 0), "run.seed"),
+        seed=_int(tree.get("seed", 0), "run.seed", 0),
         budget=_int(tree.get("budget", default_budget), "run.budget"),
         t_max=_finite(tree.get("t_max", 4.0), "run.t_max", positive=True),
         tol_t=_finite(tree.get("tol_t", 1e-8), "run.tol_t", positive=False),

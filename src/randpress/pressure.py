@@ -149,15 +149,6 @@ def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budge
     return lambda ts: [reduce(depth_chunks, ts) for depth_chunks in joint]
 
 
-def _log_partition(bundle: BundleSFT, potential, tree: PrefixTree, n: int,
-                   budget: int) -> np.ndarray:
-    """Log partition sums at depth n over the deepest level of a base-word tree or forest:
-    the level-(n-1) weights of f_n carried down the deeper levels by the DP.
-    """
-    [V] = _level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
-    return _tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V[0])
-
-
 def log_partition_sum(
     bundle: BundleSFT, potential, u, n: int, m: int, budget: int = DEFAULT_BUDGET
 ) -> float:
@@ -171,7 +162,9 @@ def log_partition_sum(
     syms = tuple(u)
     if len(syms) < n + m - 1:
         raise ValueError(f"base word must have length >= {n + m - 1}")
-    return float(_log_partition(bundle, potential, _forest([syms[:n + m - 1]]), n, budget)[0])
+    tree = _forest([syms[:n + m - 1]])
+    [V] = _level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
+    return float(_tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V[0])[0])
 
 
 def _forest(rows) -> PrefixTree:
@@ -199,13 +192,14 @@ def _base_words(chain: BaseChain, n: int, m: int, mode: str, samples: int, seed:
 
 def _estimate(tree: PrefixTree, n: int, m: int, mode: str, samples: int, seed: int,
               vals: np.ndarray) -> PressureEstimate:
-    """Expectation of one value per deepest-level word of a _base_words tree or forest.
+    """Expectation of one value per length-(n+m-1) word of a _base_words tree or forest.
 
     Exact mode sums vals against the cylinder probabilities; Monte Carlo mode
     averages them in sample index order, for bit-reproducibility.
     """
     if mode == "exact":
-        return PressureEstimate(n=n, m=m, value=float(np.dot(tree.prob[-1], vals)), mode="exact")
+        return PressureEstimate(n=n, m=m, value=float(np.dot(tree.prob[n + m - 2], vals)),
+                                mode="exact")
     std_error = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return PressureEstimate(n=n, m=m, value=float(np.mean(vals)), mode="monte_carlo",
                             std_error=std_error, samples=samples, seed=seed)
@@ -226,11 +220,9 @@ def expected_log_sum(
 
     Exact mode sums over all admissible base words; Monte Carlo averages over
     seeded stationary-chain samples with per-sample derived streams, combined
-    in index order for bit-reproducibility.
+    in index order for bit-reproducibility.  It is the one-cell pressure_curve.
     """
-    tree = _base_words(chain, n, m, mode, samples, seed, budget)
-    return _estimate(tree, n, m, mode, samples, seed,
-                     _log_partition(bundle, potential, tree, n, budget) / n)
+    return pressure_curve(chain, bundle, potential, [n], [m], mode, samples, seed, budget).rows[0]
 
 
 def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m: int, mode: str,
@@ -277,16 +269,20 @@ def pressure_curve(
 ) -> PressureCurve:
     """Pressure values on an (n, m) grid plus a 1/n fit at the finest epsilon.
 
-    Raises InvariantViolation if the value fails near-monotonicity in m
-    (finer separation admits more points).
+    Every cell reads the first n+m-1 levels of one base tree or forest, built at the
+    longest n+m-1, and carries one engine pass's level-(n-1) weights down to its m.
+    Raises InvariantViolation if the value fails near-monotonicity in m.
     """
     n_list, m_list = list(n_list), list(m_list)
-    if not n_list or not m_list:
-        raise ValueError("n_list and m_list must be nonempty")
+    if not (n_list and m_list) or min(n_list[0], m_list[0]) < 1:
+        raise ValueError("n_list and m_list must be nonempty, with every n and m >= 1")
     if n_list != sorted(n_list) or m_list != sorted(m_list):
         raise ValueError("n_list and m_list must be increasing")
-    rows = [expected_log_sum(chain, bundle, potential, n, m, mode=mode, samples=samples,
-                             seed=seed, budget=budget) for n in n_list for m in m_list]
+    tree = _base_words(chain, n_list[-1], m_list[-1], mode, samples, seed, budget)
+    weights = _level_weights(bundle, potential, tree, n_list, budget)(np.ones(1))
+    rows = [_estimate(tree, n, m, mode, samples, seed, _tree_log_partition(
+        bundle, tree.symbol[n - 1:n + m - 1], tree.parent[n - 1:n + m - 1], V[0]) / n)
+        for n, V in zip(n_list, weights) for m in m_list]
     by_nm = {(r.n, r.m): r.value for r in rows}
     for n in n_list:
         for m_lo, m_hi in zip(m_list, m_list[1:]):

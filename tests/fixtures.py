@@ -390,15 +390,22 @@ def separated_set_oracle(bundle, potential, base_symbols, n, m, length):
     return peak + math.log(sum(math.exp(v - peak) for v in best))
 
 
+def cell_log_partition(bundle, potential, tree, n, budget=DEFAULT_BUDGET):
+    """Log partition sums of one cell at depth n over the deepest level of a tree or forest,
+    on its own: the level-weights engine at scale 1, then the DP down the deeper levels."""
+    [V] = pressure._level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
+    return pressure._tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V[0])
+
+
 def per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode="exact", samples=0, seed=0):
     """pressure_at_t at one t the per-t way: its own ScaledInverseNormPotential, its own
     tree or freshly drawn forest, and two full transfer DPs, at depths n and n-1."""
     potential = ScaledInverseNormPotential(cocycle, t)
     tree = pressure._base_words(chain, n, m, mode, samples, seed, DEFAULT_BUDGET)
-    vals = pressure._log_partition(bundle, potential, tree, n, DEFAULT_BUDGET)
+    vals = cell_log_partition(bundle, potential, tree, n)
     if len(tree.symbol) > 1:  # n = m = 1: f_0 = 0 over words of length 0
         lower = PrefixTree(tree.symbol[:-1], tree.parent[:-1], tree.prob[:-1])
-        lo = (pressure._log_partition(bundle, potential, lower, n - 1, DEFAULT_BUDGET) if n > 1
+        lo = (cell_log_partition(bundle, potential, lower, n - 1) if n > 1
               else pressure._tree_log_partition(bundle, lower.symbol, lower.parent))
         vals = vals - lo[tree.parent[-1]]
     return pressure._estimate(tree, n, m, mode, samples, seed, vals)

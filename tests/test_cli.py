@@ -374,6 +374,13 @@ def test_sampling_keys_rejected_on_exact_verbs(tmp_path, verb, key, value):
     ("run.N=2.0", "run.N"),
     ("run.budget=abc", "run.budget"),
     ("run.budget=false", "run.budget"),
+    ("run.n_list=[6, 4]", "run.n_list"),
+    ("run.m_list=[2, 1]", "run.m_list"),
+    ("run.n_list=[]", "run.n_list"),
+    ("run.n_list=[0, 2]", "run.n_list[0]"),
+    ("run.m_list=[1, -1]", "run.m_list[1]"),
+    ("run.N=0", "run.N"),
+    ("run.seed=-1", "run.seed"),
 ])
 def test_integer_keys_reject_other_values(tmp_path, capsys, override, path):
     cfg = write_config(tmp_path, FIX_A_TREE)
@@ -381,6 +388,25 @@ def test_integer_keys_reject_other_values(tmp_path, capsys, override, path):
         load_experiment(cfg, [override])
     assert cli.run(cfg, overrides=[override], output_dir=str(tmp_path / "o")) == 1
     assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_list_keys_take_repeated_values_and_n_defaults_to_the_last(tmp_path):
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    run = load_experiment(cfg, ["run.n_list=[1, 3, 3]", "run.m_list=[2, 2]"]).run
+    assert (run.n_list, run.m_list, run.N, run.seed) == ((1, 3, 3), (2, 2), 3, 42)
+    assert load_experiment(cfg, ["run.seed=0", "run.N=1"]).run.seed == 0
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_lemmas_with_a_measure_needs_n_above_lemma34_k(tmp_path, capsys, N):
+    """Lemma 3.4 runs at n = min(N, 4) against k = 2: a smaller N fails before any check."""
+    cfg = str(CONFIGS / "golden_mean_vp.yaml")
+    out = tmp_path / "o"
+    assert cli.run(cfg, overrides=[f"run.N={N}"], verb="lemmas", output_dir=str(out)) == 1
+    assert "run.N" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.run(cfg, overrides=["run.N=3"], verb="lemmas", output_dir=str(out)) == 0
 
 
 SCALED_TREE = {**FIX_A_TREE,

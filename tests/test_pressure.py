@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -9,17 +10,19 @@ from randpress import (
     BaseChain,
     BundleSFT,
     CocyclePotential,
+    SubadditivePotential,
     check_power_lemma,
     expected_log_sum,
     greedy_maximal_separated,
     log_partition_sum,
     pressure_curve,
 )
+from randpress import pressure
 from randpress.errors import BudgetExceeded, InvalidSampleCount
-from randpress.pressure import _log_partition
 
 from fixtures import (
     E,
+    cell_log_partition,
     enumerate_base_words,
     fix_a,
     golden_mean,
@@ -149,6 +152,59 @@ def test_pressure_curve_requires_increasing_lists():
     chain, bundle, pot = fix_a()
     with pytest.raises(ValueError):
         pressure_curve(chain, bundle, pot, [4, 2], [1])
+
+
+def _grid_system(kind):
+    rng = np.random.default_rng(23)
+    chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 2)
+    pot = (random_additive(rng, 2, 2) if kind == "additive"
+           else random_cocycle(rng, 2, 2, norm_kind=kind))
+    return chain, bundle, pot
+
+
+@pytest.mark.parametrize("kind", ["additive", "spectral", "max_row_sum"])
+@pytest.mark.parametrize("mode,samples", [("exact", 0), ("monte_carlo", 7)])
+def test_every_grid_cell_equals_its_one_cell_curve_bit_for_bit(kind, mode, samples):
+    """A grid shares one base tree or forest and one engine pass; each row still sees the
+    numbers its own cell would, duplicate depths included."""
+    chain, bundle, pot = _grid_system(kind)
+    n_list, m_list = [2, 3, 3, 4], [1, 3]
+    curve = pressure_curve(chain, bundle, pot, n_list, m_list, mode=mode, samples=samples, seed=5)
+    assert [(r.n, r.m) for r in curve.rows] == [(n, m) for n in n_list for m in m_list]
+    for row in curve.rows:
+        assert row == expected_log_sum(chain, bundle, pot, row.n, row.m, mode=mode,
+                                       samples=samples, seed=5)
+
+
+def test_a_grid_evaluates_each_depth_once_and_draws_its_words_once(monkeypatch):
+    chain, bundle, coc = _grid_system("spectral")
+    calls = collections.Counter()
+
+    class Counting(SubadditivePotential):
+        def eval_batch(self, base_arr, fiber_arr, n):
+            calls["eval_batch"] += 1
+            return coc.eval_batch(base_arr, fiber_arr, n)
+
+    pressure_curve(chain, bundle, Counting(), [3, 4], [1, 2])
+    assert calls["eval_batch"] == 2  # one chunk per depth, shared by both m
+    sample_paths = pressure._sample_paths
+
+    def counting_paths(*args):
+        calls["_sample_paths"] += 1
+        return sample_paths(*args)
+
+    monkeypatch.setattr(pressure, "_sample_paths", counting_paths)
+    pressure_curve(chain, bundle, coc, [2, 3], [1, 2], mode="monte_carlo", samples=5, seed=1)
+    assert calls["_sample_paths"] == 1
+
+
+@pytest.mark.parametrize("mode,over", [("exact", "base"), ("monte_carlo", "fiber")])
+def test_a_grid_checks_the_budget_at_its_longest_words(mode, over):
+    """2^7 words exceed the budget before any cell is computed, though the n = 2 cells fit;
+    exact mode checks the base words first, Monte Carlo the fiber words only."""
+    chain, bundle, coc = _grid_system("spectral")
+    with pytest.raises(BudgetExceeded, match=rf"^2\^7 {over} words exceed budget 40$"):
+        pressure_curve(chain, bundle, coc, [2, 6], [1, 2], mode=mode, samples=3, budget=40)
 
 
 def test_greedy_equal_resolution_selects_all():
@@ -302,7 +358,7 @@ def test_batch_partition_matches_per_word_enumeration():
     bundle = random_bundle(rng, 2, 2)
     coc = random_cocycle(rng, 2, 2)
     words = enumerate_base_words(chain, 4)
-    batched = _log_partition(bundle, coc, chain.prefix_tree(4), 3, 10_000)
+    batched = cell_log_partition(bundle, coc, chain.prefix_tree(4), 3, 10_000)
     for word, value in zip(words, batched):
         vals = [reference_value(coc, word.symbols, w, 3)
                 for w in naive_fiber_words(bundle, word.symbols, 4)]
