@@ -22,6 +22,9 @@ records it.  The cases are:
 - the lemma-vp pool systems at each seed, scaled the same way and run as
   exact ``dimension`` at n = N: each carries a valid measure, so the report
   also holds the Lyapunov spread of ``bowen.lyapunov_spread``;
+- ``vp-check`` on a Bernoulli base with 2 fiber choices under one state and 3
+  under the other, with an ``auto: true`` row-uniform measure whose joint law
+  is stationary though pi_s Q_s = pi_{s'} fails;
 - error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
   ``pressure`` grid that crosses the base budget and one that crosses the
   fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
@@ -142,6 +145,7 @@ def cases(out: Path, seeds: list[int]):
                 "seed": seed, "budget": run["budget"]}}
             yield f"lemma-vp dimension exact seed={seed} #{i} {case.label}", _run(
                 out, _write(out, config))
+    yield "fix-b vp-check auto row-uniform measure", _run(out, _write(out, FIX_B))
 
 
 # A 2x2 cocycle over a 2-state base with A = 2, and the same cocycle with the generator
@@ -156,6 +160,15 @@ COCYCLE = {
 }
 SINGULAR = COCYCLE | {"potential": {"kind": "scaled_inverse", "t": 0.5, "matrices": [
     COCYCLE["potential"]["matrices"][0], [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 3.0]]]]}}
+# Bernoulli base, 2 fiber choices under s0 and 3 under s1, zero potential (pressure
+# 0.5 log 6), and a row-uniform measure whose initials the auto solve supplies.
+FIX_B = {
+    "base": {"transition": [[0.5, 0.5], [0.5, 0.5]]},
+    "bundle": {"allowed": [[[1, 1, 0]] * 3, [[1, 1, 1]] * 3]},
+    "potential": {"kind": "additive", "phi": [[0.0] * 3] * 2},
+    "measures": [{"transition": [[[0.5, 0.5, 0.0]] * 3, [[1 / 3] * 3] * 3], "auto": True}],
+    "run": {"verb": "vp-check", "n_list": [6], "m_list": [1], "N": 3},
+}
 # 3^7 base words exceed the budget, 2^7 fiber words do not: lemmas' k=3, n=2, m=2 cell.
 LEMMAS = {
     "base": {"transition": [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]},

@@ -33,6 +33,18 @@ def _eventually_positive(adj: np.ndarray) -> bool:
     return bool(power.all())
 
 
+def _stationary_law(K: np.ndarray) -> np.ndarray:
+    """Least-squares p of [K^T - I; 1] p = [0; 1], clipped at 0; the caller renormalises.
+
+    With several closed classes it is the minimum-norm law, a positive mix of theirs.
+    """
+    n = K.shape[0]
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    p, *_ = np.linalg.lstsq(np.vstack([K.T - np.eye(n), np.ones(n)]), rhs, rcond=None)
+    return np.maximum(p, 0.0)
+
+
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     """Stationary probability vector p with p @ T = p, by one least-squares solve."""
     T = np.asarray(transition, dtype=float)
@@ -48,12 +60,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
         raise NonErgodicChain("positive-transition graph is not strongly connected")
     if not _eventually_positive(adj):
         raise NonErgodicChain("positive-transition graph is periodic")
-    # Solve p (T - I) = 0 together with sum(p) = 1.
-    A = np.vstack([T.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    p = np.maximum(p, 0.0)
+    p = _stationary_law(T)
     p = p / p.sum()
     if np.max(np.abs(p @ T - p)) > _STATIONARY_TOL or np.any(p <= 0.0):
         raise NonErgodicChain("stationary vector residual or positivity check failed")

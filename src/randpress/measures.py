@@ -2,8 +2,9 @@
 
 A measure is given per base symbol s by an initial fiber distribution pi_s
 and a row-stochastic fiber transition Q_s supported inside the bundle's
-admissibility matrix.  Consistency pi_s Q_s = pi_{s'} along positive base
-transitions is the finite encoding of fiberwise invariance.
+admissibility matrix.  Its cylinders weigh p(u0) pi_{u0}(w0) prod T Q, which
+is shift-invariant exactly when the joint law j(s, a) = p(s) pi_s(a) is
+stationary for the joint kernel K((r, a), (s, b)) = T(r, s) Q_r(a, b).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain
+from .base import DEFAULT_BUDGET, BaseChain, _stationary_law
 from .bundle import BundleSFT, fiber_budget, fiber_words
 from .errors import InvalidMeasure, ShapeMismatch
 from .potentials import SubadditivePotential, sup_norm_f1
@@ -45,16 +46,16 @@ class MeasureReport:
     valid: bool
 
 
-def _consistency_residual(pi: np.ndarray, Q: np.ndarray, chain: BaseChain) -> float:
-    """Worst |pi_s Q_s - pi_{s'}| over the positive base transitions s -> s'."""
-    s, s2 = np.nonzero(chain.transition > 0.0)
-    return float(np.max(np.abs(np.einsum("sa,sab->sb", pi, Q)[s] - pi[s2])))
+def _stationarity_residual(pi: np.ndarray, Q: np.ndarray, chain: BaseChain) -> float:
+    """Worst |(j K)(s, b) - j(s, b)| for the joint law j(s, a) = p(s) pi_s(a)."""
+    j = chain.stationary[:, None] * pi
+    return float(np.max(np.abs(np.einsum("ra,rs,rab->sb", j, chain.transition, Q) - j)))
 
 
 def validate_measure(
     meas: RandomMarkovMeasure, chain: BaseChain, bundle: BundleSFT
 ) -> MeasureReport:
-    """Stochasticity, support and invariance-consistency residuals."""
+    """Stochasticity, support and joint-stationarity (consistency_residual: max |j K - j|)."""
     S, A = chain.num_states, bundle.num_symbols
     if meas.initial.shape != (S, A) or meas.transition.shape != (S, A, A):
         raise ShapeMismatch(
@@ -64,7 +65,7 @@ def validate_measure(
     row = float(np.max(np.abs(meas.transition.sum(axis=2) - 1.0)))
     init = float(np.max(np.abs(meas.initial.sum(axis=1) - 1.0)))
     support = int(np.sum((meas.transition > 0.0) & (bundle.allowed == 0)))
-    cons = _consistency_residual(meas.initial, meas.transition, chain)
+    cons = _stationarity_residual(meas.initial, meas.transition, chain)
     valid = row <= _ROW_TOL and init <= _ROW_TOL and support == 0 and cons <= _CONS_TOL
     return MeasureReport(row, init, support, cons, valid)
 
@@ -80,27 +81,20 @@ def _require_valid(meas: RandomMarkovMeasure, chain: BaseChain, bundle: BundleSF
 def solve_consistent_initial(
     transition: np.ndarray, chain: BaseChain
 ) -> tuple[np.ndarray, float]:
-    """Least-squares pi_s solving pi_s Q_s = pi_{s'} on positive base edges.
+    """Initials pi_s = j(s, .) / sum_a j(s, a) for j a stationary law of the joint kernel K.
 
-    Returns the clipped/renormalized initials and the worst constraint
-    residual after projection.
+    j is base._stationary_law of the (S A) x (S A) matrix K: with several closed classes,
+    the minimum-norm law.  Returns pi and its stationarity residual.
     """
     Q = np.asarray(transition, dtype=float)
     S = chain.num_states
     if Q.ndim != 3 or Q.shape[0] != S or Q.shape[1] != Q.shape[2]:
         raise ShapeMismatch(f"fiber transition shape {Q.shape} does not match (S={S}, A, A)")
-    A = Q.shape[1]
-    s, s2 = np.nonzero(chain.transition > 0.0)
-    edge = np.arange(len(s))
-    block = np.zeros((len(s), A, S, A))  # edge s -> s': A rows of pi_s Q_s - pi_{s'} = 0
-    block[edge, :, s] = Q[s].transpose(0, 2, 1)
-    block[edge, :, s2] -= np.eye(A)
-    Amat = np.vstack([block.reshape(-1, S * A), np.kron(np.eye(S), np.ones(A))])
-    b = np.concatenate([np.zeros(len(s) * A), np.ones(S)])
-    x, *_ = np.linalg.lstsq(Amat, b, rcond=None)
-    pi = np.maximum(x.reshape(S, A), 0.0)
-    pi = pi / pi.sum(axis=1, keepdims=True)
-    return pi, _consistency_residual(pi, Q, chain)
+    SA = S * Q.shape[1]
+    K = np.einsum("rs,rab->rasb", chain.transition, Q).reshape(SA, SA)
+    j = _stationary_law(K).reshape(S, -1)
+    pi = j / j.sum(axis=1, keepdims=True)
+    return pi, _stationarity_residual(pi, Q, chain)
 
 
 def fiber_entropy(meas: RandomMarkovMeasure, chain: BaseChain) -> float:
@@ -143,7 +137,7 @@ def potential_average(
 ) -> float:
     """a_n = integral of f_n against the measure, exact at depth n.
 
-    Additive potentials on consistent measures collapse to n times the
+    Additive potentials on valid (invariant) measures collapse to n times the
     one-step average; otherwise f_n is evaluated in batch on every cylinder
     of positive weight.
     """

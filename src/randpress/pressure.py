@@ -227,7 +227,7 @@ def expected_log_sum(
 
 def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m: int, mode: str,
                       samples: int, seed: int, budget: int):
-    """t -> depth-increment estimates (1/n) E[log Z(n) - log Z(n-1)] of t * f on a vector of t.
+    """t -> depth increments E[log Z(n) - log Z(n-1)] of t * f (not divided by n), for a t vector.
 
     The t-independent work is done once: the base tree or sampled forest, and the level
     weights of f at depths n-1 and n, kept for every probe.  Each call scales them by t

@@ -10,6 +10,7 @@ from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import BundleSFT, fiber_budget, fiber_words
 from .errors import InvariantViolation
 from .measures import (
+    _CONS_TOL,
     FStarBracket,
     RandomMarkovMeasure,
     _require_valid,
@@ -86,11 +87,6 @@ def _project_row(row: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out / total
 
 
-def _measure_from_rows(Q: np.ndarray, chain: BaseChain) -> tuple[RandomMarkovMeasure, float]:
-    pi, resid = solve_consistent_initial(Q, chain)
-    return RandomMarkovMeasure(initial=pi, transition=Q), resid
-
-
 def optimize_measure(
     chain: BaseChain,
     bundle: BundleSFT,
@@ -119,7 +115,7 @@ def optimize_measure(
         ) / N
 
     Q = family_seed.transition.copy()
-    meas, _ = _measure_from_rows(Q, chain)
+    meas = RandomMarkovMeasure(initial=solve_consistent_initial(Q, chain)[0], transition=Q)
     best = objective(meas)
     trace = [best]
     step = 0.25
@@ -135,9 +131,10 @@ def optimize_measure(
                     cand_row = _project_row(Q[s, a] + step * d, mask)
                     Q_cand = Q.copy()
                     Q_cand[s, a] = cand_row
-                    cand_meas, resid = _measure_from_rows(Q_cand, chain)
-                    if resid > 1e-8:
+                    pi, resid = solve_consistent_initial(Q_cand, chain)
+                    if resid > _CONS_TOL:
                         continue
+                    cand_meas = RandomMarkovMeasure(initial=pi, transition=Q_cand)
                     val = objective(cand_meas)
                     if val > best:
                         improved = max(improved, val - best)

@@ -221,31 +221,26 @@ def entropy_cylinder_oracle(meas, chain, bundle, n):
 
 
 def reference_consistent_initial(transition, chain):
-    """solve_consistent_initial's pi from a constraint matrix built block by block.
+    """solve_consistent_initial's pi from a joint kernel built entry by entry.
 
-    One (A, S*A) block Q_s^T - I per positive base transition s -> s', in
-    row-major (s, s') order, then one normalisation row per base symbol; the
-    least-squares solution is clipped at 0 and renormalised per row.
+    K[r*A + a, s*A + b] = T[r, s] * Q[r, a, b], one product per entry; the
+    least-squares solution of [K^T - I; 1] j = [0; 1] is clipped at 0 and each
+    row j(s, .) is renormalised.
     """
     Q = np.asarray(transition, dtype=float)
+    T = chain.transition
     S, A = chain.num_states, Q.shape[1]
-    rows, rhs = [], []
-    for s in range(S):
-        for s2 in range(S):
-            if chain.transition[s, s2] > 0.0:
-                block = np.zeros((A, S * A))
-                block[:, s * A:(s + 1) * A] = Q[s].T
-                block[:, s2 * A:(s2 + 1) * A] -= np.eye(A)
-                rows.append(block)
-                rhs.append(np.zeros(A))
-    for s in range(S):
-        norm = np.zeros((1, S * A))
-        norm[0, s * A:(s + 1) * A] = 1.0
-        rows.append(norm)
-        rhs.append(np.ones(1))
-    x, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
-    pi = np.maximum(x.reshape(S, A), 0.0)
-    return pi / pi.sum(axis=1, keepdims=True)
+    K = np.zeros((S * A, S * A))
+    for r in range(S):
+        for a in range(A):
+            for s in range(S):
+                for b in range(A):
+                    K[r * A + a, s * A + b] = T[r, s] * Q[r, a, b]
+    rhs = np.zeros(S * A + 1)
+    rhs[-1] = 1.0
+    x, *_ = np.linalg.lstsq(np.vstack([K.T - np.eye(S * A), np.ones(S * A)]), rhs, rcond=None)
+    j = np.maximum(x.reshape(S, A), 0.0)
+    return j / j.sum(axis=1, keepdims=True)
 
 
 def reference_fiber_entropy(meas, chain):

@@ -133,6 +133,30 @@ def test_vp_check_verb(tmp_path):
     assert side["side_upper"] <= report["results"]["pressure"] + 1e-9
 
 
+# Bernoulli base, 2 fiber choices under s0 and 3 under s1, zero potential: pressure 0.5 log 6.
+# The row-uniform measure's joint law is stationary, though pi_0 Q_0 != pi_1.
+FIX_B_TREE = {
+    "base": {"transition": [[0.5, 0.5], [0.5, 0.5]]},
+    "bundle": {"allowed": [[[1, 1, 0]] * 3, [[1, 1, 1]] * 3]},
+    "potential": {"kind": "additive", "phi": [[0.0] * 3] * 2},
+    "measures": [{"transition": [[[0.5, 0.5, 0.0]] * 3, [[1 / 3] * 3] * 3], "auto": True}],
+    "run": {"verb": "vp-check", "n_list": [4], "m_list": [1], "N": 3},
+}
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_vp_check_on_fix_b_leaves_only_the_finite_n_bias(tmp_path, n):
+    """The side is the pressure, so the gap is (1/n) E log Z(n) - P = (log 3 - P) / n."""
+    tree = json.loads(json.dumps(FIX_B_TREE))
+    tree["run"]["n_list"] = [n]
+    out = tmp_path / "o"
+    assert cli.run(write_config(tmp_path, tree), output_dir=str(out)) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    limit = 0.5 * math.log(6.0)
+    assert results["sides"][0]["entropy"] == pytest.approx(limit, abs=1e-15)
+    assert results["gap"] == pytest.approx((math.log(3.0) - limit) / n, abs=1e-12)
+
+
 def test_lemmas_verb(tmp_path):
     tree = json.loads(json.dumps(FIX_A_TREE))
     tree["run"].update({"verb": "lemmas", "n_list": [2], "m_list": [1], "N": 4})

@@ -27,11 +27,13 @@ from randpress import (
     check_power_lemma,
     empirical_measure_diagnostic,
     expected_log_sum,
+    fiber_entropy,
     greedy_maximal_separated,
     log_partition_sum,
     lyapunov_spread,
     potential_average,
     pressure_at_t,
+    solve_consistent_initial,
     validate_measure,
 )
 from randpress import bundle as bundle_module
@@ -41,7 +43,10 @@ from randpress.bundle import fiber_words
 from randpress.errors import BudgetExceeded, SingularMatrix
 
 from fixtures import (
+    entropy_cylinder_oracle,
     naive_fiber_words,
+    random_additive,
+    random_cocycle,
     reference_product,
     reference_sample_path,
     reference_value,
@@ -439,14 +444,16 @@ def _rows_with_a_positive_entry(weights, fallback):
 
 @st.composite
 def measure_systems(draw):
-    """A cocycle_systems() draw with an additive potential and two random measures.
+    """A cocycle_systems() draw with an additive potential and three random measures.
 
     `valid` mixes the A x A permutation matrices with drawn weights (some 0),
-    so every Q_s is doubly stochastic and the uniform initial row is
-    consistent with every base transition; the bundle is widened to the
+    so every Q_s is doubly stochastic and the uniform initial row satisfies
+    pi_s Q_s = pi_{s'} on every base transition; the bundle is widened to the
     support of these Q_s so that the measure lies inside it.  `free` has
     drawn initial rows and drawn transition rows inside allowed, with zeros
-    inside allowed, and need not be invariant.
+    inside allowed, and need not be invariant.  `stationary` keeps free's
+    transition rows and takes solve_consistent_initial's pi: its joint law is
+    stationary, though pi_s Q_s = pi_{s'} need not hold edge by edge.
     """
     chain, bundle, n, m, pots = draw(cocycle_systems())
     S, A = bundle.allowed.shape[:2]
@@ -463,8 +470,10 @@ def measure_systems(draw):
     q = _rows_with_a_positive_entry(q * bundle.allowed, bundle.allowed)
     pi = np.array(draw(st.lists(cells, min_size=S * A, max_size=S * A))).reshape(S, A)
     free = RandomMarkovMeasure(initial=_rows_with_a_positive_entry(pi, np.ones(A)), transition=q)
+    stationary = RandomMarkovMeasure(initial=solve_consistent_initial(q, chain)[0], transition=q)
+    assert validate_measure(stationary, chain, bundle).valid
     additive = AdditivePotential(pots[0].matrices[:, :, 0, 0])
-    return chain, bundle, n, m, (*pots, additive), (valid, free)
+    return chain, bundle, n, m, (*pots, additive), (valid, free, stationary)
 
 
 def naive_cylinders(chain, lead, Q, n):
@@ -499,49 +508,114 @@ def naive_joint_laws(chain, meas, count):
     return laws
 
 
-@given(measure_systems())
-def test_potential_average_matches_brute_force(system):
-    chain, bundle, n, m, pots, meas_pair = system
-    for meas in meas_pair:
+def check_potential_average(chain, bundle, n, m, pots, measures):
+    for meas in measures:
         for pot in pots:
             assert potential_average(meas, chain, bundle, pot, n) == pytest.approx(
                 naive_average(chain, meas, pot, n), abs=1e-10)
 
 
-@given(measure_systems())
-def test_lemma34_slack_matches_time_i_windows(system):
+def check_lemma34_windows(chain, bundle, n, m, pots, measures):
     """The whole Lemma 3.4 slack against the brute-force sum of the time-i windows of f_k.
 
     check_lemma34 takes that sum as n a_k, which holds because the measure
     is invariant: every time-i joint law equals the time-0 one.
     """
-    chain, bundle, n, m, pots, (valid, _free) = system
     L = n + m - 1
     if L > n:
-        laws = naive_joint_laws(chain, valid, L)
-        for pot in pots:
-            C = sum(chain.stationary[s] * max(abs(reference_value(pot, (s,), (a,), 1))
-                                               for a in range(bundle.num_symbols))
-                    for s in range(chain.num_states))
-            window = sum(naive_average(chain, valid, pot, n, lead=D) for D in laws)
-            expect = 4.0 * n * n * C + window - n * naive_average(chain, valid, pot, L)
-            assert check_lemma34(valid, chain, bundle, pot, L, n) == pytest.approx(expect,
-                                                                                abs=1e-10)
+        for meas in measures:
+            laws = naive_joint_laws(chain, meas, L)
+            for pot in pots:
+                C = sum(chain.stationary[s] * max(abs(reference_value(pot, (s,), (a,), 1))
+                                                   for a in range(bundle.num_symbols))
+                        for s in range(chain.num_states))
+                window = sum(naive_average(chain, meas, pot, n, lead=D) for D in laws)
+                expect = 4.0 * n * n * C + window - n * naive_average(chain, meas, pot, L)
+                assert check_lemma34(meas, chain, bundle, pot, L, n) == pytest.approx(
+                    expect, abs=1e-10)
+
+
+def check_lyapunov_spread(chain, bundle, n, m, pots, measures):
+    for meas in measures:
+        lead = chain.stationary[:, None] * meas.initial
+        for cocycle, order in zip(pots[:2], (2, np.inf)):
+            top = bottom = 0.0
+            for u, w, wgt in naive_cylinders(chain, lead, meas.transition, n):
+                P = reference_product(cocycle, u, w, n)
+                top += wgt * math.log(np.linalg.norm(P, order))
+                bottom -= wgt * math.log(np.linalg.norm(np.linalg.inv(P), order))
+            got = lyapunov_spread(chain, bundle, cocycle, meas, n)
+            np.testing.assert_allclose(got, (top / n, bottom / n, (top - bottom) / n), rtol=0,
+                                       atol=1e-10)
+
+
+def check_fiber_entropy(chain, bundle, n, m, pots, measures):
+    """On an invariant measure n H_n - (n-1) H_{n-1} of the cylinder oracle is the closed form."""
+    L = max(n + m - 1, 2)
+    for meas in measures:
+        H = [k * entropy_cylinder_oracle(meas, chain, bundle, k) for k in (L - 1, L)]
+        assert fiber_entropy(meas, chain) == pytest.approx(H[1] - H[0], abs=1e-10)
+
+
+@given(measure_systems())
+def test_potential_average_matches_brute_force(system):
+    check_potential_average(*system)
+
+
+@given(measure_systems())
+def test_lemma34_slack_matches_time_i_windows(system):
+    *head, (valid, _free, stationary) = system
+    check_lemma34_windows(*head, (valid, stationary))
 
 
 @given(measure_systems())
 def test_lyapunov_spread_matches_brute_force(system):
-    chain, bundle, n, m, pots, (valid, _free) = system
-    lead = chain.stationary[:, None] * valid.initial
-    for cocycle, order in zip(pots[:2], (2, np.inf)):
-        top = bottom = 0.0
-        for u, w, wgt in naive_cylinders(chain, lead, valid.transition, n):
-            P = reference_product(cocycle, u, w, n)
-            top += wgt * math.log(np.linalg.norm(P, order))
-            bottom -= wgt * math.log(np.linalg.norm(np.linalg.inv(P), order))
-        got = lyapunov_spread(chain, bundle, cocycle, valid, n)
-        np.testing.assert_allclose(got, (top / n, bottom / n, (top - bottom) / n), rtol=0,
-                                   atol=1e-10)
+    *head, (valid, _free, stationary) = system
+    check_lyapunov_spread(*head, (valid, stationary))
+
+
+@given(measure_systems())
+def test_fiber_entropy_is_the_cylinder_entropy_increment(system):
+    *head, (valid, _free, stationary) = system
+    check_fiber_entropy(*head, (valid, stationary))
+
+
+def joint_rule_only_systems(count, seed=16):
+    """Seeded systems (S, A in 2..3, n = m = 2) whose one measure passes joint stationarity only.
+
+    The chain is positive, each Q_s is drawn inside allowed (zeros included)
+    and pi is solve_consistent_initial's.  Every kept measure misses
+    pi_s Q_s = pi_{s'} by more than 1e-3 on some base transition.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        S, A = (int(x) for x in rng.integers(2, 4, size=2))
+        T = rng.uniform(0.1, 1.0, (S, S))
+        chain = BaseChain.from_transition(T / T.sum(axis=1, keepdims=True))
+        allowed = rng.random((S, A, A)) < 0.7
+        allowed[np.arange(S)[:, None], np.arange(A), rng.integers(A, size=(S, A))] = True
+        Q = allowed * rng.uniform(0.1, 1.0, (S, A, A))
+        Q /= Q.sum(axis=2, keepdims=True)
+        pi = solve_consistent_initial(Q, chain)[0]
+        if np.max(np.abs(np.einsum("sa,sab->sb", pi, Q)[:, None] - pi[None])) <= 1e-3:
+            continue
+        spectral = random_cocycle(rng, S, A)
+        pots = (spectral, CocyclePotential(spectral.matrices, norm_kind="max_row_sum"),
+                ScaledInverseNormPotential(spectral, 0.7), random_additive(rng, S, A))
+        out.append((chain, BundleSFT.from_matrices(allowed.astype(int)), 2, 2, pots,
+                    (RandomMarkovMeasure(initial=pi, transition=Q),)))
+    return out
+
+
+def test_measures_only_joint_stationarity_admits_match_brute_force():
+    """The measure sums, Lemma 3.4 windows, Lyapunov spread and entropy on such measures."""
+    for system in joint_rule_only_systems(12):
+        chain, bundle, *_rest, (meas,) = system
+        assert validate_measure(meas, chain, bundle).valid
+        for check in (check_potential_average, check_lemma34_windows, check_lyapunov_spread,
+                      check_fiber_entropy):
+            check(*system)
 
 
 @given(measure_systems())
@@ -573,7 +647,7 @@ def test_chunked_measure_sums_give_the_same_values(system, rows):
     Each chunk is summed with one dot product, so a cap moves the boundaries
     of the floating-point sum.
     """
-    chain, bundle, n, m, pots, (valid, free) = system
+    chain, bundle, n, m, pots, (valid, free, _stationary) = system
 
     def values():
         return [potential_average(free, chain, bundle, pots[2], n),

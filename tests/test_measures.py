@@ -16,10 +16,12 @@ from randpress import AdditivePotential, BaseChain, BundleSFT, ScaledInverseNorm
 from randpress.errors import InvalidMeasure, NonErgodicChain, ShapeMismatch
 
 from fixtures import (
+    FIX_B_LIMIT,
     GOLDEN,
     bernoulli_chain,
     entropy_cylinder_oracle,
     fix_a,
+    fix_b,
     fix_d,
     full_shift_bundle,
     golden_mean,
@@ -88,6 +90,28 @@ def test_solve_consistent_initial_recovers_stationary():
     assert resid <= 1e-10
     assert np.allclose(pi[0], pi[1])
     assert np.allclose(pi[0] @ Q1, pi[0], atol=1e-10)
+
+
+def test_solve_consistent_initial_takes_the_minimum_norm_law_of_a_reducible_joint_chain():
+    """Q_s = I under every s: each fiber symbol is a closed class of law p(s), equal in norm."""
+    chain = random_chain(np.random.default_rng(7), 2)
+    pi, resid = solve_consistent_initial(np.tile(np.eye(3), (2, 1, 1)), chain)
+    assert resid <= 1e-15
+    np.testing.assert_allclose(pi, np.full((2, 3), 1.0 / 3.0), rtol=0, atol=1e-14)
+
+
+def test_fix_b_baseline_measure_is_invariant_and_attains_the_pressure():
+    """Row-uniform Q on fix-b and pi_s = (5/12, 5/12, 1/6): the joint law is stationary,
+    though pi_0 Q_0 = (1/2, 1/2, 0) is not pi_1, and h = 0.5 log 6 is the pressure."""
+    chain, bundle, _ = fix_b()
+    Q = np.stack([np.tile([0.5, 0.5, 0.0], (3, 1)), np.full((3, 3), 1.0 / 3.0)])
+    meas = RandomMarkovMeasure(initial=np.tile([5 / 12, 5 / 12, 1 / 6], (2, 1)), transition=Q)
+    assert validate_measure(meas, chain, bundle).valid
+    assert abs(fiber_entropy(meas, chain) - FIX_B_LIMIT) <= 1e-15
+    assert np.max(np.abs(meas.initial[0] @ meas.transition[0] - meas.initial[1])) > 0.1
+    pi, resid = solve_consistent_initial(meas.transition, chain)
+    assert resid <= 1e-15
+    np.testing.assert_allclose(pi, meas.initial, rtol=0, atol=1e-15)
 
 
 def test_fiber_entropy_uniform_bernoulli():
@@ -277,13 +301,19 @@ def _sparse_systems(count, seed=11):
 
 
 def test_stacked_consistency_solve_equals_the_block_loop_bit_for_bit():
+    """The einsum-built joint kernel holds the entry loop's products, so lstsq sees one matrix."""
     for chain, Q in _sparse_systems(120):
         pi, resid = solve_consistent_initial(Q, chain)
         assert np.array_equal(pi, reference_consistent_initial(Q, chain))
-        pushed = [pi[s] @ Q[s] for s in range(chain.num_states)]
-        assert resid == pytest.approx(max(
-            float(np.max(np.abs(pushed[s] - pi[s2])))
-            for s, s2 in zip(*np.nonzero(chain.transition > 0.0))), rel=1e-12, abs=1e-15)
+        S, A = pi.shape
+        p, T = chain.stationary, chain.transition
+        worst = 0.0
+        for s in range(S):
+            for b in range(A):
+                pushed = sum(p[r] * pi[r, a] * T[r, s] * Q[r, a, b]
+                             for r in range(S) for a in range(A))
+                worst = max(worst, abs(pushed - p[s] * pi[s, b]))
+        assert resid == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 def test_stacked_fiber_entropy_equals_the_row_loop_bit_for_bit():
