@@ -25,6 +25,8 @@ records it.  The cases are:
 - ``vp-check`` on a Bernoulli base with 2 fiber choices under one state and 3
   under the other, with an ``auto: true`` row-uniform measure whose joint law
   is stationary though pi_s Q_s = pi_{s'} fails;
+- ``vp-check`` and ``lemmas`` on a scalar cocycle with a zero generator on a
+  fiber symbol its measure never visits, where the additive table is -inf;
 - error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
   ``pressure`` grid that crosses the base budget and one that crosses the
   fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
@@ -146,6 +148,9 @@ def cases(out: Path, seeds: list[int]):
             yield f"lemma-vp dimension exact seed={seed} #{i} {case.label}", _run(
                 out, _write(out, config))
     yield "fix-b vp-check auto row-uniform measure", _run(out, _write(out, FIX_B))
+    for verb in ("vp-check", "lemmas"):
+        yield f"zero generator off the measure {verb}", _run(out, _write(out, ZERO_GENERATOR),
+                                                              verb=verb)
 
 
 # A 2x2 cocycle over a 2-state base with A = 2, and the same cocycle with the generator
@@ -168,6 +173,12 @@ FIX_B = {
     "potential": {"kind": "additive", "phi": [[0.0] * 3] * 2},
     "measures": [{"transition": [[[0.5, 0.5, 0.0]] * 3, [[1 / 3] * 3] * 3], "auto": True}],
     "run": {"verb": "vp-check", "n_list": [6], "m_list": [1], "N": 3},
+}
+# A scalar cocycle whose generator on fiber symbol 1 is 0, with the measure on symbol 0 only.
+ZERO_GENERATOR = FIX_B | {
+    "bundle": {"allowed": [[[1, 1], [1, 1]]] * 2},
+    "potential": {"kind": "cocycle", "matrices": [[2.0, 0.0], [3.0, 0.0]]},
+    "measures": [{"initial": [[1.0, 0.0]] * 2, "transition": [[[1.0, 0.0]] * 2] * 2}],
 }
 # 3^7 base words exceed the budget, 2^7 fiber words do not: lemmas' k=3, n=2, m=2 cell.
 LEMMAS = {

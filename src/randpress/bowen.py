@@ -15,10 +15,11 @@ import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import BundleSFT
-from .errors import NoBracket, NonMonotone, SingularMatrix
+from .errors import NoBracket, NonMonotone
 from .measures import RandomMarkovMeasure, _require_valid, _weighted_words
 from .pressure import _MONO_TOL, PressureEstimate, _increment_family
-from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_inverse_norm, _mat_norm
+from .potentials import (CocyclePotential, ScaledInverseNormPotential, _generators_conformal,
+                         _log_norms)
 
 
 def _inverse_norm_family(chain: BaseChain, bundle: BundleSFT, cocycle: CocyclePotential,
@@ -46,12 +47,6 @@ def pressure_at_t(
     lower depth reads the word's first n+m-2 symbols, its parent in the tree.
     """
     return _inverse_norm_family(chain, bundle, cocycle, n, m, mode, samples, seed, budget)([t])[0]
-
-
-def _generators_conformal(cocycle: CocyclePotential) -> bool:
-    """Whether every generator M has ||M||_2 ||M^{-1}||_2 <= 1 + 1e-9, a scaled isometry."""
-    sigma = np.linalg.svd(cocycle.matrices, compute_uv=False)
-    return bool(((sigma[..., -1] > 0.0) & (sigma[..., 0] <= (1.0 + 1e-9) * sigma[..., -1])).all())
 
 
 @dataclass(frozen=True)
@@ -151,18 +146,7 @@ def lyapunov_spread(
     _require_valid(meas, chain, bundle)
     top = inv = 0  # both norms from one product stack per chunk of measure cylinders
     for u, w, wgt in _weighted_words(meas, chain, n, budget):
-        P = cocycle.products(u, w, n)
-        if cocycle.norm_kind == "spectral":  # log 1/sigma_min = other log sigma_i - log|det P|: LU's
-            # det keeps the relative accuracy that sigma_min read off the SVD loses at high condition
-            sigma = np.linalg.svd(P, compute_uv=False)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                log_top = np.log(sigma[:, 0])
-                log_inv = np.log(sigma[:, :-1]).sum(axis=1) - np.linalg.slogdet(P)[1]
-            if not np.isfinite(log_inv).all():
-                raise SingularMatrix("singular cocycle product")
-        else:
-            log_inv = _log_inverse_norm(P, "max_row_sum")  # SingularMatrix before a log of 0
-            log_top = np.log(_mat_norm(P, "max_row_sum"))
+        log_top, log_inv = _log_norms(cocycle.products(u, w, n), cocycle.norm_kind)
         top += np.dot(wgt, log_top)
         inv += np.dot(wgt, log_inv)
     top, bottom = float(top), -float(inv)

@@ -145,7 +145,8 @@ def potential_average(
         raise ValueError("n must be >= 1")
     add = potential.to_additive()
     if add is not None and validate_measure(meas, chain, bundle).valid:
-        return n * float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, add.table))
+        table = np.where(meas.initial > 0.0, add.table, 0.0)  # no 0 * -inf on an unvisited symbol
+        return n * float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, table))
     return float(sum(np.dot(wgt, potential.eval_batch(u, w, n))
                      for u, w, wgt in _weighted_words(meas, chain, n, budget)))
 

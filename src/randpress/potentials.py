@@ -61,15 +61,33 @@ def _mat_norm(P: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def _log_inverse_norm(P: np.ndarray, kind: str) -> np.ndarray:
-    """log ||P^{-1}|| of a matrix or of each matrix in a stack; SingularMatrix if an inverse fails."""
-    try:
-        Pinv = np.linalg.inv(P)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(str(exc)) from exc
-    if not np.isfinite(Pinv).all():
-        raise SingularMatrix("non-finite inverse of cocycle product")
-    return np.log(_mat_norm(Pinv, kind))
+def _log_norms(P: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """(log ||P||, log ||P^{-1}||) of a matrix or of each matrix in a stack.
+
+    Spectral: one SVD, and log 1/sigma_min = the other log sigma_i - log|det P|: LU's det
+    keeps the relative accuracy that sigma_min read off the SVD loses at high condition.
+    max_row_sum inverts P.  SingularMatrix if log ||P^{-1}|| is not finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "spectral":
+            sigma = np.linalg.svd(P, compute_uv=False)
+            log_top = np.log(sigma[..., 0])
+            log_inv = np.log(sigma[..., :-1]).sum(axis=-1) - np.linalg.slogdet(P)[1]
+        else:
+            try:
+                Pinv = np.linalg.inv(P)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrix(str(exc)) from exc
+            log_top, log_inv = np.log(_mat_norm(P, kind)), np.log(_mat_norm(Pinv, kind))
+    if not np.isfinite(log_inv).all():
+        raise SingularMatrix("singular cocycle product")
+    return log_top, log_inv
+
+
+def _generators_conformal(cocycle: CocyclePotential) -> bool:
+    """Whether every generator M has ||M||_2 ||M^{-1}||_2 <= 1 + 1e-9, a scaled isometry."""
+    sigma = np.linalg.svd(cocycle.matrices, compute_uv=False)
+    return bool(((sigma[..., -1] > 0.0) & (sigma[..., 0] <= (1.0 + 1e-9) * sigma[..., -1])).all())
 
 
 @dataclass(frozen=True)
@@ -132,8 +150,8 @@ class ScaledInverseNormPotential(SubadditivePotential):
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
         if self.t == 0.0:
             return np.zeros(len(base_arr))
-        return self.t * _log_inverse_norm(self.inner.products(base_arr, fiber_arr, n),
-                                          self.inner.norm_kind)
+        return self.t * _log_norms(self.inner.products(base_arr, fiber_arr, n),
+                                   self.inner.norm_kind)[1]
 
     def to_additive(self):
         if self.inner.dim != 1:

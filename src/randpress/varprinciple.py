@@ -10,7 +10,6 @@ from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import BundleSFT, fiber_budget, fiber_words
 from .errors import InvariantViolation
 from .measures import (
-    _CONS_TOL,
     FStarBracket,
     RandomMarkovMeasure,
     _require_valid,
@@ -131,9 +130,7 @@ def optimize_measure(
                     cand_row = _project_row(Q[s, a] + step * d, mask)
                     Q_cand = Q.copy()
                     Q_cand[s, a] = cand_row
-                    pi, resid = solve_consistent_initial(Q_cand, chain)
-                    if resid > _CONS_TOL:
-                        continue
+                    pi = solve_consistent_initial(Q_cand, chain)[0]
                     cand_meas = RandomMarkovMeasure(initial=pi, transition=Q_cand)
                     val = objective(cand_meas)
                     if val > best:

@@ -34,6 +34,7 @@ from fixtures import (
     random_chain,
     random_cocycle,
     reference_sample_path,
+    reference_value,
     shared_q_measure,
     uniform_measure,
 )
@@ -261,10 +262,10 @@ def test_lyapunov_spread_rejects_an_invalid_measure():
 
 @pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
 def test_lyapunov_spread_equals_both_measure_averages_bit_for_bit(monkeypatch, joint_rows):
-    """One walk of the measure cylinders gives potential_average's sums of log||P|| and, under
-    max_row_sum, of log||P^-1||, chunk by chunk in the same order.  Under the spectral norm
-    the bottom exponent is read from the top's SVD, so there it agrees to rounding only; the
-    mpmath tests below hold it to the exact value."""
+    """One walk of the measure cylinders gives potential_average's sums of log||P|| and of
+    log||P^-1||, chunk by chunk in the same order: both read the norms from one helper, so
+    they agree bit for bit under both norms.  The mpmath tests below hold the spectral bottom
+    exponent to the exact value."""
     monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
     rng = np.random.default_rng(14)
     for i in range(10):
@@ -276,12 +277,7 @@ def test_lyapunov_spread_equals_both_measure_averages_bit_for_bit(monkeypatch, j
         top, bottom, spread = lyapunov_spread(chain, bundle, coc, meas, n)
         a_top = potential_average(meas, chain, bundle, coc, n)
         a_inv = potential_average(meas, chain, bundle, ScaledInverseNormPotential(coc, 1.0), n)
-        if coc.norm_kind == "max_row_sum":
-            assert (top, bottom, spread) == (a_top / n, -a_inv / n, (a_top + a_inv) / n)
-        else:  # bottom comes from the top's SVD and det P, not from P^-1: equal to rounding
-            assert top == a_top / n
-            assert bottom == pytest.approx(-a_inv / n, rel=1e-12, abs=1e-12)
-            assert spread == pytest.approx((a_top + a_inv) / n, rel=1e-12, abs=1e-12)
+        assert (top, bottom, spread) == (a_top / n, -a_inv / n, (a_top + a_inv) / n)
 
 
 def test_fix_b_alias_shares_structure():
@@ -513,10 +509,11 @@ def test_lyapunov_bottom_is_as_accurate_as_the_inverse_up_to_condition_1e8(d):
     """Products M M of generators with condition up to 1e4, so up to about 1e8.
 
     The bottom exponent is held to 50-digit mpmath next to the inverse-matrix formula it
-    replaces (potential_average of log||P^-1||).  The two round differently, so one product
-    may favour either; over 40 products per condition number the median error may exceed
-    the inverse's by 10% and the largest by 50%.  Reading sigma_min straight off the SVD
-    fails this: its median error is 3-5 times the inverse's from condition 1e4 on."""
+    replaces (log of numpy's 2-norm of inv(P), fixtures.reference_value).  The two round
+    differently, so one product may favour either; over 40 products per condition number the
+    median error may exceed the inverse's by 10% and the largest by 50%.  Reading sigma_min
+    straight off the SVD fails this: its median error is 3-5 times the inverse's from
+    condition 1e4 on."""
     rng = np.random.default_rng(60 + d)
     chain, bundle, meas = one_state_chain(), full_shift_bundle(1, 1), uniform_measure(1, 1)
     for log_cond in (1, 2, 3, 4):
@@ -528,8 +525,7 @@ def test_lyapunov_bottom_is_as_accurate_as_the_inverse_up_to_condition_1e8(d):
             coc = CocyclePotential(M[None, None])
             want = mpmath_exponents(chain, meas, coc, 2)[1]
             bottom = lyapunov_spread(chain, bundle, coc, meas, 2)[1]
-            inverse = -potential_average(meas, chain, bundle,
-                                         ScaledInverseNormPotential(coc, 1.0), 2) / 2
+            inverse = -reference_value(ScaledInverseNormPotential(coc, 1.0), (0, 0), (0, 0), 2) / 2
             err.append(abs(bottom - want))
             err_inverse.append(abs(inverse - want))
         slack = 4 * np.finfo(float).eps

@@ -168,6 +168,30 @@ def test_lemmas_verb(tmp_path):
     assert report["results"]["subadditivity_worst"] <= 1e-12
 
 
+# A scalar cocycle with a zero generator on fiber symbol 1, which the measure never visits:
+# the additive table is -inf there.  a_n = 0.5 n log 6 on the measure.
+ZERO_GENERATOR_TREE = {
+    "base": {"transition": [[0.5, 0.5], [0.5, 0.5]]},
+    "bundle": {"allowed": [[[1, 1], [1, 1]]] * 2},
+    "potential": {"kind": "cocycle", "matrices": [[2.0, 0.0], [3.0, 0.0]]},
+    "measures": [{"initial": [[1.0, 0.0]] * 2, "transition": [[[1.0, 0.0]] * 2] * 2}],
+    "run": {"verb": "vp-check", "n_list": [4], "m_list": [1], "N": 3},
+}
+
+
+@pytest.mark.parametrize("verb", ["vp-check", "lemmas"])
+def test_zero_generator_off_the_measure_writes_no_nan(tmp_path, verb):
+    out = tmp_path / "o"
+    assert cli.run(write_config(tmp_path, ZERO_GENERATOR_TREE), verb=verb,
+                   output_dir=str(out)) == 0
+    text = (out / "report.json").read_text()
+    assert "NaN" not in text
+    results = json.loads(text)["results"]
+    if verb == "vp-check":
+        assert results["sides"][0]["side_upper"] == pytest.approx(0.5 * math.log(6.0))
+    else:
+        assert results["lemma34_slacks"] == [math.inf]
+
 def test_dimension_verb(tmp_path):
     tree = {
         "base": {"transition": [[1.0]]},

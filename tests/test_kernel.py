@@ -663,24 +663,30 @@ def test_singular_generator_at_zero_weight_gives_no_nan():
     """Fiber symbol 1 is allowed but has zero measure, and its generator is the zero matrix.
 
     Its f value is -inf (or a singular inverse); dropping the zero-weight
-    words first keeps every average finite and exact.
+    words first keeps every average finite and exact.  The scalar twin (2 under
+    state 0, 3 under state 1) takes the additive closed form, whose table is -inf
+    on symbol 1: a_n = 0.5 n log 6, not 0 * -inf = NaN.
     """
     chain = BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]])
     bundle = BundleSFT.from_matrices(np.ones((2, 2, 2), dtype=int))
-    B = np.tile(np.diag([2.0, 0.5]), (2, 2, 1, 1))
-    B[:, 1] = 0.0
     Q = np.tile(np.array([[1.0, 0.0], [1.0, 0.0]]), (2, 1, 1))  # zeros inside allowed
     meas = RandomMarkovMeasure(initial=np.tile([1.0, 0.0], (2, 1)), transition=Q)
     assert validate_measure(meas, chain, bundle).valid
     log2 = math.log(2.0)
-    for kind in ("spectral", "max_row_sum"):
-        cocycle = CocyclePotential(B, norm_kind=kind)
-        inverse = ScaledInverseNormPotential(cocycle, 0.5)
-        for n in (1, 2, 4):
-            assert potential_average(meas, chain, bundle, cocycle, n) == pytest.approx(n * log2)
-            assert potential_average(meas, chain, bundle, inverse, n) == pytest.approx(
-                0.5 * n * log2)
-            np.testing.assert_allclose(lyapunov_spread(chain, bundle, cocycle, meas, n),
-                                       (log2, -log2, 2 * log2))
-        # ||f_1|| is +inf here (log 0 on the unreachable symbol), so the slack is +inf, not NaN.
-        assert check_lemma34(meas, chain, bundle, cocycle, n=3, k=2) == math.inf
+    matrix = np.tile(np.diag([2.0, 0.5]), (2, 2, 1, 1))
+    scalar = np.array([[2.0, 1.0], [3.0, 1.0]]).reshape(2, 2, 1, 1)
+    half_log6 = 0.5 * math.log(6.0)
+    for B, top, bottom in ((matrix, log2, -log2), (scalar, half_log6, half_log6)):
+        B[:, 1] = 0.0
+        for kind in ("spectral", "max_row_sum"):
+            cocycle = CocyclePotential(B, norm_kind=kind)
+            inverse = ScaledInverseNormPotential(cocycle, 0.5)
+            for n in (1, 2, 4):
+                assert potential_average(meas, chain, bundle, cocycle, n) == pytest.approx(n * top)
+                if cocycle.dim == 2:  # the scalar inverse family rejects a zero entry outright
+                    assert potential_average(meas, chain, bundle, inverse, n) == pytest.approx(
+                        -0.5 * n * bottom)
+                np.testing.assert_allclose(lyapunov_spread(chain, bundle, cocycle, meas, n),
+                                           (top, bottom, top - bottom), atol=1e-15)
+            # ||f_1|| is +inf here (log 0 on the unreachable symbol), so the slack is +inf, not NaN.
+            assert check_lemma34(meas, chain, bundle, cocycle, n=3, k=2) == math.inf
