@@ -27,6 +27,9 @@ records it.  The cases are:
   is stationary though pi_s Q_s = pi_{s'} fails;
 - ``vp-check`` and ``lemmas`` on a scalar cocycle with a zero generator on a
   fiber symbol its measure never visits, where the additive table is -inf;
+- the same scalar cocycle as a ``scaled_inverse`` ``pressure`` run at t = 0,
+  where every fiber word weighs 1, and as a ``dimension`` run, which raises
+  at the first probe t > 0;
 - error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
   ``pressure`` grid that crosses the base budget and one that crosses the
   fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
@@ -151,6 +154,10 @@ def cases(out: Path, seeds: list[int]):
     for verb in ("vp-check", "lemmas"):
         yield f"zero generator off the measure {verb}", _run(out, _write(out, ZERO_GENERATOR),
                                                               verb=verb)
+    for verb, potential in (("pressure", ZERO_GENERATOR["potential"] | {
+            "kind": "scaled_inverse", "t": 0.0}), ("dimension", ZERO_GENERATOR["potential"])):
+        yield f"zero generator scalar {potential['kind']} {verb}", _run(
+            out, _write(out, COCYCLE | {"potential": potential}), verb=verb)
 
 
 # A 2x2 cocycle over a 2-state base with A = 2, and the same cocycle with the generator

@@ -7,7 +7,7 @@ with their stationary cylinder probabilities are a complete surrogate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,14 @@ _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 # Generator.choice accepts a probability vector whose sum is 1 within sqrt(eps).
 _CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _freeze(obj, name: str, value, dtype=float) -> np.ndarray:
+    """Store a read-only copy of value as field name of a frozen dataclass, and return it."""
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+    return arr
 
 
 def _eventually_positive(adj: np.ndarray) -> bool:
@@ -96,16 +104,12 @@ class BaseChain:
 
     states: tuple[str, ...]
     transition: np.ndarray
-    stationary: np.ndarray = field(default=None)  # type: ignore[assignment]
-    _tree: PrefixTree | None = field(default=None, init=False, repr=False, compare=False)
+    stationary: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        T = np.asarray(self.transition, dtype=float)
-        p = stationary_distribution(T) if self.stationary is None else np.asarray(self.stationary, float)
-        T.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "transition", T)
-        object.__setattr__(self, "stationary", p)
+        T = _freeze(self, "transition", self.transition)
+        _freeze(self, "stationary",
+                stationary_distribution(T) if self.stationary is None else self.stationary)
         if len(self.states) != T.shape[0]:
             raise ValueError("state list does not match transition matrix size")
 
@@ -120,29 +124,19 @@ class BaseChain:
         return len(self.states)
 
     def prefix_tree(self, length: int, budget: int = DEFAULT_BUDGET) -> PrefixTree:
-        """Prefix tree of the admissible words of lengths 1..length.
-
-        The longest tree built so far is kept on the chain and shorter
-        requests read its first levels; the budget is checked on every request.
-        """
+        """Prefix tree of the admissible words of lengths 1..length, after a budget check."""
         if length < 1:
             raise ValueError("word length must be >= 1")
         if self.num_states ** length > budget:
             raise BudgetExceeded(f"{self.num_states}^{length} base words exceed budget {budget}")
-        tree = self._tree
-        if tree is None or len(tree.symbol) < length:
-            S, T = self.num_states, self.transition
-            symbol, parent, prob = [np.arange(S)], [np.full(S, -1)], [self.stationary]
-            for _ in range(1, length):
-                par, sym = np.nonzero(T[symbol[-1]] > 0.0)
-                prob.append(prob[-1][par] * T[symbol[-1][par], sym])
-                symbol.append(sym)
-                parent.append(par)
-            for level in (*symbol, *parent, *prob):
-                level.setflags(write=False)  # shared by every caller of the cache
-            tree = PrefixTree(tuple(symbol), tuple(parent), tuple(prob))
-            object.__setattr__(self, "_tree", tree)
-        return PrefixTree(tree.symbol[:length], tree.parent[:length], tree.prob[:length])
+        S, T = self.num_states, self.transition
+        symbol, parent, prob = [np.arange(S)], [np.full(S, -1)], [self.stationary]
+        for _ in range(1, length):
+            par, sym = np.nonzero(T[symbol[-1]] > 0.0)
+            prob.append(prob[-1][par] * T[symbol[-1][par], sym])
+            symbol.append(sym)
+            parent.append(par)
+        return PrefixTree(tuple(symbol), tuple(parent), tuple(prob))
 
 
 def _choice_cdf(p: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import _freeze
 from .errors import BudgetExceeded
 
 
@@ -44,9 +45,7 @@ class BundleSFT:
             raise ValueError(f"zero column: matrix for base symbol {s}, fiber column {a}")
         if len(self.alphabet) != M.shape[1]:
             raise ValueError("alphabet does not match matrix size")
-        M = M.astype(np.int8)
-        M.setflags(write=False)
-        object.__setattr__(self, "allowed", M)
+        _freeze(self, "allowed", M, np.int8)
 
     @classmethod
     def from_matrices(cls, matrices, alphabet=None, strict: bool = False) -> "BundleSFT":

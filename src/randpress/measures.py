@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, _stationary_law
+from .base import DEFAULT_BUDGET, BaseChain, _freeze, _stationary_law
 from .bundle import BundleSFT, fiber_budget, fiber_words
 from .errors import InvalidMeasure, ShapeMismatch
 from .potentials import SubadditivePotential, sup_norm_f1
@@ -29,12 +29,8 @@ class RandomMarkovMeasure:
     transition: np.ndarray  # (S, A, A) row-stochastic, support inside allowed
 
     def __post_init__(self):
-        pi = np.asarray(self.initial, dtype=float)
-        Q = np.asarray(self.transition, dtype=float)
-        pi.setflags(write=False)
-        Q.setflags(write=False)
-        object.__setattr__(self, "initial", pi)
-        object.__setattr__(self, "transition", Q)
+        _freeze(self, "initial", self.initial)
+        _freeze(self, "transition", self.transition)
 
 
 @dataclass(frozen=True)

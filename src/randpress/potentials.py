@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseChain, _choice_cdf, _column_walk
+from .base import BaseChain, _choice_cdf, _column_walk, _freeze
 from .bundle import BundleSFT
 from .errors import SingularMatrix
 
@@ -41,9 +41,7 @@ class AdditivePotential(SubadditivePotential):
     table: np.ndarray  # (S, A), nats per step
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=float)
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
+        _freeze(self, "table", self.table)
 
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
         return self.table[base_arr[:, :n], fiber_arr[:, :n]].sum(axis=1)
@@ -102,13 +100,11 @@ class CocyclePotential(SubadditivePotential):
     norm_kind: str = "spectral"
 
     def __post_init__(self):
-        B = np.asarray(self.matrices, dtype=float)
+        B = _freeze(self, "matrices", self.matrices)
         if B.ndim != 4 or B.shape[2] != B.shape[3]:
             raise ValueError("matrices must have shape (S, A, d, d)")
         if self.norm_kind not in ("spectral", "max_row_sum"):
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        B.setflags(write=False)
-        object.__setattr__(self, "matrices", B)
 
     @property
     def dim(self) -> int:
@@ -154,11 +150,9 @@ class ScaledInverseNormPotential(SubadditivePotential):
                                    self.inner.norm_kind)[1]
 
     def to_additive(self):
-        if self.inner.dim != 1:
-            return None
         b = self.inner.matrices[:, :, 0, 0]
-        if np.any(b == 0.0):
-            raise SingularMatrix("scalar cocycle entry is zero")
+        if self.inner.dim != 1 or np.any(b == 0.0):  # a zero entry takes the joint-word path
+            return None
         return AdditivePotential(-self.t * np.log(np.abs(b)))
 
 

@@ -175,8 +175,8 @@ def _forest(rows) -> PrefixTree:
 
 def _base_words(chain: BaseChain, n: int, m: int, mode: str, samples: int, seed: int,
                 budget: int) -> PrefixTree:
-    """The base words of length n+m-1 to average over: the chain's cached prefix tree
-    (exact), or a forest of seeded stationary-chain samples drawn column by column.
+    """The base words of length n+m-1 to average over: the chain's prefix tree (exact),
+    or a forest of seeded stationary-chain samples drawn column by column.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")

@@ -3,6 +3,8 @@
 import inspect
 import types
 
+import numpy as np
+
 import randpress
 from randpress import potentials
 
@@ -36,3 +38,31 @@ def test_potentials_plug_in_through_eval_batch_alone():
         "ScaledInverseNormPotential"}
     for cls in shipped:
         assert not hasattr(cls, "eval") and not hasattr(cls, "product"), cls.__name__
+
+
+def test_model_objects_keep_read_only_copies_of_the_callers_arrays():
+    """Each model object stores a private read-only copy of every array it is given.
+
+    The caller's arrays stay writable, and writing to them afterwards leaves
+    the object's fields as they were.
+    """
+    half = np.full((2, 2), 0.5)
+    models = [
+        (randpress.BaseChain, {"states": ("s0", "s1"), "transition": half.copy(),
+                               "stationary": np.array([0.5, 0.5])}),
+        (randpress.BundleSFT, {"alphabet": ("a0", "a1"), "allowed": np.ones((2, 2, 2), int)}),
+        (randpress.AdditivePotential, {"table": np.array([[0.0, 1.0], [2.0, 3.0]])}),
+        (randpress.CocyclePotential, {"matrices": np.arange(16.0).reshape(2, 2, 2, 2)}),
+        (randpress.RandomMarkovMeasure, {"initial": half.copy(),
+                                         "transition": np.full((2, 2, 2), 0.5)}),
+    ]
+    for cls, kwargs in models:
+        obj = cls(**kwargs)
+        for name, given in kwargs.items():
+            if not isinstance(given, np.ndarray):
+                continue
+            kept = getattr(obj, name)
+            assert given.flags.writeable and not kept.flags.writeable, (cls.__name__, name)
+            before = kept.copy()
+            given[...] = 7
+            assert np.array_equal(kept, before), (cls.__name__, name)

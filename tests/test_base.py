@@ -213,14 +213,22 @@ def test_prefix_tree_shapes():
     assert tree.prob[-1].sum() == pytest.approx(1.0)
 
 
-def test_prefix_tree_matches_brute_force_and_is_kept():
+def test_prefix_tree_matches_brute_force_and_its_prefixes():
+    """A shorter tree is the first levels of a longer one, bit for bit.
+
+    pressure_curve builds one tree at its longest length and reads every cell
+    from its first levels, so its values rest on this.
+    """
     chain = BaseChain.from_transition([[0.5, 0.5], [1.0, 0.0]])  # 1 -> 1 forbidden
     tree = chain.prefix_tree(4)
     brute = [u for u in itertools.product(range(2), repeat=4) if is_admissible(chain, u)]
     assert [tuple(w) for w in tree.words().tolist()] == brute
     assert tree.prob[-1].tolist() == [word_probability(chain, u) for u in brute]
     short = chain.prefix_tree(2)
-    assert len(short.symbol) == 2 and short.symbol[1] is tree.symbol[1]
+    assert len(short.symbol) == 2
+    for field in ("symbol", "parent", "prob"):
+        for level, long_level in zip(getattr(short, field), getattr(tree, field)[:2]):
+            assert np.array_equal(level, long_level)
     assert len(chain.prefix_tree(6).symbol) == 6
     with pytest.raises(BudgetExceeded):
         chain.prefix_tree(3, budget=7)

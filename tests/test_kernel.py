@@ -665,7 +665,9 @@ def test_singular_generator_at_zero_weight_gives_no_nan():
     Its f value is -inf (or a singular inverse); dropping the zero-weight
     words first keeps every average finite and exact.  The scalar twin (2 under
     state 0, 3 under state 1) takes the additive closed form, whose table is -inf
-    on symbol 1: a_n = 0.5 n log 6, not 0 * -inf = NaN.
+    on symbol 1: a_n = 0.5 n log 6, not 0 * -inf = NaN.  Its inverse family has no
+    additive form and runs on the joint words, as the 2x2 twin's does: at t = 0 both
+    weigh every fiber word 1 (pressure log 2), and at t > 0 both raise SingularMatrix.
     """
     chain = BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]])
     bundle = BundleSFT.from_matrices(np.ones((2, 2, 2), dtype=int))
@@ -676,6 +678,7 @@ def test_singular_generator_at_zero_weight_gives_no_nan():
     matrix = np.tile(np.diag([2.0, 0.5]), (2, 2, 1, 1))
     scalar = np.array([[2.0, 1.0], [3.0, 1.0]]).reshape(2, 2, 1, 1)
     half_log6 = 0.5 * math.log(6.0)
+    at_zero = []
     for B, top, bottom in ((matrix, log2, -log2), (scalar, half_log6, half_log6)):
         B[:, 1] = 0.0
         for kind in ("spectral", "max_row_sum"):
@@ -683,10 +686,13 @@ def test_singular_generator_at_zero_weight_gives_no_nan():
             inverse = ScaledInverseNormPotential(cocycle, 0.5)
             for n in (1, 2, 4):
                 assert potential_average(meas, chain, bundle, cocycle, n) == pytest.approx(n * top)
-                if cocycle.dim == 2:  # the scalar inverse family rejects a zero entry outright
-                    assert potential_average(meas, chain, bundle, inverse, n) == pytest.approx(
-                        -0.5 * n * bottom)
+                assert potential_average(meas, chain, bundle, inverse, n) == pytest.approx(
+                    -0.5 * n * bottom)
                 np.testing.assert_allclose(lyapunov_spread(chain, bundle, cocycle, meas, n),
                                            (top, bottom, top - bottom), atol=1e-15)
             # ||f_1|| is +inf here (log 0 on the unreachable symbol), so the slack is +inf, not NaN.
             assert check_lemma34(meas, chain, bundle, cocycle, n=3, k=2) == math.inf
+            at_zero.append(pressure_at_t(chain, bundle, cocycle, 0.0, n=3, m=2).value)
+            with pytest.raises(SingularMatrix):
+                pressure_at_t(chain, bundle, cocycle, 0.5, n=3, m=2)
+    assert len(set(at_zero)) == 1 and at_zero[0] == pytest.approx(log2)
