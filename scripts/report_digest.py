@@ -2,7 +2,8 @@
 
 Run from the root of a source checkout, with randpress imported from ``src/``:
 
-    PYTHONPATH=src python3 scripts/report_digest.py [--seeds 1-6] > digest.json
+    PYTHONPATH=src python3 scripts/report_digest.py [--seeds 1-6] [--values] > digest.json
+    PYTHONPATH=src python3 scripts/report_digest.py --diff parent.json change.json
 
 Every case runs ``randpress.cli.run`` in this process, from the root of the
 checkout, and writes into the one output directory ``.report-digest``.  As a
@@ -41,6 +42,11 @@ sha256(curve.csv), stderr]}``; a file the case did not write hashes as null,
 and an exception the CLI let through is its exit code null and its
 ``Type: message`` line as stderr.  Two trees agree on every exit code, report,
 curve and stderr exactly when ``cmp`` finds their digests equal.
+
+With ``--values`` each row also holds the numeric leaves of its ``report.json``
+(``{json path: number}``, or null with no report).  ``--diff`` reads two such
+digests and prints the largest relative difference of a leaf, the case and path
+where it occurs, and the cases whose exit code, stderr or leaf paths differ.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -85,6 +92,14 @@ def _sha256(path: Path) -> str | None:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
+def _leaves(node, path="") -> dict:
+    """{json path: number} of every int or float leaf of a parsed JSON value."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {k: v for key, item in items for k, v in _leaves(item, f"{path}/{key}").items()}
+    return {path: node} if isinstance(node, (int, float)) and not isinstance(node, bool) else {}
+
+
 def _run(out: Path, config: Path, overrides=(), verb=None, out_flag=True) -> list:
     """[exit code, sha256(report.json), sha256(curve.csv), stderr] of one cli.run call.
 
@@ -104,6 +119,38 @@ def _run(out: Path, config: Path, overrides=(), verb=None, out_flag=True) -> lis
             code = None
             err.write("".join(traceback.format_exception_only(type(exc), exc)))
     return [code, _sha256(out / "report.json"), _sha256(out / "curve.csv"), err.getvalue()]
+
+
+def _report_leaves(out: Path) -> dict | None:
+    """The numeric leaves of the report.json the last case wrote, or None."""
+    report = out / "report.json"
+    return _leaves(json.loads(report.read_text())) if report.exists() else None
+
+
+def _relative(a: float, b: float) -> float:
+    """|a - b| over the larger magnitude; 0 for equal values, infinite values included."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def diff(before: dict, after: dict) -> dict:
+    """The largest relative leaf difference between two --values digests, and the cases
+    that differ in anything else."""
+    worst, where, other = 0.0, None, []
+    for case in sorted(before.keys() | after.keys()):
+        a, b = before.get(case), after.get(case)
+        if a is None or b is None or len(a) < 5 or a[0] != b[0] or a[3] != b[3] \
+                or (a[4] or {}).keys() != (b[4] or {}).keys():
+            other.append(case)
+            continue
+        for path, x in (a[4] or {}).items():
+            rel = _relative(x, b[4][path])
+            if rel > worst:
+                worst, where = rel, [case, path, x, b[4][path]]
+    return {"max_relative_difference": worst, "at": where, "cases": len(before),
+            "same_hashes": sum(before[c][1:3] == after.get(c, [None] * 3)[1:3] for c in before),
+            "other_differences": other}
 
 
 def _write(out: Path, config: dict) -> Path:
@@ -222,10 +269,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-6"),
                         help="perfbench pool seeds, e.g. 1-6 or 1,3,5 (default 1-6)")
+    parser.add_argument("--values", action="store_true",
+                        help="also record the numeric leaves of every report.json")
+    parser.add_argument("--diff", nargs=2, metavar="DIGEST",
+                        help="compare two --values digests instead of running the cases")
     args = parser.parse_args(argv)
+    if args.diff:
+        before, after = (json.loads(Path(path).read_text()) for path in args.diff)
+        json.dump(diff(before, after), sys.stdout, indent=1)
+        sys.stdout.write("\n")
+        return 0
     os.chdir(ROOT)
     OUT.mkdir(exist_ok=True)
-    json.dump(dict([*cases(OUT, args.seeds), *error_cases(OUT)]), sys.stdout, indent=1)
+    digest = {}
+    # Rows arrive one case at a time, so report.json is still the one each row's case wrote.
+    for case, row in itertools.chain(cases(OUT, args.seeds), error_cases(OUT)):
+        digest[case] = [*row, _report_leaves(OUT)] if args.values else row
+    json.dump(digest, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
 

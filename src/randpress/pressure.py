@@ -2,12 +2,16 @@
 
 With the 2^-j fiber metric and epsilon = 2^-m, a maximal separated set holds
 exactly one point per admissible (n+m-1)-cylinder and the potential is
-constant on each, so the partition sum is an exact finite sum.  One log-space
-transfer DP runs level by level along a tree of base words, from the weights of
-one level-weights engine at scale 1 or on a vector of scales t: additive (and
-additive-reducible) potentials add their one-step table on every level; any
-other potential's eval_batch values on the fiber words over the depth-n base
-words are reduced per last fiber symbol and carried down the deeper levels.
+constant on each, so the partition sum is an exact finite sum.  One transfer DP
+runs level by level along a tree of base words, from the weights of one
+level-weights engine at scale 1 or on a vector of scales t: additive (and
+additive-reducible) potentials multiply in their one-step table on every level;
+any other potential's eval_batch values on the fiber words over the depth-n base
+words are reduced per last fiber symbol and carried down the deeper levels.  The
+DP runs in scaled linear space, as the forward algorithm of a hidden Markov
+model does: one matmul per level, a log scale per node and one log at the end.
+A range rule keeps every weight within e^+-600 of 1; a table whose per-level
+spread would break it takes the log-space (log-sum-exp) step from that level on.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .bundle import _JOINT_ROWS, BundleSFT, fiber_budget, fiber_words
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation, SingularMatrix
 
 _MONO_TOL = 1e-9
+_LINEAR_NATS = 600.0  # linear DP weights stay within e^+-600 of 1; e^-708 is the least normal
 
 
 @dataclass(frozen=True)
@@ -72,34 +77,107 @@ def _class_argmax(keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return order[first]
 
 
-def _carry(bundle: BundleSFT, symbol, parent, V: np.ndarray | None = None,
-           table=None) -> np.ndarray:
-    """Log weights V[..., node, a] at the last level of a base-word tree.
+@dataclass(frozen=True)
+class _Weights:
+    """Transfer-DP state at one absolute level of a base-word tree: the node's fiber words
+    ending in a weigh W[..., node, a] * exp(scale[..., node]), or in log space (scale None)
+    W holds their log weights."""
 
-    Level k has last symbols symbol[k] and parent indices parent[k] into level
-    k-1 (a forest of unrelated words has parent[k] = arange).  V[..., node, a]
-    is the log weight of the node's fiber words ending in a (leading axes of
-    table and V are independent DPs); each level after the first applies
-    allowed[u_{k-1}] once per parent node, then adds table[..., u_k, :] if a
-    table is given.  A V passed in replaces the level-0 weights, which are
-    otherwise the table's (or 0: the DP then counts fiber words).
+    W: np.ndarray
+    scale: np.ndarray | None
+    level: int
+
+
+def _level_nats(A: int, table=None) -> float:
+    """How far one DP level can lower a weight against its row's maximum, in nats.
+
+    A sum over a grows a row at most A-fold and shrinks no term, and a table row less its
+    maximum scales a weight by e^-spread at least (-inf entries are exact zeros).  So while
+    (k + 1) times this stays within _LINEAR_NATS, every nonzero weight of level k lies
+    within e^+-_LINEAR_NATS of 1 in linear space.  nan for a table holding nan or +inf.
     """
-    logM = np.where(bundle.allowed == 1, 0.0, -np.inf)  # (S, A, A)
-    if V is None:
-        V = np.zeros((len(symbol[0]), bundle.num_symbols)) if table is None else table[..., symbol[0], :]
+    if table is None:
+        return np.log(A)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row holding +inf
+        spread = table.max(axis=-1) - np.where(table > -np.inf, table, np.inf).min(axis=-1)
+    return np.max(spread, initial=0.0) + np.log(A)  # a row with no finite entry is -inf
+
+
+def _to_linear(V: np.ndarray, level: int) -> _Weights:
+    """Log weights as a linear state, each row shifted by its maximum into the scale.
+
+    A weight more than e^-745 below its row's maximum flushes to 0.  A table's level 0 has
+    none under the range rule; weights that no table follows may: at most A^levels fiber
+    words follow each, and the fiber budget bounds that.
+    """
+    peak = V.max(axis=-1)
+    peak[~np.isfinite(peak)] = 0.0  # an all -inf row stays 0
+    return _Weights(np.exp(V - peak[..., None]), peak, level)
+
+
+def _carry(bundle: BundleSFT, symbol, parent, state: _Weights | None = None,
+           table=None) -> _Weights:
+    """The DP state at the last level of a base-word tree.
+
+    Level k has last symbols symbol[k] and parent indices parent[k] into level k-1 (a
+    forest of unrelated words has parent[k] = arange).  Each level after the first sums
+    the parent's weights under allowed[u_{k-1}], then multiplies in exp(table[..., u_k, :])
+    if a table is given (leading axes of table and state are independent DPs).  A state
+    passed in replaces the level-0 weights, which are otherwise the table's (or 1: the DP
+    then counts fiber words).
+
+    In linear space a level is one matmul by every base symbol's 0/1 matrix side by side,
+    a pick of each node's block and a product with the exp of the table row less its
+    maximum, which the node's log scale takes.  Level k is linear while (k + 1) times the
+    batch's _level_nats is at most _LINEAR_NATS; from there on the state takes the log-space
+    step.
+    """
+    S, A = bundle.allowed.shape[:2]
+    level, nats = 0 if state is None else state.level, _level_nats(A, table)
+    if table is not None and (level + 1) * nats <= _LINEAR_NATS:
+        shift = table.max(axis=-1)
+        shift[~np.isfinite(shift)] = 0.0  # a row with no finite entry stays 0
+        E = np.exp(table - shift[..., None])
+    if state is None:
+        V = np.zeros((len(symbol[0]), A)) if table is None else table[..., symbol[0], :]
+        state = _to_linear(V, 0) if nats <= _LINEAR_NATS else _Weights(V, None, 0)
+    W, scale, rows = state.W, state.scale, np.arange(0)
+    if len(symbol) > 1:
+        blocks = bundle.allowed.transpose(1, 0, 2).reshape(A, S * A).astype(float)  # [a, sA+b]
+        logM = np.where(bundle.allowed == 1, 0.0, -np.inf)  # (S, A, A)
     with np.errstate(divide="ignore"):  # log 0 = -inf over fiber words that do not extend
         for k in range(1, len(symbol)):
-            V = _logsumexp(V[..., None] + logM[symbol[k - 1]], axis=-2)[..., parent[k], :]
+            if scale is not None and not (level + k + 1) * nats <= _LINEAR_NATS:
+                W, scale = np.log(W) + scale[..., None], None
+            if scale is None:
+                W = _logsumexp(W[..., None] + logM[symbol[k - 1]], axis=-2)[..., parent[k], :]
+                if table is not None:
+                    W = W + table[..., symbol[k], :]
+                continue
+            if len(rows) != len(symbol[k - 1]):
+                rows = np.arange(len(symbol[k - 1])) * S
+            # Prefix trees and forests list children by parent, and every node has one, so
+            # a level as long as the one before has parent[k] = arange and skips the gather.
+            same = len(parent[k]) == len(rows)
+            pick = rows + symbol[k - 1] if same else (rows + symbol[k - 1])[parent[k]]
+            W = W @ blocks
+            W = W.reshape(*W.shape[:-2], -1, A).take(pick, axis=-2)
+            if not same:
+                scale = scale.take(parent[k], axis=-1)
             if table is not None:
-                V = V + table[..., symbol[k], :]
-    return V
+                W = W * E.take(symbol[k], axis=-2)
+                scale = scale + shift.take(symbol[k], axis=-1)
+    return _Weights(W, scale, level + len(symbol) - 1)
 
 
-def _tree_log_partition(bundle: BundleSFT, symbol, parent, V=None) -> np.ndarray:
+def _tree_log_partition(bundle: BundleSFT, symbol, parent, state=None) -> np.ndarray:
     """Log partition sums at a tree's last level: _carry with no table, then a sum over a."""
-    V = _carry(bundle, symbol, parent, V)
+    state = _carry(bundle, symbol, parent, state)
     with np.errstate(divide="ignore"):
-        vals = _logsumexp(V, axis=-1)
+        if state.scale is None:
+            vals = _logsumexp(state.W, axis=-1)
+        else:
+            vals = np.log(state.W.sum(axis=-1)) + state.scale
     if not np.isfinite(vals).all():
         raise EmptyFiber("partition sum is 0 or infinite over some base word")
     return vals
@@ -107,14 +185,15 @@ def _tree_log_partition(bundle: BundleSFT, symbol, parent, V=None) -> np.ndarray
 
 def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budget: int,
                    reuse: bool = False):
-    """ts -> [(T, level-(d-1) nodes, A) log weights of t * f_d for each d in depths, increasing].
+    """ts -> [DP state of t * f_d at level d-1, t on its leading axis, for each d in depths].
 
     An additive potential scales its table by t and runs one DP pass through every
     depth.  Any other potential checks the fiber budget at the tree's length and takes
     f_d in one eval_batch per chunk of depth-d base words, on every admissible length-d
     fiber word over them, keyed per (base word, last fiber symbol).  A call scales each
     chunk's values by t and reduces them per key as the chunks arrive (one call only,
-    unless reuse keeps the chunks); a SingularMatrix is raised there at any t > 0.
+    unless reuse keeps the chunks); a SingularMatrix is raised there at any t > 0.  No table
+    follows these weights, so they enter linear space as they are.
     """
     sym, par, A = tree.symbol, tree.parent, bundle.num_symbols
     add = potential.to_additive()
@@ -146,7 +225,8 @@ def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budge
         return np.concatenate(out, axis=1).reshape(len(ts), -1, A)
 
     joint = [list(chunks(d)) if reuse else chunks(d) for d in depths]
-    return lambda ts: [reduce(depth_chunks, ts) for depth_chunks in joint]
+    return lambda ts: [_to_linear(reduce(depth_chunks, ts), d - 1)
+                       for d, depth_chunks in zip(depths, joint)]
 
 
 def log_partition_sum(
@@ -164,7 +244,7 @@ def log_partition_sum(
         raise ValueError(f"base word must have length >= {n + m - 1}")
     tree = _forest([syms[:n + m - 1]])
     [V] = _level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
-    return float(_tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V[0])[0])
+    return float(_tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V)[0, 0])
 
 
 def _forest(rows) -> PrefixTree:
@@ -231,7 +311,9 @@ def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m:
 
     The t-independent work is done once: the base tree or sampled forest, and the level
     weights of f at depths n-1 and n, kept for every probe.  Each call scales them by t
-    and runs the DP with a leading t axis.
+    and runs the DP with a leading t axis.  A table leaves linear space at the level its
+    batch's widest scale sets, so a batch in which one did so within the tree runs again
+    one scale at a time: no scale's bits depend on its batch.
     """
     tree = _base_words(chain, n, m, mode, samples, seed, budget)
     sym, par, L, k = tree.symbol, tree.parent, n + m - 1, max(n - 2, 0)
@@ -242,10 +324,12 @@ def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m:
         ts = np.asarray(ts, dtype=float)
         if not (np.isfinite(ts).all() and (ts >= 0.0).all()):
             raise ValueError(f"scale t must be finite and >= 0, got {ts.tolist()}")
-        step = max(1, _JOINT_ROWS // len(sym[-1]))  # caps the (T, nodes, A, A) DP arrays
+        step = max(1, _JOINT_ROWS // len(sym[-1]))  # caps the T * nodes rows of the DP arrays
         if len(ts) > step:
             return [est for i in range(0, len(ts), step) for est in evaluate(ts[i:i + step])]
         *lo, hi = weights(ts)  # lo is empty at n = 1
+        if hi.scale is None and len(ts) > 1:
+            return [est for t in ts for est in evaluate([t])]
         hi = _tree_log_partition(bundle, sym[n - 1:], par[n - 1:], hi)
         if L > 1:  # at n = 1, f_0 = 0 and the depth-0 DP counts fiber words
             hi = hi - _tree_log_partition(bundle, sym[k:L - 1], par[k:L - 1], *lo)[..., par[-1]]
@@ -281,7 +365,7 @@ def pressure_curve(
     tree = _base_words(chain, n_list[-1], m_list[-1], mode, samples, seed, budget)
     weights = _level_weights(bundle, potential, tree, n_list, budget)(np.ones(1))
     rows = [_estimate(tree, n, m, mode, samples, seed, _tree_log_partition(
-        bundle, tree.symbol[n - 1:n + m - 1], tree.parent[n - 1:n + m - 1], V[0]) / n)
+        bundle, tree.symbol[n - 1:n + m - 1], tree.parent[n - 1:n + m - 1], V)[0] / n)
         for n, V in zip(n_list, weights) for m in m_list]
     by_nm = {(r.n, r.m): r.value for r in rows}
     for n in n_list:

@@ -385,11 +385,47 @@ def separated_set_oracle(bundle, potential, base_symbols, n, m, length):
     return peak + math.log(sum(math.exp(v - peak) for v in best))
 
 
+def log_space_carry(bundle, symbol, parent, V=None, table=None):
+    """The transfer DP in log space, one max-shifted log-sum-exp per level: the log weights
+    V[..., node, a] at the last level of a base-word tree, with pressure._carry's arguments
+    (a log V in place of its state)."""
+    logM = np.where(bundle.allowed == 1, 0.0, -np.inf)
+    if V is None:
+        V = (np.zeros((len(symbol[0]), bundle.num_symbols)) if table is None
+             else table[..., symbol[0], :])
+    with np.errstate(divide="ignore"):
+        for k in range(1, len(symbol)):
+            x = V[..., None] + logM[symbol[k - 1]]
+            peak = x.max(axis=-2, keepdims=True)
+            peak[~np.isfinite(peak)] = 0.0
+            V = (np.log(np.exp(x - peak).sum(axis=-2)) + peak[..., 0, :])[..., parent[k], :]
+            if table is not None:
+                V = V + table[..., symbol[k], :]
+    return V
+
+
+def log_space_partition(bundle, symbol, parent, V=None, table=None):
+    """Log partition sums at the last level of log_space_carry: a sum over the last symbol."""
+    V = log_space_carry(bundle, symbol, parent, V, table)
+    peak = V.max(axis=-1, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(V - peak).sum(axis=-1)) + peak[..., 0]
+
+
+def state_log_weights(state):
+    """The log weights of a pressure._carry state, in linear or in log space."""
+    if state.scale is None:
+        return state.W
+    with np.errstate(divide="ignore"):
+        return np.log(state.W) + state.scale[..., None]
+
+
 def cell_log_partition(bundle, potential, tree, n, budget=DEFAULT_BUDGET):
     """Log partition sums of one cell at depth n over the deepest level of a tree or forest,
     on its own: the level-weights engine at scale 1, then the DP down the deeper levels."""
     [V] = pressure._level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
-    return pressure._tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V[0])
+    return pressure._tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V)[0]
 
 
 def per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode="exact", samples=0, seed=0):

@@ -298,6 +298,9 @@ def _rotation_system(n_states=2, num_symbols=2):
 
 FAMILY_DEPTHS = [(1, 1), (1, 2), (1, 3), (2, 1), (3, 2), (4, 3), (5, 1)]
 FAMILY_SCALES = [0.0, 0.35, 1.0, 1.6, 2.2]
+# On the scalar cocycle below, t = 200, 300 and 1000 leave linear space at levels 4, 2 and 0
+# of the table, and t <= 1 past level 300: on both sides of the depths of FAMILY_DEPTHS.
+SWITCH_SCALES = [0.0, 1.0, 200.0, 300.0, 1000.0]
 
 
 @pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 40])
@@ -307,22 +310,35 @@ def test_batched_scales_equal_per_t_evaluations_bit_for_bit(monkeypatch, joint_r
     """One call on five scales, one call per scale, pressure_at_t and the per-t reference
     (its own potential, tree or forest and two full DPs per t) agree in value and SE bit for
     bit.  The trees have many leaves, so each t is one row of a (T, N) array; with 40 joint
-    rows the deeper trees split the five scales into smaller batches."""
+    rows the deeper trees split the five scales into smaller batches.  The scalar cocycle
+    also takes scales whose tables leave linear space above, at and below the tree's depth,
+    so that a batch never changes a scale's bits across the log-space fallback."""
     monkeypatch.setattr(pressure, "_JOINT_ROWS", joint_rows)
     rng = np.random.default_rng(40 + dim)
     chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 3)
     cocycle = random_cocycle(rng, 2, 3, dim=dim, norm_kind=norm_kind)
-    for (n, m), (mode, samples, seed) in itertools.product(
-            FAMILY_DEPTHS, [("exact", 0, 0), ("monte_carlo", 9, 5)]):
+    for (n, m), (mode, samples, seed), scales in itertools.product(
+            FAMILY_DEPTHS, [("exact", 0, 0), ("monte_carlo", 9, 5)],
+            [FAMILY_SCALES, SWITCH_SCALES] if dim == 1 else [FAMILY_SCALES]):
         family = bowen._inverse_norm_family(chain, bundle, cocycle, n, m, mode, samples, seed,
                                             DEFAULT_BUDGET)
-        batched = family(FAMILY_SCALES)
-        assert len(batched) == len(FAMILY_SCALES)
-        assert batched == [family([t])[0] for t in FAMILY_SCALES]
+        batched = family(scales)
+        assert len(batched) == len(scales)
+        assert batched == [family([t])[0] for t in scales]
         assert batched == [pressure_at_t(chain, bundle, cocycle, t, n, m, mode=mode,
-                                         samples=samples, seed=seed) for t in FAMILY_SCALES]
+                                         samples=samples, seed=seed) for t in scales]
         assert batched == [per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode, samples,
-                                               seed) for t in FAMILY_SCALES]
+                                               seed) for t in scales]
+
+
+def test_switch_scales_leave_linear_space_on_both_sides_of_the_family_depths():
+    """SWITCH_SCALES does what the bit-for-bit test above needs of it."""
+    rng = np.random.default_rng(41)  # the draws of the dim = 1 case above
+    random_chain(rng, 2), random_bundle(rng, 2, 3)
+    table = ScaledInverseNormPotential(random_cocycle(rng, 2, 3, dim=1), 1.0).to_additive().table
+    # the first level k with (k + 1) * nats > _LINEAR_NATS
+    levels = [pressure._LINEAR_NATS // pressure._level_nats(3, t * table) for t in SWITCH_SCALES]
+    assert levels[2:] == [4, 2, 0] and min(levels[:2]) > max(n for n, _ in FAMILY_DEPTHS)
 
 
 def _counting(monkeypatch, module, name):
@@ -340,17 +356,27 @@ def _counting(monkeypatch, module, name):
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 3), (4, 2), (6, 3)])
 @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
 def test_scalar_family_runs_one_dp_pass_for_any_number_of_scales(monkeypatch, n, m, mode):
-    """Depths n-1 and n share one DP pass and all scales share its t axis, so a call makes
-    n + 2m - 1 log-sum-exps (n - 1 carried levels with the table, m - 1 without, one sum;
-    m - 1 levels and one sum for depth n-1).  At n = 1 the table has one level and depth 0
-    carries m - 2 levels and one sum when m > 1: 2m - 1 in all."""
+    """Depths n-1 and n share one DP pass and all scales share its t axis, so a call carries
+    as many levels for one scale as for five, in as many _carry calls: n - 1 levels with the
+    table (two calls, one per depth), then m - 1 levels without it for depth n and m - 1 for
+    depth n-1.  At n = 1 the table has one level and depth 0 carries m - 2 levels when
+    m > 1."""
     chain, bundle, coc = fix_f()
     family = bowen._inverse_norm_family(chain, bundle, coc, n, m, mode, 9, 5, DEFAULT_BUDGET)
-    calls = _counting(monkeypatch, pressure, "_logsumexp")
+    levels, carry = [], pressure._carry
+
+    def counting(bundle, symbol, parent, state=None, table=None):
+        levels.append(len(symbol) - 1)
+        return carry(bundle, symbol, parent, state, table)
+
+    monkeypatch.setattr(pressure, "_carry", counting)
     for ts in ([0.7], FAMILY_SCALES):
-        calls.clear()
+        levels.clear()
         assert len(family(ts)) == len(ts)
-        assert calls["_logsumexp"] == (n + 2 * m - 1 if n >= 2 else 2 * m - 1)
+        if n >= 2:
+            assert (len(levels), sum(levels)) == (4, n + 2 * m - 3)
+        else:
+            assert (len(levels), sum(levels)) == ((3, 2 * m - 3) if m > 1 else (2, 0))
 
 
 @pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 40])

@@ -38,19 +38,24 @@ from randpress import (
 )
 from randpress import bundle as bundle_module
 from randpress import pressure
-from randpress.base import DEFAULT_BUDGET
+from randpress.base import DEFAULT_BUDGET, _sample_paths
 from randpress.bundle import fiber_words
-from randpress.errors import BudgetExceeded, SingularMatrix
+from randpress.errors import BudgetExceeded, EmptyFiber, SingularMatrix
 
 from fixtures import (
     entropy_cylinder_oracle,
+    log_space_carry,
+    log_space_partition,
     naive_fiber_words,
     random_additive,
+    random_bundle,
+    random_chain,
     random_cocycle,
     reference_product,
     reference_sample_path,
     reference_value,
     separated_set_oracle,
+    state_log_weights,
     transfer_count,
     word_probability,
 )
@@ -160,20 +165,116 @@ def test_fiber_word_rows_per_base_word_match_transfer_count(system):
 
 @given(systems())
 def test_transfer_dp_split_at_any_level_equals_one_pass(system):
-    """Carrying levels 0..j with the table and going on from that V to the last level is the
-    one pass bit for bit; with no table and no V the DP counts the fiber words."""
+    """Carrying levels 0..j with the table and going on from that state to the last level is
+    the one pass bit for bit, in every field of the state, also with a table wide enough to
+    leave linear space before, at or after level j; with no table and no state the DP counts
+    the fiber words."""
     chain, bundle, pot, n, m = system
     L = n + m - 1
     tree = chain.prefix_tree(L, DEFAULT_BUDGET)
     sym, par = tree.symbol, tree.parent
-    whole = pressure._carry(bundle, sym, par, table=pot.table)
-    for j in range(L):
-        head = pressure._carry(bundle, sym[:j + 1], par[:j + 1], table=pot.table)
-        assert np.array_equal(pressure._carry(bundle, sym[j:], par[j:], head, pot.table), whole)
-    with np.errstate(divide="ignore"):
-        counts = np.log(np.exp(pressure._carry(bundle, sym, par)).sum(axis=-1))
+    for table in (pot.table, 60.0 * pot.table):
+        whole = pressure._carry(bundle, sym, par, table=table)
+        for j in range(L):
+            head = pressure._carry(bundle, sym[:j + 1], par[:j + 1], table=table)
+            split = pressure._carry(bundle, sym[j:], par[j:], head, table)
+            assert split.level == whole.level == L - 1
+            assert np.array_equal(split.W, whole.W)
+            assert (split.scale is None) == (whole.scale is None)
+            assert whole.scale is None or np.array_equal(split.scale, whole.scale)
+    counts = pressure._tree_log_partition(bundle, sym, par)
     assert counts == pytest.approx(
         [math.log(transfer_count(bundle, u, L)) for u in tree.words().tolist()], abs=1e-12)
+
+
+# --- the linear-space transfer DP against the log-space reference --------------------
+
+DP_SCALES = np.array([0.0, 0.5, 1.0, 2.0])
+
+
+def _dp_system(seed, S, A, kind, L):
+    """A chain with S states, a bundle on A symbols and a base-word prefix tree or sampled
+    forest with words of length L."""
+    rng = np.random.default_rng(seed)
+    chain, bundle = random_chain(rng, S), random_bundle(rng, S, A)
+    tree = (chain.prefix_tree(L, DEFAULT_BUDGET) if kind == "tree"
+            else pressure._forest(_sample_paths(chain, L, seed, 40)))
+    return rng, bundle, tree
+
+
+@pytest.mark.parametrize("S, A", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("kind, L", [("tree", 8), ("forest", 80)])
+def test_linear_dp_matches_the_log_space_reference(S, A, kind, L):
+    """Prefix trees and sampled forests with S, A >= 2, a t axis and words up to 80 long: the
+    linear state's log weights at depths 1, 2, L/2, L-1 and L and the log partition sums
+    after the remaining levels equal the log-space loop to 1e-13 relative."""
+    rng, bundle, tree = _dp_system(10 * S + A, S, A, kind, L)
+    table = DP_SCALES[:, None, None] * rng.uniform(-1.0, 2.0, (S, A))
+    sym, par = tree.symbol, tree.parent
+    for n in sorted({1, 2, L // 2, L - 1, L}):
+        state = pressure._carry(bundle, sym[:n], par[:n], table=table)
+        assert state.scale is not None and state.level == n - 1  # the linear path ran
+        reference = log_space_carry(bundle, sym[:n], par[:n], table=table)
+        assert np.array_equal(np.isfinite(state_log_weights(state)), np.isfinite(reference))
+        finite = np.isfinite(reference) & (n > 1)  # level 0 holds the table itself
+        np.testing.assert_allclose(state_log_weights(state)[finite], reference[finite],
+                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(
+            pressure._tree_log_partition(bundle, sym[n - 1:], par[n - 1:], state),
+            log_space_partition(bundle, sym[n - 1:], par[n - 1:], reference),
+            rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("spread", [1000.0, 40.0])
+def test_a_wide_table_leaves_linear_space_and_matches_log_space_and_mpmath(spread):
+    """A table with a 1,000-nat per-step spread runs in log space from level 0, and one
+    with 40 nats leaves linear space partway down: both equal the log-space loop to 1e-12
+    relative and mpmath's sums over every fiber word to 1e-10."""
+    rng, bundle, tree = _dp_system(7, 2, 2, "forest", 24)
+    table = np.array([-0.5, 0.5]) * spread + rng.uniform(-1.0, 1.0, (2, 2))  # each row spans it
+    sym, par = tree.symbol, tree.parent
+    state = pressure._carry(bundle, sym, par, table=table)
+    assert state.scale is None
+    switch = int(pressure._LINEAR_NATS // pressure._level_nats(2, table))  # the first log level
+    assert switch == (0 if spread > 600.0 else 14)
+    if switch:
+        assert pressure._carry(bundle, sym[:switch], par[:switch], table=table).scale is not None
+    vals = pressure._tree_log_partition(bundle, sym[-1:], par[-1:], state)
+    np.testing.assert_allclose(vals, log_space_partition(bundle, sym, par, table=table),
+                               rtol=1e-12, atol=0.0)
+    short = pressure._tree_log_partition(
+        bundle, sym[7:8], par[7:8], pressure._carry(bundle, sym[:8], par[:8], table=table))
+    with mpmath.workdps(40):
+        for u, val in zip(tree.words(8).tolist(), short):
+            z = mpmath.fsum(mpmath.exp(mpmath.fsum(mpmath.mpf(table[u[k], w[k]])
+                                                   for k in range(8)))
+                            for w in naive_fiber_words(bundle, u, 8))
+            assert abs(val - mpmath.log(z)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind, L", [("tree", 8), ("forest", 60)])
+def test_a_minus_inf_table_entry_is_an_exact_zero(kind, L):
+    """A -inf entry weighs 0 and takes no part in the spread: the DP stays linear, its
+    weights are -inf where the log-space loop's are and equal them elsewhere, and so do the
+    partition sums; an all -inf table makes every sum 0, raised as EmptyFiber."""
+    rng, bundle, tree = _dp_system(3, 2, 3, kind, L)
+    table = rng.uniform(-1.0, 1.0, (2, 3))
+    table[0, 1] = table[1, 2] = -np.inf
+    sym, par = tree.symbol, tree.parent
+    state = pressure._carry(bundle, sym, par, table=table)
+    assert state.scale is not None
+    reference = log_space_carry(bundle, sym, par, table=table)
+    weights = state_log_weights(state)
+    assert np.array_equal(weights == -np.inf, reference == -np.inf)
+    np.testing.assert_allclose(weights[reference > -np.inf], reference[reference > -np.inf],
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(pressure._tree_log_partition(bundle, sym[-1:], par[-1:], state),
+                               log_space_partition(bundle, sym, par, table=table),
+                               rtol=1e-13, atol=0.0)
+    table[:, :] = -np.inf
+    with pytest.raises(EmptyFiber):
+        pressure._tree_log_partition(bundle, sym[-1:], par[-1:],
+                                     pressure._carry(bundle, sym, par, table=table))
 
 
 # --- the batched non-additive kernel -------------------------------------------------
