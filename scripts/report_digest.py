@@ -31,6 +31,10 @@ records it.  The cases are:
 - the same scalar cocycle as a ``scaled_inverse`` ``pressure`` run at t = 0,
   where every fiber word weighs 1, and as a ``dimension`` run, which raises
   at the first probe t > 0;
+- ``pressure`` and ``dimension`` under both norms on a 3x3 cocycle, which keeps
+  the SVD and inverse path, and on a near-singular 2x2 cocycle (products of
+  condition up to about 1e12), which reads the 2x2 closed forms; each carries
+  a uniform measure, so ``dimension`` also reports the Lyapunov spread;
 - error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
   ``pressure`` grid that crosses the base budget and one that crosses the
   fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
@@ -205,6 +209,10 @@ def cases(out: Path, seeds: list[int]):
             "kind": "scaled_inverse", "t": 0.0}), ("dimension", ZERO_GENERATOR["potential"])):
         yield f"zero generator scalar {potential['kind']} {verb}", _run(
             out, _write(out, COCYCLE | {"potential": potential}), verb=verb)
+    for name, system in (("3x3", CUBIC), ("near-singular 2x2", NEAR_SINGULAR)):
+        for norm, verb in itertools.product(("spectral", "max_row_sum"), ("pressure", "dimension")):
+            config = system | {"potential": system["potential"] | {"norm": norm}}
+            yield f"{name} cocycle {norm} {verb}", _run(out, _write(out, config), verb=verb)
 
 
 # A 2x2 cocycle over a 2-state base with A = 2, and the same cocycle with the generator
@@ -219,6 +227,19 @@ COCYCLE = {
 }
 SINGULAR = COCYCLE | {"potential": {"kind": "scaled_inverse", "t": 0.5, "matrices": [
     COCYCLE["potential"]["matrices"][0], [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [1.0, 3.0]]]]}}
+# The same base and bundle with a uniform measure, and 3x3 generators with singular values
+# in about [1.4, 3.5]; then generators of condition about 1e4 (integer entries near a rank-one
+# matrix, |det| 3e4 to 6e4, singular values about 2 and 2e4 to 3e4), whose depth-3 products
+# reach condition about 1e12.
+UNIFORM = [{"transition": [[[0.5, 0.5], [0.5, 0.5]]] * 2, "auto": True}]
+CUBIC = COCYCLE | {"measures": UNIFORM, "potential": {"kind": "cocycle", "matrices": [
+    [[[2.5, 0.3, 0.0], [0.1, 2.0, 0.4], [0.0, 0.2, 3.0]],
+     [[2.0, -0.4, 0.1], [0.3, 2.5, 0.0], [0.2, 0.1, 2.2]]],
+    [[[3.0, 0.0, 0.4], [0.2, 2.2, -0.3], [0.1, 0.3, 2.0]],
+     [[2.2, 0.2, 0.2], [-0.3, 2.4, 0.1], [0.4, 0.0, 2.6]]]]}}
+NEAR_SINGULAR = COCYCLE | {"measures": UNIFORM, "potential": {"kind": "cocycle", "matrices": [
+    [[[1e4, 1e4], [1e4 - 4, 1e4]], [[1e4, 1e4 - 6], [1e4, 1e4]]],
+    [[[2e4, 1e4], [2e4 - 5, 1e4]], [[1e4, 2e4 - 6], [1e4, 2e4]]]]}}
 # Bernoulli base, 2 fiber choices under s0 and 3 under s1, zero potential (pressure
 # 0.5 log 6), and a row-uniform measure whose initials the auto solve supplies.
 FIX_B = {

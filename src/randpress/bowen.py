@@ -19,7 +19,7 @@ from .errors import NoBracket, NonMonotone
 from .measures import RandomMarkovMeasure, _require_valid, _weighted_words
 from .pressure import _MONO_TOL, PressureEstimate, _increment_family
 from .potentials import (CocyclePotential, ScaledInverseNormPotential, _generators_conformal,
-                         _log_norms)
+                         _log_norms, _row_payload)
 
 
 def _inverse_norm_family(chain: BaseChain, bundle: BundleSFT, cocycle: CocyclePotential,
@@ -146,7 +146,8 @@ def lyapunov_spread(
     _require_valid(meas, chain, bundle)
     top = inv = 0  # both norms from one product stack per chunk of measure cylinders
     for u, w, wgt in _weighted_words(meas, chain, n, budget):
-        log_top, log_inv = _log_norms(cocycle.products(u, w, n), cocycle.norm_kind)
+        P, log_det = _row_payload(ScaledInverseNormPotential(cocycle, 1.0), u, w, n)
+        log_top, log_inv = _log_norms(P, cocycle.norm_kind, log_det)
         top += np.dot(wgt, log_top)
         inv += np.dot(wgt, log_inv)
     top, bottom = float(top), -float(inv)

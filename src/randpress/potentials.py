@@ -51,23 +51,38 @@ class AdditivePotential(SubadditivePotential):
 
 
 def _mat_norm(P: np.ndarray, kind: str) -> np.ndarray:
-    """Norm of a matrix, or of each matrix in a stack (largest singular value or max row sum)."""
+    """Norm of a matrix, or of each matrix in a stack (largest singular value or max row sum).
+
+    2x2 takes no LAPACK call and no reduce over an axis of length 2: the larger row sum, or
+    sigma_1 = (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2.
+    """
+    if kind not in ("spectral", "max_row_sum"):
+        raise ValueError(f"unknown norm kind {kind!r}")
+    if P.shape[-1] != 2:
+        return (np.linalg.svd(P, compute_uv=False)[..., 0] if kind == "spectral"
+                else np.abs(P).sum(axis=-1).max(axis=-1))
+    Q = P if kind == "spectral" else np.abs(P)
+    a, b, c, d = Q[..., 0, 0], Q[..., 0, 1], Q[..., 1, 0], Q[..., 1, 1]
     if kind == "spectral":
-        return np.linalg.svd(P, compute_uv=False)[..., 0]
-    if kind == "max_row_sum":
-        return np.abs(P).sum(axis=-1).max(axis=-1)
-    raise ValueError(f"unknown norm kind {kind!r}")
+        return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
+    return np.maximum(a + b, c + d)
 
 
-def _log_norms(P: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
+def _log_norms(P: np.ndarray, kind: str, log_det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log ||P||, log ||P^{-1}||) of a matrix or of each matrix in a stack.
 
-    Spectral: one SVD, and log 1/sigma_min = the other log sigma_i - log|det P|: LU's det
-    keeps the relative accuracy that sigma_min read off the SVD loses at high condition.
+    2x2 reads log_det, log|det P| as the Birkhoff sum of the generators' log|det| (it has no
+    cancellation): log ||P^{-1}||_2 = log sigma_1 - log|det P|, ||P^{-1}||_inf = ||P||_1 /
+    |det P|.  Otherwise spectral takes one SVD, and log 1/sigma_min = the other log sigma_i -
+    LU's log|det P|, which keeps the relative accuracy sigma_min loses at high condition;
     max_row_sum inverts P.  SingularMatrix if log ||P^{-1}|| is not finite.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "spectral":
+        if P.shape[-1] == 2:  # ||P||_1 = ||P^T||_inf
+            log_top = np.log(_mat_norm(P, kind))
+            log_inv = (log_top if kind == "spectral" else
+                       np.log(_mat_norm(np.swapaxes(P, -1, -2), kind))) - log_det
+        elif kind == "spectral":
             sigma = np.linalg.svd(P, compute_uv=False)
             log_top = np.log(sigma[..., 0])
             log_inv = np.log(sigma[..., :-1]).sum(axis=-1) - np.linalg.slogdet(P)[1]
@@ -80,6 +95,14 @@ def _log_norms(P: np.ndarray, kind: str) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(log_inv).all():
         raise SingularMatrix("singular cocycle product")
     return log_top, log_inv
+
+
+def _row_payload(potential, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int) -> tuple:
+    """A potential's joint-walk payload on each row, after the first n coordinates of its words."""
+    payload = None
+    for k in range(n):
+        payload = potential._extend(payload, base_arr[:, k], fiber_arr[:, k])
+    return payload
 
 
 def _generators_conformal(cocycle: CocyclePotential) -> bool:
@@ -110,16 +133,16 @@ class CocyclePotential(SubadditivePotential):
     def dim(self) -> int:
         return self.matrices.shape[2]
 
-    def products(self, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int) -> np.ndarray:
-        """Stacked products over the first n coordinates of each (base, fiber) row."""
-        P = np.broadcast_to(np.eye(self.dim), (len(base_arr), self.dim, self.dim))
-        for k in range(n):
-            P = self.matrices[base_arr[:, k], fiber_arr[:, k]] @ P
-        return P
+    def _extend(self, payload, u: np.ndarray, w: np.ndarray) -> tuple:
+        """A joint walk's payload one level deeper: (each row's product, from the identity)."""
+        return (self.matrices[u, w] @ (np.eye(self.dim) if payload is None else payload[0]),)
+
+    def _read(self, payload, n: int) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # a zero product gives f_n = -inf by design
+            return np.log(_mat_norm(payload[0], self.norm_kind))
 
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # a zero product gives f_n = -inf by design
-            return np.log(_mat_norm(self.products(base_arr, fiber_arr, n), self.norm_kind))
+        return self._read(_row_payload(self, base_arr, fiber_arr, n), n)
 
     def to_additive(self):
         if self.dim != 1:
@@ -143,11 +166,19 @@ class ScaledInverseNormPotential(SubadditivePotential):
         if self.t < 0.0:
             raise ValueError("scale t must be >= 0")
 
-    def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
+    def _extend(self, payload, u: np.ndarray, w: np.ndarray) -> tuple:
+        """The inner cocycle's product, and the Birkhoff sum of the generators' log|det|."""
+        (P,) = self.inner._extend(payload and payload[:1], u, w)
+        log_det = np.linalg.slogdet(self.inner.matrices)[1][u, w]  # -inf at a singular one
+        return P, log_det if payload is None else payload[1] + log_det
+
+    def _read(self, payload, n: int) -> np.ndarray:
         if self.t == 0.0:
-            return np.zeros(len(base_arr))
-        return self.t * _log_norms(self.inner.products(base_arr, fiber_arr, n),
-                                   self.inner.norm_kind)[1]
+            return np.zeros(len(payload[0]))
+        return self.t * _log_norms(payload[0], self.inner.norm_kind, payload[1])[1]
+
+    def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
+        return self._read(_row_payload(self, base_arr, fiber_arr, n), n)
 
     def to_additive(self):
         b = self.inner.matrices[:, :, 0, 0]

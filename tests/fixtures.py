@@ -17,6 +17,8 @@ from randpress import (
 )
 from randpress import pressure
 from randpress.base import DEFAULT_BUDGET, PrefixTree, _choice_cdf
+from randpress.bundle import fiber_words
+from randpress.errors import SingularMatrix
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 E = math.e
@@ -283,6 +285,86 @@ def reference_value(potential, u, w, n):
     inner = potential.inner
     P = np.linalg.inv(reference_product(inner, u, w, n))
     return potential.t * float(np.log(np.linalg.norm(P, _NORM_ORDER[inner.norm_kind])))
+
+
+def reference_products(cocycle, base_arr, fiber_arr, n):
+    """Stacked cocycle products, each row's built from the identity on its own: one stacked
+    matmul per coordinate, n per row."""
+    P = np.broadcast_to(np.eye(cocycle.dim), (len(base_arr), cocycle.dim, cocycle.dim))
+    for k in range(n):
+        P = cocycle.matrices[base_arr[:, k], fiber_arr[:, k]] @ P
+    return P
+
+
+def reference_log_norms(P, kind, inverse=True):
+    """(log ||P||, log ||P^{-1}|| or None) of a product stack by LAPACK for every d.
+
+    Spectral: a stacked SVD, and log 1/sigma_min = the other log sigma_i - LU's
+    log|det P|.  max_row_sum: the max row sum of P and of inv(P).  SingularMatrix
+    if log ||P^{-1}|| is not finite.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "spectral":
+            sigma = np.linalg.svd(P, compute_uv=False)
+            log_top = np.log(sigma[..., 0])
+            if not inverse:
+                return log_top, None
+            log_inv = np.log(sigma[..., :-1]).sum(axis=-1) - np.linalg.slogdet(P)[1]
+        else:
+            log_top = np.log(np.abs(P).sum(axis=-1).max(axis=-1))
+            if not inverse:
+                return log_top, None
+            try:
+                Pinv = np.linalg.inv(P)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMatrix(str(exc)) from exc
+            log_inv = np.log(np.abs(Pinv).sum(axis=-1).max(axis=-1))
+    if not np.isfinite(log_inv).all():
+        raise SingularMatrix("singular cocycle product")
+    return log_top, log_inv
+
+
+def reference_eval_batch(potential, base_arr, fiber_arr, n):
+    """f_n on stacked word rows: cocycle families from reference_products and LAPACK norms,
+    any other potential from its own eval_batch."""
+    if isinstance(potential, ScaledInverseNormPotential):
+        if potential.t == 0.0:
+            return np.zeros(len(base_arr))
+        P = reference_products(potential.inner, base_arr, fiber_arr, n)
+        return potential.t * reference_log_norms(P, potential.inner.norm_kind)[1]
+    if isinstance(potential, CocyclePotential):
+        P = reference_products(potential, base_arr, fiber_arr, n)
+        return reference_log_norms(P, potential.norm_kind, inverse=False)[0]
+    return potential.eval_batch(base_arr, fiber_arr, n)
+
+
+def reference_joint_values(bundle, potential, tree, d):
+    """(segments, key, f_d values or the SingularMatrix) per bundle.fiber_words chunk of the
+    depth-d base words of a tree: every (base word, fiber word) row evaluated on its own by
+    reference_eval_batch, keyed per (base word, last fiber symbol) within its chunk."""
+    words, A = tree.words(d), bundle.num_symbols
+    for c, row, fibers in fiber_words(bundle.allowed, words, d):
+        try:
+            vals = reference_eval_batch(potential, words[c][row], fibers, d)
+        except SingularMatrix as exc:
+            vals = exc
+        yield (c.stop - c.start) * A, row * A + fibers[:, -1], vals
+
+
+def reference_level_weights(bundle, potential, tree, depths, ts):
+    """The non-additive level weights one depth at a time from reference_joint_values: the
+    linear DP state of t * f_d at level d-1 for each d in depths, t on its leading axis."""
+    out = []
+    for d in depths:
+        parts = []
+        for size, key, vals in reference_joint_values(bundle, potential, tree, d):
+            if isinstance(vals, SingularMatrix) and (ts > 0.0).any():
+                raise vals
+            parts.append([pressure._segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)),
+                                                      key, size) for t in ts])
+        V = np.concatenate(parts, axis=1).reshape(len(ts), -1, bundle.num_symbols)
+        out.append(pressure._to_linear(V, d - 1))
+    return out
 
 
 def reference_sample_path(chain, n, seed):

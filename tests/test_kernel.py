@@ -446,18 +446,19 @@ def test_measure_sums_stop_at_the_budget_of_exact_pressure(S, A, budget):
 
 @contextlib.contextmanager
 def joint_rows(cap):
-    """Cap the joint rows per chunk of bundle.fiber_words (at least one base word each)."""
-    saved = bundle_module._JOINT_ROWS
-    bundle_module._JOINT_ROWS = cap
+    """Cap the joint rows per chunk of bundle.fiber_words and of pressure's joint walk (at
+    least one base word each)."""
+    saved = bundle_module._JOINT_ROWS, pressure._JOINT_ROWS
+    bundle_module._JOINT_ROWS = pressure._JOINT_ROWS = cap
     try:
         yield
     finally:
-        bundle_module._JOINT_ROWS = saved
+        bundle_module._JOINT_ROWS, pressure._JOINT_ROWS = saved
 
 
 def test_scale_one_sum_reduces_each_chunk_as_it_arrives():
-    """At scale 1 the fiber pass is reduced chunk by chunk, so no chunk is kept past its
-    reduce and a SingularMatrix ends the pass at the first chunk that raises it."""
+    """At scale 1 the joint walk is reduced chunk by chunk, so no chunk is kept past its
+    reduce and a SingularMatrix ends the walk at the first chunk that raises it."""
 
     class Counting:
         def __init__(self, pot):

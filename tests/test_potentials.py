@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,10 +12,12 @@ from randpress import (
     CocyclePotential,
     ScaledInverseNormPotential,
     check_subadditivity,
+    pressure_at_t,
     sup_norm_f1,
 )
 from randpress.errors import SingularMatrix
-from randpress.potentials import SubadditivePotential, _subadditivity_pairs
+from randpress.potentials import (SubadditivePotential, _log_norms, _mat_norm, _row_payload,
+                                  _subadditivity_pairs)
 
 from fixtures import (
     bernoulli_chain,
@@ -24,6 +28,8 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
+    reference_log_norms,
+    reference_products,
     reference_subadditivity_pairs,
     reference_value,
 )
@@ -124,6 +130,91 @@ def test_singular_product_raises():
     pot = ScaledInverseNormPotential(CocyclePotential(B), 1.0)
     with pytest.raises(SingularMatrix):
         eval_row(pot, (0, 0), (0, 1), 2)
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def test_2x2_closed_forms_match_mpmath_up_to_condition_1e12():
+    """sigma_1, the Birkhoff log|det P|, log ||P^-1||_2 and log ||P^-1||_inf of products of
+    n generators R diag(2, 1/2) R' (R, R' rotations by a few degrees), whose conditions
+    reach 4^20 ~ 1e12, are held to 1e-14 relative against 60-digit mpmath on the exact
+    product of the same generators (sigma_1 on the float product it reads).  The LAPACK
+    path's LU log|det| of the float product loses about cond * eps there."""
+    rng = np.random.default_rng(91)
+    worst, lu_worst, top_cond = 0.0, 0.0, 0.0
+    for n, _ in itertools.product((1, 5, 10, 15, 20), range(8)):
+        B = np.stack([_rotation(rng.normal(0.0, 0.05)) @ np.diag([2.0, 0.5])
+                      @ _rotation(rng.normal(0.0, 0.05)) * rng.uniform(0.5, 2.0)
+                      for _ in range(2)])[None]
+        u, w = np.zeros((1, n), dtype=int), rng.integers(0, 2, (1, n))
+        P, log_det = _row_payload(ScaledInverseNormPotential(CocyclePotential(B), 1.0), u, w, n)
+        assert np.array_equal(P, reference_products(CocyclePotential(B), u, w, n))
+        with mpmath.workdps(60):
+            gens = [mpmath.matrix(B[0, a].tolist()) for a in range(2)]
+            X = mpmath.eye(2)
+            for a in w[0]:
+                X = gens[a] * X
+            sigma, X_inv = mpmath.svd_r(X, compute_uv=False), X ** -1
+            top_cond = max(top_cond, float(max(sigma) / min(sigma)))
+            want = [max(mpmath.svd_r(mpmath.matrix(P[0].tolist()), compute_uv=False)),
+                    mpmath.log(abs(mpmath.det(X))), -mpmath.log(min(sigma)),
+                    mpmath.log(max(abs(X_inv[i, 0]) + abs(X_inv[i, 1]) for i in range(2)))]
+            want = np.array([float(x) for x in want])
+        got = np.array([_mat_norm(P, "spectral")[0], log_det[0],
+                        _log_norms(P, "spectral", log_det)[1][0],
+                        _log_norms(P, "max_row_sum", log_det)[1][0]])
+        worst = max(worst, np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+        lu = reference_log_norms(P, "spectral")[1][0]
+        lu_worst = max(lu_worst, abs(lu - want[2]) / max(1.0, abs(want[2])))
+    assert top_cond > 1e12
+    assert worst <= 1e-14
+    assert lu_worst > 1e-9  # what the Birkhoff determinant avoids
+
+
+def _raises_singular(f) -> bool:
+    try:
+        f()
+    except SingularMatrix:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("norm_kind", ["spectral", "max_row_sum"])
+def test_2x2_inverse_norm_raises_where_the_lapack_path_raised(norm_kind):
+    """SingularMatrix exactly on the words through a zero-determinant or a zero generator,
+    at every t > 0, as the LAPACK path raised; none at t = 0.  pressure_at_t raises at
+    t > 0 and counts fiber words at t = 0."""
+    B = np.tile(np.array([[2.0, 1.0], [0.5, 1.5]]), (1, 3, 1, 1))
+    B[0, 1] = [[1.0, 2.0], [0.5, 1.0]]  # determinant 0
+    B[0, 2] = 0.0
+    coc = CocyclePotential(B, norm_kind=norm_kind)
+    for w in itertools.product(range(3), repeat=3):
+        u, w = np.zeros((1, 3), dtype=int), np.array([w])
+        before = _raises_singular(lambda: reference_log_norms(
+            reference_products(coc, u, w, 3), norm_kind))
+        assert before == bool((w > 0).any())
+        for t in (0.5, 1.0):
+            assert _raises_singular(
+                lambda: ScaledInverseNormPotential(coc, t).eval_batch(u, w, 3)) == before
+        assert ScaledInverseNormPotential(coc, 0.0).eval_batch(u, w, 3) == 0.0
+    chain, bundle = one_state_chain(), full_shift_bundle(1, 3)
+    assert _raises_singular(lambda: pressure_at_t(chain, bundle, coc, 0.5, 2, 1))
+    assert pressure_at_t(chain, bundle, coc, 0.0, 2, 1).value == pytest.approx(math.log(3))
+
+
+def test_non_finite_2x2_products_read_hypot_where_the_svd_did_not():
+    """Pinned: a product with an infinite entry has spectral norm inf through hypot, where
+    the stacked SVD returned NaN; one with a NaN entry has norm NaN, where the SVD raised
+    LinAlgError."""
+    inf = np.array([[[np.inf, 1.0], [0.0, 1.0]]])
+    nan = np.array([[[np.nan, 1.0], [0.0, 1.0]]])
+    assert np.isnan(np.linalg.svd(inf, compute_uv=False)[0, 0])
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        np.linalg.svd(nan, compute_uv=False)
+    assert _mat_norm(inf, "spectral")[0] == np.inf
+    assert np.isnan(_mat_norm(nan, "spectral")[0])
 
 
 def test_sup_norm_zero_potential():

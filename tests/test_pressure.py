@@ -10,6 +10,7 @@ from randpress import (
     BaseChain,
     BundleSFT,
     CocyclePotential,
+    ScaledInverseNormPotential,
     SubadditivePotential,
     check_power_lemma,
     expected_log_sum,
@@ -17,7 +18,9 @@ from randpress import (
     log_partition_sum,
     pressure_curve,
 )
+from randpress import bundle as bundle_mod
 from randpress import pressure
+from randpress.base import DEFAULT_BUDGET
 from randpress.errors import BudgetExceeded, InvalidSampleCount
 
 from fixtures import (
@@ -33,7 +36,10 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
+    reference_joint_values,
+    reference_level_weights,
     reference_value,
+    state_log_weights,
 )
 
 
@@ -363,3 +369,83 @@ def test_batch_partition_matches_per_word_enumeration():
         vals = [reference_value(coc, word.symbols, w, 3)
                 for w in naive_fiber_words(bundle, word.symbols, 4)]
         assert value == pytest.approx(float(logsumexp(vals)), abs=1e-12)
+
+
+class _WalkedCocycle(CocyclePotential):
+    """A cocycle with no additive table, so that d = 1 products take the joint walk too."""
+
+    def to_additive(self):
+        return None
+
+
+class _WalkedInverse(ScaledInverseNormPotential):
+    def to_additive(self):
+        return None
+
+
+class _EvalBatchOnly:
+    """A plug-in potential with eval_batch alone: the walk carries its word columns."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def to_additive(self):
+        return None
+
+    def eval_batch(self, base_arr, fiber_arr, n):
+        return self.inner.eval_batch(base_arr, fiber_arr, n)
+
+
+def _global_rows(segments):
+    """(key, values) of a depth's chunks in one array each, keys offset by the earlier chunks."""
+    keys, vals, offset = [], [], 0
+    for size, key, values in segments:
+        keys.append(offset + key)
+        vals.append(values)
+        offset += size
+    return np.concatenate(keys), np.concatenate(vals)
+
+
+WALK_GRIDS = [[1], [3], [2, 3], [1, 2, 2, 4], [3, 3], [4]]
+
+
+@pytest.mark.parametrize("joint_rows", [pressure._JOINT_ROWS, 5])
+@pytest.mark.parametrize("norm_kind", ["spectral", "max_row_sum"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_joint_walk_equals_the_per_leaf_reference(monkeypatch, joint_rows, norm_kind, dim):
+    """Every row value of the joint walk, and the level weights it gives, equal the per-leaf
+    path it replaced: each product built from the identity on its own over bundle.fiber_words
+    chunks, and LAPACK norms.  They agree bit for bit, except for 2x2 spectral norms and
+    2x2 inverse norms, which closed forms read: those agree within 1e-12 relative.  S and A
+    are drawn from {2, 3}, trees are exact and Monte Carlo forests, grids repeat depths, and
+    with 5 joint rows a chunk is one deepest node whose ancestors earlier chunks also walked."""
+    monkeypatch.setattr(pressure, "_JOINT_ROWS", joint_rows)
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
+    rng = np.random.default_rng(70 + dim)
+    ts = np.array([0.0, 0.5, 1.0])
+    for i, depths in enumerate(WALK_GRIDS * 2):
+        S, A, m = int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        chain, bundle = random_chain(rng, S), random_bundle(rng, S, A)
+        coc = _WalkedCocycle(random_cocycle(rng, S, A, dim).matrices, norm_kind)
+        mode = ("exact", "monte_carlo")[i // len(WALK_GRIDS)]
+        tree = pressure._base_words(chain, depths[-1], m, mode, 7, i, DEFAULT_BUDGET)
+        for pot, closed_form in ((coc, dim == 2 and norm_kind == "spectral"),
+                                 (_WalkedInverse(coc, 0.7), dim == 2),
+                                 (_EvalBatchOnly(coc), False)):
+            walk = list(pressure._joint_walk(bundle, pot, tree, depths))
+            for j, d in enumerate(depths):
+                key, vals = _global_rows(chunk[j] for chunk in walk)
+                want_key, want = _global_rows(reference_joint_values(bundle, pot, tree, d))
+                assert np.array_equal(key, want_key)
+                if closed_form:
+                    np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0.0)
+                else:
+                    assert np.array_equal(vals, want)
+            got = pressure._level_weights(bundle, pot, tree, depths, DEFAULT_BUDGET)(ts)
+            want = reference_level_weights(bundle, pot, tree, depths, ts)
+            for g, w in zip(got, want, strict=True):
+                if closed_form:
+                    np.testing.assert_allclose(state_log_weights(g), state_log_weights(w),
+                                               rtol=1e-12, atol=1e-12)
+                else:
+                    assert np.array_equal(g.W, w.W) and np.array_equal(g.scale, w.scale)
