@@ -49,8 +49,13 @@ curve and stderr exactly when ``cmp`` finds their digests equal.
 
 With ``--values`` each row also holds the numeric leaves of its ``report.json``
 (``{json path: number}``, or null with no report).  ``--diff`` reads two such
-digests and prints the largest relative difference of a leaf, the case and path
-where it occurs, and the cases whose exit code, stderr or leaf paths differ.
+digests and prints the largest relative difference of a leaf with the case and
+path where it occurs, and apart from it the largest absolute difference of a
+root-search residual (``pressure_at_root``, ``iterations/*/pressure``: values
+near 0 whose sign is rounding noise at the root, so a relative difference says
+nothing).  A case whose leaf paths differ has its shared leaves compared and the
+paths found on one side only listed; a case whose exit code or stderr differs is
+listed, uncompared.
 """
 
 from __future__ import annotations
@@ -138,23 +143,43 @@ def _relative(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _absolute(a: float, b: float) -> float:
+    """|a - b|; 0 for equal values, infinite values included."""
+    return 0.0 if a == b or (a != a and b != b) else abs(a - b)
+
+
+def _residual(path: str) -> bool:
+    """Whether a leaf is a root-search residual: pressure_at_root or iterations/*/pressure."""
+    parts = path.split("/")
+    return parts[-1] == "pressure_at_root" or (
+        parts[-3:-2] == ["iterations"] and parts[-1] == "pressure")
+
+
 def diff(before: dict, after: dict) -> dict:
-    """The largest relative leaf difference between two --values digests, and the cases
-    that differ in anything else."""
-    worst, where, other = 0.0, None, []
+    """The largest relative difference of a leaf between two --values digests, the largest
+    absolute difference of a root-search residual leaf, the leaf paths found on one side
+    only, and the cases whose exit code or stderr differ."""
+    worst = {False: [0.0, None], True: [0.0, None]}  # keyed by _residual(path)
+    one_side, other = {}, []
     for case in sorted(before.keys() | after.keys()):
         a, b = before.get(case), after.get(case)
-        if a is None or b is None or len(a) < 5 or a[0] != b[0] or a[3] != b[3] \
-                or (a[4] or {}).keys() != (b[4] or {}).keys():
+        if a is None or b is None or len(a) < 5 or a[0] != b[0] or a[3] != b[3]:
             other.append(case)
             continue
-        for path, x in (a[4] or {}).items():
-            rel = _relative(x, b[4][path])
-            if rel > worst:
-                worst, where = rel, [case, path, x, b[4][path]]
-    return {"max_relative_difference": worst, "at": where, "cases": len(before),
+        x, y = a[4] or {}, b[4] or {}
+        if x.keys() != y.keys():
+            one_side[case] = {"before_only": sorted(x.keys() - y.keys()),
+                              "after_only": sorted(y.keys() - x.keys())}
+        for path in (path for path in x if path in y):
+            residual = _residual(path)
+            gap = (_absolute if residual else _relative)(x[path], y[path])
+            if gap > worst[residual][0]:
+                worst[residual] = [gap, [case, path, x[path], y[path]]]
+    return {"max_relative_difference": worst[False][0], "at": worst[False][1],
+            "max_residual_abs_difference": worst[True][0], "residual_at": worst[True][1],
+            "cases": len(before),
             "same_hashes": sum(before[c][1:3] == after.get(c, [None] * 3)[1:3] for c in before),
-            "other_differences": other}
+            "leaf_paths_on_one_side": one_side, "other_differences": other}
 
 
 def _write(out: Path, config: dict) -> Path:

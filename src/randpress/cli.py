@@ -15,7 +15,6 @@ import os
 import sys
 import time
 
-import numpy as np
 import yaml
 
 from . import __version__
@@ -24,12 +23,7 @@ from .config import Experiment, load_experiment
 from .errors import BudgetExceeded, ConfigError, InvariantViolation, RandpressError
 from .measures import check_lemma34, f_star_bracket
 from .potentials import CocyclePotential, check_subadditivity
-from .pressure import (
-    check_power_lemma,
-    greedy_maximal_separated,
-    log_partition_sum,
-    pressure_curve,
-)
+from .pressure import check_power_lemma, pressure_curve
 from .varprinciple import empirical_measure_diagnostic, vp_gap
 
 _FEKETE_TOL = 1e-9
@@ -127,7 +121,7 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
         violations.append("subadditivity")
 
     power = {}
-    for k in (1, 2, 3):
+    for k in (2, 3):  # at k = 1 the window covers every position: the slack is 0 by construction
         for n in (1, 2):
             for m in (1, 2):
                 try:
@@ -158,24 +152,11 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
         if fekete_worst is not None and fekete_worst > _FEKETE_TOL:
             violations.append("fekete")
 
-    greedy = []
-    n, m_sep = 2, 1
-    for u in exp.chain.prefix_tree(n + m_sep, run.budget).words()[:8].tolist():
-        _sel, log_sum = greedy_maximal_separated(
-            exp.bundle, exp.potential, u, n, m_sep, m_sep + 1, budget=run.budget
-        )
-        lhs = log_partition_sum(exp.bundle, exp.potential, u, n, m_sep, budget=run.budget)
-        slack = n * np.log(2.0) + log_sum - lhs
-        greedy.append(slack)
-        if slack < -_SLACK_TOL:
-            violations.append("greedy_2n_bound")
-
     results = {
         "subadditivity_worst": worst_subadd,
         "power_lemma_slacks": power,
         "lemma34_slacks": lemma34,
         "fekete_worst": fekete_worst,
-        "greedy_2n_slacks": greedy,
         "violations": sorted(set(violations)),
     }
     return results, (2 if violations else 0)

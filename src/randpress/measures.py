@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain, _freeze, _stationary_law
-from .bundle import BundleSFT, fiber_budget, fiber_words
+from .bundle import BundleSFT, _joint_walk, _word_columns, fiber_budget
 from .errors import InvalidMeasure, ShapeMismatch
 from .potentials import SubadditivePotential, sup_norm_f1
 
@@ -103,22 +103,24 @@ def fiber_entropy(meas: RandomMarkovMeasure, chain: BaseChain) -> float:
 def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, budget: int):
     """Every length-n (base word, fiber word) pair of positive measure weight, in chunks.
 
-    The fiber words grow under the support of Q.  A pair weighs
-    p(u0) pi_{u0}(w0) * prod T(u_{k-1}, u_k) * Q_{u_{k-1}}(w_{k-1}, w_k), the
-    measure of its cylinder.  Zero-weight rows are dropped before any
-    potential value is taken, so a -inf value on an unreachable word never
-    meets a zero weight.  Yields (base, fiber, weight) arrays.  The budget caps
-    base and fiber words as in exact pressure.
+    One joint walk of the base prefix tree, the fiber words grown under the support of Q.
+    A pair weighs p(u0) pi_{u0}(w0) * prod T(u_{k-1}, u_k) * Q_{u_{k-1}}(w_{k-1}, w_k), the
+    measure of its cylinder, carried as the walk's payload next to the word columns.
+    Zero-weight rows are dropped before any potential value is taken, so a -inf value on an
+    unreachable word never meets a zero weight.  Yields (base, fiber, weight) arrays.  The
+    budget caps base and fiber words as in exact pressure.
     """
-    words = chain.prefix_tree(n, budget).words()
+    tree = chain.prefix_tree(n, budget)
     fiber_budget(meas.transition.shape[1], n, budget)
-    lead = chain.stationary[:, None] * meas.initial
-    for chunk, row, fibers in fiber_words(meas.transition > 0.0, words, n):
-        u = words[chunk][row]
-        wgt = lead[u[:, 0], fibers[:, 0]]
-        for k in range(1, n):
-            wgt = wgt * chain.transition[u[:, k - 1], u[:, k]] * meas.transition[
-                u[:, k - 1], fibers[:, k - 1], fibers[:, k]]
+    lead, T, Q = chain.stationary[:, None] * meas.initial, chain.transition, meas.transition
+
+    def extend(payload, u, w):  # the word columns, then the weight times T Q per level
+        if payload is None:
+            return (*_word_columns(None, u, w), lead[u, w])
+        v, x = payload[0][:, -1], payload[1][:, -1]
+        return (*_word_columns(payload[:2], u, w), payload[2] * T[v, u] * Q[v, x, w])
+
+    for *_, (u, fibers, wgt) in _joint_walk(Q > 0.0, tree, [n], extend):
         keep = wgt > 0.0
         yield u[keep], fibers[keep], wgt[keep]
 

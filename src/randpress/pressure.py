@@ -7,9 +7,10 @@ runs level by level along a tree of base words, from the weights of one
 level-weights engine at scale 1 or on a vector of scales t: additive (and
 additive-reducible) potentials multiply in their one-step table on every level;
 any other potential is read at every depth asked for from one walk of the joint
-(base word, fiber word) tree, whose rows carry a payload such as the cocycle
-product (one stacked matmul per level), reduced per last fiber symbol and carried
-down the deeper levels.  The DP runs in scaled linear space, as the forward
+(base word, fiber word) tree (bundle._joint_walk, which the power-inequality and
+greedy checks walk too), whose rows carry a payload such as the cocycle product
+(one stacked matmul per level), reduced per last fiber symbol and carried down the
+deeper levels.  The DP runs in scaled linear space, as the forward
 algorithm of a hidden Markov model does: one matmul per level, a log scale per node
 and one log at the end.  A range rule keeps every weight within e^+-600 of 1; a
 table whose per-level spread would break it takes the log-space (log-sum-exp) step
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _sample_paths
-from .bundle import _JOINT_ROWS, BundleSFT, fiber_budget, fiber_words
+from .bundle import BundleSFT, _joint_walk, _per_chunk, _word_columns, fiber_budget
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation, SingularMatrix
 
 _MONO_TOL = 1e-9
@@ -185,57 +186,19 @@ def _tree_log_partition(bundle: BundleSFT, symbol, parent, state=None) -> np.nda
     return vals
 
 
-def _word_columns(payload, u: np.ndarray, w: np.ndarray) -> tuple:
-    """The default joint-walk payload one level deeper: each row's base and fiber word columns."""
-    return (u[:, None], w[:, None]) if payload is None else (
-        np.column_stack([payload[0], u]), np.column_stack([payload[1], w]))
-
-
-def _joint_walk(bundle: BundleSFT, potential, tree: PrefixTree, depths):
-    """One walk of the joint (base node, fiber word) tree: per chunk, a (segments, key, f_d or
-    its SingularMatrix) for each d in depths, keyed per (node, last fiber symbol).
-
-    A chunk is a run of nodes at level depths[-1]-1 with at most _JOINT_ROWS rows (or one
-    node), walked down from its level-0 ancestors.  Rows stay node-major and lexicographic:
-    each row takes the fiber symbols allowed after its last one, then each child node every
-    row of its node (skipped where each node has one child), one payload _extend per level.
-    Depth d reads the rows at level d-1 of the nodes no earlier chunk read.
-    """
-    sym, par, M, A = tree.symbol, tree.parent, bundle.allowed, bundle.num_symbols
-    top = depths[-1] - 1
-    extend = getattr(potential, "_extend", _word_columns)
+def _joint_values(bundle: BundleSFT, potential, tree: PrefixTree, depths):
+    """Per chunk and depth of one _joint_walk: (depth index, segments, key per (node, last
+    fiber symbol), f_d on each row or the SingularMatrix it raised).  The rows carry the
+    potential's _extend payload, read by its _read, or their word columns, read by its
+    eval_batch."""
+    A, extend = bundle.num_symbols, getattr(potential, "_extend", _word_columns)
     read = getattr(potential, "_read", lambda payload, d: potential.eval_batch(*payload, d))
-    done, step = [0] * (top + 1), max(1, _JOINT_ROWS // A ** (top + 1))
-    for first in range(0, len(sym[top]), step):
-        lo, hi = [first], [min(first + step, len(sym[top]))]
-        for k in range(top, 0, -1):  # the chunk's ancestors, consecutive nodes at every level
-            lo.insert(0, int(par[k][lo[0]]))
-            hi.insert(0, int(par[k][hi[0] - 1]) + 1)
-        node, last = np.repeat(np.arange(hi[0] - lo[0]), A), np.tile(np.arange(A), hi[0] - lo[0])
-        u, out = sym[0][lo[0]:hi[0]][node], []  # node counts from the chunk's first at its level
-        payload = extend(None, u, last)
-        for k in range(top + 1):
-            if k:
-                src, last = np.nonzero(M[u, last])
-                node = node[src]
-                if hi[k] - lo[k] != hi[k - 1] - lo[k - 1]:
-                    child = par[k][lo[k]:hi[k]] - lo[k - 1]
-                    begin = np.searchsorted(node, child)
-                    reps = np.searchsorted(node, child, side="right") - begin
-                    rows = np.arange(reps.sum()) + np.repeat(begin + reps - reps.cumsum(), reps)
-                    node, src, last = np.repeat(np.arange(len(child)), reps), src[rows], last[rows]
-                u = sym[k][lo[k]:hi[k]][node]
-                payload = extend(tuple(p[src] for p in payload), u, last)
-            new, done[k] = done[k] - lo[k], hi[k]  # nodes below new were read by an earlier chunk
-            for d in (d for d in depths if d == k + 1):
-                cut = np.searchsorted(node, new)
-                unread = tuple(p[cut:] for p in payload)
-                try:
-                    vals = read(unread, d) if cut < len(node) else np.zeros(0)
-                except SingularMatrix as exc:
-                    vals = exc
-                out.append(((hi[k] - lo[k] - new) * A, (node[cut:] - new) * A + last[cut:], vals))
-        yield out
+    for i, nodes, node, last, payload in _joint_walk(bundle.allowed, tree, depths, extend):
+        try:
+            vals = read(payload, depths[i]) if len(node) else np.zeros(0)
+        except SingularMatrix as exc:
+            vals = exc
+        yield i, (nodes.stop - nodes.start) * A, node * A + last, vals
 
 
 def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budget: int,
@@ -245,10 +208,10 @@ def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budge
     An additive potential scales its table by t and runs one DP pass through every
     depth.  Any other potential checks the fiber budget at the tree's length and takes f_d
     for every depth from one _joint_walk, on every admissible length-d fiber word over the
-    depth-d base words, keyed per (base word, last fiber symbol).  A call scales each
-    chunk's values by t and reduces them per key as the chunks arrive (one call only,
-    unless reuse keeps the chunks); a SingularMatrix is raised there at any t > 0.  No table
-    follows these weights, so they enter linear space as they are.
+    depth-d base words, keyed per (base word, last fiber symbol) by _joint_values.  A call
+    scales each chunk's values by t and reduces them per key as the chunks arrive (one call
+    only, unless reuse keeps the chunks); a SingularMatrix is raised there at any t > 0.  No
+    table follows these weights, so they enter linear space as they are.
     """
     sym, par, A = tree.symbol, tree.parent, bundle.num_symbols
     add = potential.to_additive()
@@ -260,17 +223,16 @@ def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budge
             return out[1:]
         return weights
     fiber_budget(A, len(sym), budget)
-    walk = _joint_walk(bundle, potential, tree, depths)
-    chunks = list(walk) if reuse else walk
+    chunks = _joint_values(bundle, potential, tree, depths)
+    chunks = list(chunks) if reuse else chunks
 
     def weights(ts):
         out = [[] for _ in depths]
-        for chunk in chunks:
-            for acc, (size, key, vals) in zip(out, chunk):
-                if isinstance(vals, SingularMatrix) and (ts > 0.0).any():
-                    raise vals  # at t = 0 every joint word weighs 1
-                acc.append([_segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key,
-                                               size) for t in ts])
+        for i, size, key, vals in chunks:
+            if isinstance(vals, SingularMatrix) and (ts > 0.0).any():
+                raise vals  # at t = 0 every joint word weighs 1
+            out[i].append([_segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key,
+                                              size) for t in ts])
         return [_to_linear(np.concatenate(acc, axis=1).reshape(len(ts), -1, A), d - 1)
                 for d, acc in zip(depths, out)]
     return weights
@@ -371,7 +333,7 @@ def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m:
         ts = np.asarray(ts, dtype=float)
         if not (np.isfinite(ts).all() and (ts >= 0.0).all()):
             raise ValueError(f"scale t must be finite and >= 0, got {ts.tolist()}")
-        step = max(1, _JOINT_ROWS // len(sym[-1]))  # caps the T * nodes rows of the DP arrays
+        step = _per_chunk(len(sym[-1]))  # caps the T * nodes rows of the DP arrays
         if len(ts) > step:
             return [est for i in range(0, len(ts), step) for est in evaluate(ts[i:i + step])]
         *lo, hi = weights(ts)  # lo is empty at n = 1
@@ -463,8 +425,8 @@ def greedy_maximal_separated(
     if n < 1 or base.shape[1] < ell:
         raise ValueError(f"need n >= 1 and a base word of length >= {ell}")
     fiber_budget(bundle.num_symbols, ell, budget)
-    [(_, _, candidates)] = fiber_words(bundle.allowed, base, ell)  # one base word, one chunk
-    values = potential.eval_batch(base.repeat(len(candidates), axis=0), candidates, n)
+    [(*_, (rows, candidates))] = _joint_walk(bundle.allowed, _forest(base), [ell])  # one chunk
+    values = potential.eval_batch(rows, candidates, n)
     best = _class_argmax(candidates[:, :n + m_sep - 1], values)  # in word order, as candidates
     selected = best[np.argsort(-values[best], kind="stable")]
     with np.errstate(divide="ignore"):
@@ -500,9 +462,9 @@ def check_power_lemma(
         words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
     window = sorted({i for j in range(n) for i in range(j * k, min(j * k + m, L))})
     slack = np.inf
-    for chunk, row, fibers in fiber_words(bundle.allowed, words, L):
-        size = chunk.stop - chunk.start
-        vals = potential.eval_batch(words[chunk][row], fibers, k * n)
+    for _, nodes, row, _, (base, fibers) in _joint_walk(bundle.allowed, _forest(words), [L]):
+        size = nodes.stop - nodes.start
+        vals = potential.eval_batch(base, fibers, k * n)
         lhs = _segment_logsumexp(vals, row, size)
         # Fiber words of one base word that agree on the separation window are
         # not separated for T^k; its partition sum takes one maximizer per class.

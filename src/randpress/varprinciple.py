@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain
-from .bundle import BundleSFT, fiber_budget, fiber_words
+from .bundle import BundleSFT, _joint_walk, fiber_budget
 from .errors import InvariantViolation
 from .measures import (
     FStarBracket,
@@ -169,12 +169,10 @@ def empirical_measure_diagnostic(
     hi = min(n, L - 1)  # shifted window end; needs position hi within the word
     tree = chain.prefix_tree(L, budget)
     fiber_budget(bundle.num_symbols, L, budget)
-    words, prob = tree.words(), tree.prob[-1]
-    for chunk, row, fibers in fiber_words(bundle.allowed, words, L):
-        u = words[chunk][row]
+    for _, nodes, row, _, (u, fibers) in _joint_walk(bundle.allowed, tree, [L]):
         vals = potential.eval_batch(u, fibers, n)
-        log_z = _segment_logsumexp(vals, row, len(words[chunk]))
-        p = (prob[chunk][row] * np.exp(vals - log_z[row]))[:, None]
+        log_z = _segment_logsumexp(vals, row, nodes.stop - nodes.start)
+        p = (tree.prob[-1][nodes][row] * np.exp(vals - log_z[row]))[:, None]
         np.add.at(marginal, (u[:, :n], fibers[:, :n]), p / n)
         if hi > 0:
             np.add.at(lead, (u[:, :hi], fibers[:, :hi]), p / hi)

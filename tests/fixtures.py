@@ -15,9 +15,9 @@ from randpress import (
     ScaledInverseNormPotential,
     stationary_distribution,
 )
+from randpress import bundle as bundle_mod
 from randpress import pressure
 from randpress.base import DEFAULT_BUDGET, PrefixTree, _choice_cdf
-from randpress.bundle import fiber_words
 from randpress.errors import SingularMatrix
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -338,12 +338,34 @@ def reference_eval_batch(potential, base_arr, fiber_arr, n):
     return potential.eval_batch(base_arr, fiber_arr, n)
 
 
+def reference_fiber_words(support, base, ell):
+    """Length-ell fiber words over each row of an (N, >= ell-1) base-word array, in chunks.
+
+    The chunked enumerator the joint walk replaced: grown one symbol per level under
+    support[u_{k-1}], yielding (chunk, row, words) per slice of consecutive base words, words[r]
+    over base[chunk][row[r]], rows in base order and, over one base word, lexicographic.  A
+    chunk holds at most bundle._JOINT_ROWS joint rows (read at call time), unless one base word
+    has more.
+    """
+    A = support.shape[1]
+    step = max(1, bundle_mod._JOINT_ROWS // A ** ell)
+    for lo in range(0, len(base), step):
+        chunk = slice(lo, min(lo + step, len(base)))
+        head = base[chunk]
+        row = np.repeat(np.arange(len(head)), A)
+        words = np.tile(np.arange(A), len(head))[:, None]
+        for k in range(1, ell):
+            par, sym = np.nonzero(support[head[row, k - 1], words[:, -1]])
+            row, words = row[par], np.column_stack([words[par], sym])
+        yield chunk, row, words
+
+
 def reference_joint_values(bundle, potential, tree, d):
-    """(segments, key, f_d values or the SingularMatrix) per bundle.fiber_words chunk of the
-    depth-d base words of a tree: every (base word, fiber word) row evaluated on its own by
-    reference_eval_batch, keyed per (base word, last fiber symbol) within its chunk."""
+    """(segments, key, f_d values or the SingularMatrix) per reference_fiber_words chunk of
+    the depth-d base words of a tree: every (base word, fiber word) row evaluated on its own
+    by reference_eval_batch, keyed per (base word, last fiber symbol) within its chunk."""
     words, A = tree.words(d), bundle.num_symbols
-    for c, row, fibers in fiber_words(bundle.allowed, words, d):
+    for c, row, fibers in reference_fiber_words(bundle.allowed, words, d):
         try:
             vals = reference_eval_batch(potential, words[c][row], fibers, d)
         except SingularMatrix as exc:

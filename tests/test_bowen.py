@@ -313,7 +313,7 @@ def test_batched_scales_equal_per_t_evaluations_bit_for_bit(monkeypatch, joint_r
     rows the deeper trees split the five scales into smaller batches.  The scalar cocycle
     also takes scales whose tables leave linear space above, at and below the tree's depth,
     so that a batch never changes a scale's bits across the log-space fallback."""
-    monkeypatch.setattr(pressure, "_JOINT_ROWS", joint_rows)
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
     rng = np.random.default_rng(40 + dim)
     chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 3)
     cocycle = random_cocycle(rng, 2, 3, dim=dim, norm_kind=norm_kind)
@@ -381,9 +381,9 @@ def test_scalar_family_runs_one_dp_pass_for_any_number_of_scales(monkeypatch, n,
 
 @pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 40])
 def test_joint_row_cap_splits_the_scales_into_batches(monkeypatch, joint_rows):
-    """pressure._JOINT_ROWS caps the rows of one DP: five scales on a tree of N leaves run
+    """bundle._JOINT_ROWS caps the rows of one DP: five scales on a tree of N leaves run
     in batches of max(1, cap // N) scales, two partition sums (depths n and n-1) each."""
-    monkeypatch.setattr(pressure, "_JOINT_ROWS", joint_rows)
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
     rng = np.random.default_rng(42)
     chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 3)
     cocycle = random_cocycle(rng, 2, 3, dim=2, norm_kind="spectral")
@@ -398,6 +398,41 @@ def test_joint_row_cap_splits_the_scales_into_batches(monkeypatch, joint_rows):
         batches.append(-(-len(FAMILY_SCALES) // max(1, joint_rows // leaves)))
         assert calls["_tree_log_partition"] == batches[-1] * (2 if n + m > 2 else 1)
     assert max(batches) == (1 if joint_rows > 40 else len(FAMILY_SCALES))
+
+
+def test_patching_the_one_joint_row_cap_moves_the_walk_and_the_scale_batches(monkeypatch):
+    """_JOINT_ROWS is bound once, in bundle, and read where it is used: patching that name
+    alone caps the rows of every chunk the family's joint walk hands to eval_batch, and splits
+    five scales on a tree of 32 leaves into batches of max(1, cap // 32), with equal values."""
+    chain, bundle = BaseChain.from_transition(np.full((2, 2), 0.5)), full_shift_bundle(2, 2)
+    inverse = ScaledInverseNormPotential(random_cocycle(np.random.default_rng(44), 2, 2), 1.0)
+    rows, batches = [], []
+
+    class EvalBatchOnly:  # no _extend: the walk's chunks reach eval_batch as word columns
+        def to_additive(self):
+            return None
+
+        def eval_batch(self, base_arr, fiber_arr, n):
+            rows.append(len(base_arr))
+            return inverse.eval_batch(base_arr, fiber_arr, n)
+
+    tree_log_partition = pressure._tree_log_partition
+
+    def recording(bundle, symbol, parent, state):
+        batches.append(len(state.W))
+        return tree_log_partition(bundle, symbol, parent, state)
+
+    def solve():
+        rows.clear(), batches.clear()
+        return pressure._increment_family(chain, bundle, EvalBatchOnly(), 4, 2, "exact", 0, 0,
+                                          DEFAULT_BUDGET)(FAMILY_SCALES)
+
+    monkeypatch.setattr(pressure, "_tree_log_partition", recording)
+    whole = solve()
+    assert (max(rows), batches) == (16 * 2 ** 4, [5, 5])  # one chunk, one batch
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", 40)
+    assert solve() == whole
+    assert (max(rows), batches) == (2 * 2 ** 4, [1] * 10)  # two depth-4 nodes per chunk
 
 
 def _per_t_family(chain, bundle, cocycle, n, m, mode, samples, seed, budget):

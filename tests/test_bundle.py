@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from randpress import BundleSFT
-from randpress.bundle import fiber_words
+from randpress.bundle import _joint_walk
+from randpress.pressure import _forest
 
 from fixtures import golden_mean, naive_fiber_words, random_bundle, random_chain, transfer_count
 
 
 def cylinders(bundle, u, ell):
-    """The fiber words of length ell over one base word, as tuples."""
-    [(_, _, words)] = fiber_words(bundle.allowed, np.array([u]), ell)
+    """The fiber words of length ell over one base word, from the joint walk, as tuples."""
+    [(_, nodes, node, last, (base, words))] = _joint_walk(bundle.allowed, _forest([u]), [ell])
+    assert nodes == slice(0, 1) and not node.any() and np.array_equal(last, words[:, -1])
+    assert (base == np.asarray(u[:ell])).all()
     return [tuple(w) for w in words.tolist()]
 
 

@@ -379,7 +379,7 @@ def test_lemmas_skips_a_power_lemma_cell_over_the_base_budget(tmp_path):
     out = tmp_path / "o"
     assert cli.run(write_config(tmp_path, tree), output_dir=str(out)) == 0
     results = json.loads((out / "report.json").read_text())["results"]
-    cells = {f"k={k},n={n},m={m}" for k in (1, 2, 3) for n in (1, 2) for m in (1, 2)}
+    cells = {f"k={k},n={n},m={m}" for k in (2, 3) for n in (1, 2) for m in (1, 2)}
     assert set(results["power_lemma_slacks"]) == cells - {"k=3,n=2,m=2"}
     assert results["violations"] == []
 

@@ -39,7 +39,6 @@ from randpress import (
 from randpress import bundle as bundle_module
 from randpress import pressure
 from randpress.base import DEFAULT_BUDGET, _sample_paths
-from randpress.bundle import fiber_words
 from randpress.errors import BudgetExceeded, EmptyFiber, SingularMatrix
 
 from fixtures import (
@@ -158,7 +157,9 @@ def test_fiber_word_rows_per_base_word_match_transfer_count(system):
     chain, bundle, _pot, n, m = system
     L = n + m - 1
     words = np.array([u for u, _ in base_words(chain, L)])
-    row = np.concatenate([chunk.start + r for chunk, r, _ in fiber_words(bundle.allowed, words, L)])
+    walk = list(bundle_module._joint_walk(bundle.allowed, chain.prefix_tree(L), [L]))
+    row = np.concatenate([nodes.start + node for _, nodes, node, _, _ in walk])
+    assert np.array_equal(np.concatenate([u for *_, (u, _) in walk]), words[row])
     assert np.bincount(row, minlength=len(words)).tolist() == [
         transfer_count(bundle, u, L) for u in words.tolist()]
 
@@ -446,14 +447,12 @@ def test_measure_sums_stop_at_the_budget_of_exact_pressure(S, A, budget):
 
 @contextlib.contextmanager
 def joint_rows(cap):
-    """Cap the joint rows per chunk of bundle.fiber_words and of pressure's joint walk (at
-    least one base word each)."""
-    saved = bundle_module._JOINT_ROWS, pressure._JOINT_ROWS
-    bundle_module._JOINT_ROWS = pressure._JOINT_ROWS = cap
+    """Cap the joint rows per chunk of the joint walk (at least one base word each)."""
+    saved, bundle_module._JOINT_ROWS = bundle_module._JOINT_ROWS, cap
     try:
         yield
     finally:
-        bundle_module._JOINT_ROWS, pressure._JOINT_ROWS = saved
+        bundle_module._JOINT_ROWS = saved
 
 
 def test_scale_one_sum_reduces_each_chunk_as_it_arrives():
@@ -475,7 +474,8 @@ def test_scale_one_sum_reduces_each_chunk_as_it_arrives():
     bundle = BundleSFT.from_matrices(np.ones((2, 2, 2), dtype=int))
     singular = Counting(ScaledInverseNormPotential(CocyclePotential(np.zeros((2, 2, 2, 2))), 1.0))
     with joint_rows(8):  # 16 base words of length 4, one per chunk
-        assert len(list(fiber_words(bundle.allowed, chain.prefix_tree(4).words(), 4))) == 16
+        walk = bundle_module._joint_walk(bundle.allowed, chain.prefix_tree(4), [4])
+        assert len(list(walk)) == 16
         with pytest.raises(SingularMatrix):
             expected_log_sum(chain, bundle, singular, 4, 1)
     assert singular.calls == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,9 @@ from randpress import (
     validate_measure,
 )
 from randpress import AdditivePotential, BaseChain, BundleSFT, ScaledInverseNormPotential
+from randpress import bundle as bundle_mod
+from randpress import measures
+from randpress.base import DEFAULT_BUDGET
 from randpress.errors import InvalidMeasure, NonErgodicChain, ShapeMismatch
 
 from fixtures import (
@@ -25,6 +29,7 @@ from fixtures import (
     fix_d,
     full_shift_bundle,
     golden_mean,
+    naive_fiber_words,
     one_state_chain,
     parry_measure,
     random_additive,
@@ -342,3 +347,40 @@ def test_stacked_additive_average_matches_the_symbol_loop():
             assert abs(potential_average(meas, chain, bundle, pot, n) - ref) <= 1e-15 * scale
         checked += 1
     assert checked >= 60
+
+
+@pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
+def test_weighted_words_match_a_brute_force_enumeration_bit_for_bit(monkeypatch, joint_rows):
+    """_weighted_words yields every (base word, fiber word) pair of positive weight, base words
+    and then fiber words in lexicographic order, weighing p(u0) pi_u0(w0) prod T Q multiplied
+    in that order, so rows, row order and weights match a brute-force enumeration exactly.
+    S and A are drawn from {2, 3}; T, Q and the initials hold zeros; with 5 joint rows a chunk
+    holds one or two base words."""
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
+    rng = np.random.default_rng(23)
+    for _ in range(16):
+        S, A, n = int(rng.integers(2, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 5))
+        T = rng.uniform(0.1, 1.0, (S, S)) * (rng.random((S, S)) < 0.5)
+        T[np.arange(S), (np.arange(S) + 1) % S] += 0.5  # a cycle and a self-loop: ergodic
+        T[0, 0] += 0.5
+        chain = BaseChain.from_transition(T / T.sum(axis=1, keepdims=True))
+        Q = rng.uniform(0.1, 1.0, (S, A, A)) * (rng.random((S, A, A)) < 0.6)
+        Q[np.arange(S)[:, None], np.arange(A), rng.integers(A, size=(S, A))] += 0.5
+        pi = rng.uniform(0.1, 1.0, (S, A)) * (rng.random((S, A)) < 0.7)
+        pi[:, 0] += 0.1
+        meas = RandomMarkovMeasure(pi / pi.sum(axis=1, keepdims=True),
+                                   Q / Q.sum(axis=2, keepdims=True))
+        support = BundleSFT.from_matrices((meas.transition > 0.0).astype(int))
+        p, T, Q = chain.stationary, chain.transition, meas.transition
+        want = []
+        for u in itertools.product(range(S), repeat=n):
+            for w in naive_fiber_words(support, u, n):
+                wgt = p[u[0]] * meas.initial[u[0], w[0]]
+                for k in range(1, n):
+                    wgt = wgt * T[u[k - 1], u[k]] * Q[u[k - 1], w[k - 1], w[k]]
+                if wgt > 0.0:
+                    want.append((u, w, wgt))
+        got = [(tuple(u), tuple(w), x)
+               for U, W, X in measures._weighted_words(meas, chain, n, DEFAULT_BUDGET)
+               for u, w, x in zip(U.tolist(), W.tolist(), X.tolist())]
+        assert got == want

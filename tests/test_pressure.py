@@ -409,17 +409,17 @@ def _global_rows(segments):
 WALK_GRIDS = [[1], [3], [2, 3], [1, 2, 2, 4], [3, 3], [4]]
 
 
-@pytest.mark.parametrize("joint_rows", [pressure._JOINT_ROWS, 5])
+@pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
 @pytest.mark.parametrize("norm_kind", ["spectral", "max_row_sum"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_joint_walk_equals_the_per_leaf_reference(monkeypatch, joint_rows, norm_kind, dim):
     """Every row value of the joint walk, and the level weights it gives, equal the per-leaf
-    path it replaced: each product built from the identity on its own over bundle.fiber_words
-    chunks, and LAPACK norms.  They agree bit for bit, except for 2x2 spectral norms and
-    2x2 inverse norms, which closed forms read: those agree within 1e-12 relative.  S and A
-    are drawn from {2, 3}, trees are exact and Monte Carlo forests, grids repeat depths, and
-    with 5 joint rows a chunk is one deepest node whose ancestors earlier chunks also walked."""
-    monkeypatch.setattr(pressure, "_JOINT_ROWS", joint_rows)
+    path it replaced: each product built from the identity on its own over the chunks of
+    reference_fiber_words, and LAPACK norms.  They agree bit for bit, except for 2x2 spectral
+    norms and 2x2 inverse norms, which closed forms read: those agree within 1e-12 relative.
+    S and A are drawn from {2, 3}, trees are exact and Monte Carlo forests, grids repeat
+    depths, and with 5 joint rows a chunk is one deepest node whose ancestors earlier chunks
+    also walked."""
     monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
     rng = np.random.default_rng(70 + dim)
     ts = np.array([0.0, 0.5, 1.0])
@@ -432,9 +432,9 @@ def test_joint_walk_equals_the_per_leaf_reference(monkeypatch, joint_rows, norm_
         for pot, closed_form in ((coc, dim == 2 and norm_kind == "spectral"),
                                  (_WalkedInverse(coc, 0.7), dim == 2),
                                  (_EvalBatchOnly(coc), False)):
-            walk = list(pressure._joint_walk(bundle, pot, tree, depths))
+            walk = list(pressure._joint_values(bundle, pot, tree, depths))
             for j, d in enumerate(depths):
-                key, vals = _global_rows(chunk[j] for chunk in walk)
+                key, vals = _global_rows(rows for i, *rows in walk if i == j)
                 want_key, want = _global_rows(reference_joint_values(bundle, pot, tree, d))
                 assert np.array_equal(key, want_key)
                 if closed_form:
