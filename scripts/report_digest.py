@@ -35,6 +35,11 @@ records it.  The cases are:
   the SVD and inverse path, and on a near-singular 2x2 cocycle (products of
   condition up to about 1e12), which reads the 2x2 closed forms; each carries
   a uniform measure, so ``dimension`` also reports the Lyapunov spread;
+- ``vp-check`` at N = 9 with a 2x2 cocycle and a uniform measure on full 2-shifts,
+  whose depth-9 measure cylinders (2^18 rows) span four chunks of the joint walk,
+  which cuts every shallower depth where those chunks fall, and ``lemmas`` at N = 8
+  on a 3-state base (3^8 x 2^8 rows at depth 8, 26 chunks), whose Lemma 3.4 and
+  Fekete leaves read the shallower depths that ``vp-check``'s minimum does not;
 - error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
   ``pressure`` grid that crosses the base budget and one that crosses the
   fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
@@ -238,6 +243,8 @@ def cases(out: Path, seeds: list[int]):
         for norm, verb in itertools.product(("spectral", "max_row_sum"), ("pressure", "dimension")):
             config = system | {"potential": system["potential"] | {"norm": norm}}
             yield f"{name} cocycle {norm} {verb}", _run(out, _write(out, config), verb=verb)
+    for config in (MULTI_CHUNK, MULTI_CHUNK_LEMMAS):
+        yield f"multi-chunk measure sums {config['run']['verb']}", _run(out, _write(out, config))
 
 
 # A 2x2 cocycle over a 2-state base with A = 2, and the same cocycle with the generator
@@ -265,6 +272,18 @@ CUBIC = COCYCLE | {"measures": UNIFORM, "potential": {"kind": "cocycle", "matric
 NEAR_SINGULAR = COCYCLE | {"measures": UNIFORM, "potential": {"kind": "cocycle", "matrices": [
     [[[1e4, 1e4], [1e4 - 4, 1e4]], [[1e4, 1e4 - 6], [1e4, 1e4]]],
     [[[2e4, 1e4], [2e4 - 5, 1e4]], [[1e4, 2e4 - 6], [1e4, 2e4]]]]}}
+# 2^9 base words times 2^9 fiber words at depth N = 9: four chunks of 2^16 joint rows; then
+# 3^8 base words times 2^8 fiber words at depth 8, the deepest lemmas reads.
+MULTI_CHUNK = COCYCLE | {"measures": UNIFORM, "run": {
+    "verb": "vp-check", "n_list": [2], "m_list": [1], "N": 9}}
+MULTI_CHUNK_LEMMAS = {
+    "base": {"transition": [[1 / 3] * 3] * 3},
+    "bundle": {"allowed": [[[1, 1], [1, 1]]] * 3},
+    "potential": {"kind": "cocycle", "matrices": [
+        *COCYCLE["potential"]["matrices"], [[[1.5, 0.5], [0.0, 2.0]], [[1.0, 1.0], [0.5, 2.0]]]]},
+    "measures": [{"transition": [[[0.5, 0.5], [0.5, 0.5]]] * 3, "auto": True}],
+    "run": {"verb": "lemmas", "N": 8},
+}
 # Bernoulli base, 2 fiber choices under s0 and 3 under s1, zero potential (pressure
 # 0.5 log 6), and a row-uniform measure whose initials the auto solve supplies.
 FIX_B = {

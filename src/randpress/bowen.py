@@ -19,7 +19,7 @@ from .errors import NoBracket, NonMonotone
 from .measures import RandomMarkovMeasure, _require_valid, _weighted_words
 from .pressure import _MONO_TOL, PressureEstimate, _increment_family
 from .potentials import (CocyclePotential, ScaledInverseNormPotential, _generators_conformal,
-                         _log_norms, _row_payload)
+                         _log_norms)
 
 
 def _inverse_norm_family(chain: BaseChain, bundle: BundleSFT, cocycle: CocyclePotential,
@@ -144,9 +144,9 @@ def lyapunov_spread(
     tested measure and depth only.
     """
     _require_valid(meas, chain, bundle)
-    top = inv = 0  # both norms from one product stack per chunk of measure cylinders
-    for u, w, wgt in _weighted_words(meas, chain, n, budget):
-        P, log_det = _row_payload(ScaledInverseNormPotential(cocycle, 1.0), u, w, n)
+    top = inv = 0  # both norms off the inverse-norm payload of each chunk of measure cylinders
+    unit = ScaledInverseNormPotential(cocycle, 1.0)
+    for _, wgt, (P, log_det) in _weighted_words(meas, chain, unit._extend, [n], budget):
         log_top, log_inv = _log_norms(P, cocycle.norm_kind, log_det)
         top += np.dot(wgt, log_top)
         inv += np.dot(wgt, log_inv)

@@ -85,6 +85,12 @@ def _word_columns(payload, u: np.ndarray, w: np.ndarray) -> tuple:
         np.column_stack([payload[0], u]), np.column_stack([payload[1], w]))
 
 
+def _payload_of(potential) -> tuple:
+    """A potential's joint-walk (extend, read): its own, or _word_columns read by eval_batch."""
+    return (getattr(potential, "_extend", _word_columns),
+            getattr(potential, "_read", lambda payload, d: potential.eval_batch(*payload, d)))
+
+
 def _joint_walk(support: np.ndarray, tree, depths, extend=_word_columns):
     """One walk of the joint (base node, fiber word) tree of a base.PrefixTree, in chunks.
 

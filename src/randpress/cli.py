@@ -21,7 +21,7 @@ from . import __version__
 from .bowen import dimension_root, lyapunov_spread
 from .config import Experiment, load_experiment
 from .errors import BudgetExceeded, ConfigError, InvariantViolation, RandpressError
-from .measures import check_lemma34, f_star_bracket
+from .measures import _lemma34
 from .potentials import CocyclePotential, check_subadditivity
 from .pressure import check_power_lemma, pressure_curve
 from .varprinciple import empirical_measure_diagnostic, vp_gap
@@ -138,13 +138,11 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
     lemma34 = []
     fekete_worst = None
     for meas in exp.measures:
-        slack = check_lemma34(meas, exp.chain, exp.bundle, exp.potential,
-                              n=min(run.N, 4), k=2, budget=run.budget)
+        slack, a = _lemma34(meas, exp.chain, exp.bundle, exp.potential, min(run.N, 4), 2,
+                            range(1, min(run.N, 8) + 1), run.budget)  # a_1 .. a_N, one walk
         lemma34.append(slack)
         if slack < -_SLACK_TOL:
             violations.append("lemma34")
-        a = f_star_bracket(meas, exp.chain, exp.bundle, exp.potential, min(run.N, 8),
-                           budget=run.budget).values
         for i in range(1, len(a) + 1):
             for j in range(1, len(a) + 1 - i):
                 viol = a[i + j - 1] - a[i - 1] - a[j - 1]

@@ -1,10 +1,11 @@
 """Random Markov measures: invariant measures with prescribed base marginal.
 
-A measure is given per base symbol s by an initial fiber distribution pi_s
-and a row-stochastic fiber transition Q_s supported inside the bundle's
-admissibility matrix.  Its cylinders weigh p(u0) pi_{u0}(w0) prod T Q, which
-is shift-invariant exactly when the joint law j(s, a) = p(s) pi_s(a) is
-stationary for the joint kernel K((r, a), (s, b)) = T(r, s) Q_r(a, b).
+A measure is given per base symbol s by an initial fiber distribution pi_s and a
+row-stochastic fiber transition Q_s supported inside the bundle's admissibility matrix.  Its
+cylinders weigh p(u0) pi_{u0}(w0) prod T Q, which is shift-invariant exactly when the joint
+law j(s, a) = p(s) pi_s(a) is stationary for the joint kernel K((r, a), (s, b)) = T(r, s)
+Q_r(a, b).  The averages a_1 .. a_N of f_n are read off one joint walk of the cylinders of
+positive weight, each row's weight next to the potential's own payload (bundle._payload_of).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain, _freeze, _stationary_law
-from .bundle import BundleSFT, _joint_walk, _word_columns, fiber_budget
+from .bundle import BundleSFT, _joint_walk, _payload_of, fiber_budget
 from .errors import InvalidMeasure, ShapeMismatch
 from .potentials import SubadditivePotential, sup_norm_f1
 
@@ -100,29 +101,39 @@ def fiber_entropy(meas: RandomMarkovMeasure, chain: BaseChain) -> float:
     return float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, row))
 
 
-def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, n: int, budget: int):
-    """Every length-n (base word, fiber word) pair of positive measure weight, in chunks.
-
-    One joint walk of the base prefix tree, the fiber words grown under the support of Q.
-    A pair weighs p(u0) pi_{u0}(w0) * prod T(u_{k-1}, u_k) * Q_{u_{k-1}}(w_{k-1}, w_k), the
-    measure of its cylinder, carried as the walk's payload next to the word columns.
-    Zero-weight rows are dropped before any potential value is taken, so a -inf value on an
-    unreachable word never meets a zero weight.  Yields (base, fiber, weight) arrays.  The
-    budget caps base and fiber words as in exact pressure.
-    """
-    tree = chain.prefix_tree(n, budget)
-    fiber_budget(meas.transition.shape[1], n, budget)
+def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, extend, depths, budget: int):
+    """Every (base word, fiber word) pair of positive measure weight at each depth, in chunks:
+    one walk of the base prefix tree, fiber words grown under the support of Q, each row's
+    weight p(u0) pi_{u0}(w0) * prod T(u_{k-1}, u_k) * Q_{u_{k-1}}(w_{k-1}, w_k) carried next to
+    its last symbols and the payload extend grows.  Rows of zero weight are dropped before any
+    value is read (a -inf value on an unreachable word never meets a zero weight).  Yields
+    (depth index, weight, payload) arrays."""
+    tree = chain.prefix_tree(depths[-1], budget)
+    fiber_budget(meas.transition.shape[1], depths[-1], budget)
     lead, T, Q = chain.stationary[:, None] * meas.initial, chain.transition, meas.transition
 
-    def extend(payload, u, w):  # the word columns, then the weight times T Q per level
+    def weighed(payload, u, w):  # the weight times T Q per level
         if payload is None:
-            return (*_word_columns(None, u, w), lead[u, w])
-        v, x = payload[0][:, -1], payload[1][:, -1]
-        return (*_word_columns(payload[:2], u, w), payload[2] * T[v, u] * Q[v, x, w])
+            return (u, w, lead[u, w], *extend(None, u, w))
+        v, x, wgt, *rest = payload
+        return (u, w, wgt * T[v, u] * Q[v, x, w], *extend(tuple(rest), u, w))
 
-    for *_, (u, fibers, wgt) in _joint_walk(Q > 0.0, tree, [n], extend):
+    for i, *_, (_, _, wgt, *rest) in _joint_walk(Q > 0.0, tree, depths, weighed):
         keep = wgt > 0.0
-        yield u[keep], fibers[keep], wgt[keep]
+        yield i, wgt[keep], tuple(p[keep] for p in rest)
+
+
+def _averages(meas, chain, bundle, potential, depths, budget: int, valid=None) -> list[float]:
+    """potential_average at each of an increasing list of depths, off one walk; valid if known."""
+    add = potential.to_additive()
+    if add is not None and (valid or valid is None and validate_measure(meas, chain, bundle).valid):
+        table = np.where(meas.initial > 0.0, add.table, 0.0)  # no 0 * -inf on an unvisited symbol
+        one = float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, table))
+        return [d * one for d in depths]
+    (extend, read), a = _payload_of(potential), [0] * len(depths)
+    for i, wgt, payload in _weighted_words(meas, chain, extend, depths, budget):
+        a[i] += np.dot(wgt, read(payload, depths[i]))
+    return [float(x) for x in a]
 
 
 def potential_average(
@@ -135,18 +146,12 @@ def potential_average(
 ) -> float:
     """a_n = integral of f_n against the measure, exact at depth n.
 
-    Additive potentials on valid (invariant) measures collapse to n times the
-    one-step average; otherwise f_n is evaluated in batch on every cylinder
-    of positive weight.
+    Additive potentials on valid (invariant) measures collapse to n times the one-step
+    average; otherwise f_n is read on every cylinder of positive weight.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    add = potential.to_additive()
-    if add is not None and validate_measure(meas, chain, bundle).valid:
-        table = np.where(meas.initial > 0.0, add.table, 0.0)  # no 0 * -inf on an unvisited symbol
-        return n * float(np.einsum("s,sa,sa->", chain.stationary, meas.initial, table))
-    return float(sum(np.dot(wgt, potential.eval_batch(u, w, n))
-                     for u, w, wgt in _weighted_words(meas, chain, n, budget)))
+    return _averages(meas, chain, bundle, potential, [n], budget)[0]
 
 
 @dataclass(frozen=True)
@@ -165,17 +170,18 @@ def f_star_bracket(
     N: int,
     budget: int = DEFAULT_BUDGET,
 ) -> FStarBracket:
-    """Finite bracket for the sub-additive limit of a_n / n."""
+    """Finite bracket for the sub-additive limit of a_n / n, a_1 .. a_N from one walk."""
+    return _f_star(meas, chain, bundle, potential, N, budget)
+
+
+def _f_star(meas, chain, bundle, potential, N: int, budget: int, valid=None) -> FStarBracket:
+    """f_star_bracket, given validate_measure's verdict where the caller has taken it."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    a = [potential_average(meas, chain, bundle, potential, n, budget=budget) for n in range(1, N + 1)]
+    a = _averages(meas, chain, bundle, potential, range(1, N + 1), budget, valid)
     ratios = [a[i] / (i + 1) for i in range(N)]
-    return FStarBracket(
-        upper=float(min(ratios)),
-        estimate=float(ratios[-1]),
-        minus_inf=bool(ratios[-1] < _F_STAR_FLOOR),
-        values=tuple(a),
-    )
+    return FStarBracket(upper=float(min(ratios)), estimate=float(ratios[-1]),
+                        minus_inf=bool(ratios[-1] < _F_STAR_FLOOR), values=tuple(a))
 
 
 def check_lemma34(
@@ -194,8 +200,12 @@ def check_lemma34(
     """
     if not n > k >= 1:
         raise ValueError("need n > k >= 1")
+    return _lemma34(meas, chain, bundle, potential, n, k, [k, n], budget)[0]
+
+
+def _lemma34(meas, chain, bundle, potential, n: int, k: int, depths, budget: int):
+    """check_lemma34's slack, and a_d for each d in depths (k and n among them) off one walk."""
     _require_valid(meas, chain, bundle)
     C = sup_norm_f1(potential, chain, bundle)
-    lhs = k * potential_average(meas, chain, bundle, potential, n, budget=budget)
-    rhs = 4.0 * k * k * C + n * potential_average(meas, chain, bundle, potential, k, budget=budget)
-    return float(rhs - lhs)
+    a = _averages(meas, chain, bundle, potential, depths, budget, valid=True)
+    return float(4.0 * k * k * C + n * a[depths.index(k)] - k * a[depths.index(n)]), a

@@ -165,12 +165,12 @@ class ScaledInverseNormPotential(SubadditivePotential):
     def __post_init__(self):
         if self.t < 0.0:
             raise ValueError("scale t must be >= 0")
+        _freeze(self, "_log_det", np.linalg.slogdet(self.inner.matrices)[1])  # -inf if singular
 
     def _extend(self, payload, u: np.ndarray, w: np.ndarray) -> tuple:
         """The inner cocycle's product, and the Birkhoff sum of the generators' log|det|."""
         (P,) = self.inner._extend(payload and payload[:1], u, w)
-        log_det = np.linalg.slogdet(self.inner.matrices)[1][u, w]  # -inf at a singular one
-        return P, log_det if payload is None else payload[1] + log_det
+        return P, self._log_det[u, w] if payload is None else payload[1] + self._log_det[u, w]
 
     def _read(self, payload, n: int) -> np.ndarray:
         if self.t == 0.0:

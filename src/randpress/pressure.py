@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _sample_paths
-from .bundle import BundleSFT, _joint_walk, _per_chunk, _word_columns, fiber_budget
+from .bundle import BundleSFT, _joint_walk, _payload_of, _per_chunk, fiber_budget
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation, SingularMatrix
 
 _MONO_TOL = 1e-9
@@ -188,11 +188,9 @@ def _tree_log_partition(bundle: BundleSFT, symbol, parent, state=None) -> np.nda
 
 def _joint_values(bundle: BundleSFT, potential, tree: PrefixTree, depths):
     """Per chunk and depth of one _joint_walk: (depth index, segments, key per (node, last
-    fiber symbol), f_d on each row or the SingularMatrix it raised).  The rows carry the
-    potential's _extend payload, read by its _read, or their word columns, read by its
-    eval_batch."""
-    A, extend = bundle.num_symbols, getattr(potential, "_extend", _word_columns)
-    read = getattr(potential, "_read", lambda payload, d: potential.eval_batch(*payload, d))
+    fiber symbol), f_d on each row or the SingularMatrix it raised), read off the rows'
+    bundle._payload_of payload."""
+    A, (extend, read) = bundle.num_symbols, _payload_of(potential)
     for i, nodes, node, last, payload in _joint_walk(bundle.allowed, tree, depths, extend):
         try:
             vals = read(payload, depths[i]) if len(node) else np.zeros(0)
@@ -450,7 +448,8 @@ def check_power_lemma(
     For each checked base word, computes log partition sum for T at depth kn
     minus the T^k partition sum at depth n (separation only at multiples of
     k); returns the minimum slack, which must be >= -1e-12.  Both sums and
-    the minimum are reduced per chunk of base words.
+    the minimum are reduced per chunk of base words; f_kn is read off the
+    potential's payload, grown once per fiber-word prefix.
     """
     if k < 1 or n < 1 or m < 1:
         raise ValueError("k, n, m must be >= 1")
@@ -460,15 +459,22 @@ def check_power_lemma(
     if max_words is not None and len(words) > max_words:
         rng = np.random.default_rng(seed)
         words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
-    window = sorted({i for j in range(n) for i in range(j * k, min(j * k + m, L))})
+    window = {i for j in range(n) for i in range(j * k, min(j * k + m, L))}
+    (pot_extend, read), A, level = _payload_of(potential), bundle.num_symbols, 0
+
+    def extend(payload, u, w):  # the window key, then f's payload up to depth k n
+        nonlocal level
+        level, key, rest = (0, 0, None) if payload is None else (level + 1, payload[0], payload[1:])
+        rest = pot_extend(rest, u, w) if level < k * n else rest
+        return (key * A + w if level in window else key, *rest)
+
     slack = np.inf
-    for _, nodes, row, _, (base, fibers) in _joint_walk(bundle.allowed, _forest(words), [L]):
-        size = nodes.stop - nodes.start
-        vals = potential.eval_batch(base, fibers, k * n)
+    for _, nodes, row, _, (key, *pot) in _joint_walk(bundle.allowed, _forest(words), [L], extend):
+        vals, size = read(tuple(pot), k * n), nodes.stop - nodes.start
         lhs = _segment_logsumexp(vals, row, size)
-        # Fiber words of one base word that agree on the separation window are
-        # not separated for T^k; its partition sum takes one maximizer per class.
-        best = _class_argmax(np.column_stack([row, fibers[:, window]]), vals)
+        # Fiber words of one base word that agree on the separation window (the key's base-A
+        # digits) are not separated for T^k; its partition sum takes one maximizer per class.
+        best = _class_argmax(np.column_stack([row, key]), vals)
         rhs = _segment_logsumexp(vals[best], row[best], size)
         slack = np.minimum(slack, np.min(lhs - rhs))
     return float(slack)

@@ -12,8 +12,8 @@ from .errors import InvariantViolation
 from .measures import (
     FStarBracket,
     RandomMarkovMeasure,
+    _f_star,
     _require_valid,
-    f_star_bracket,
     fiber_entropy,
     potential_average,
     solve_consistent_initial,
@@ -59,7 +59,7 @@ def vp_gap(
     for meas in measures:
         _require_valid(meas, chain, bundle)
         h = fiber_entropy(meas, chain)
-        br = f_star_bracket(meas, chain, bundle, potential, N, budget=budget)
+        br = _f_star(meas, chain, bundle, potential, N, budget, valid=True)
         sides.append(MeasureSide(h, br, h + br.upper, br.minus_inf))
     included = [s.side_upper for s in sides if not s.excluded]
     best = max(included) if included else -np.inf

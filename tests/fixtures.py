@@ -13,12 +13,14 @@ from randpress import (
     CocyclePotential,
     RandomMarkovMeasure,
     ScaledInverseNormPotential,
+    solve_consistent_initial,
     stationary_distribution,
 )
 from randpress import bundle as bundle_mod
 from randpress import pressure
 from randpress.base import DEFAULT_BUDGET, PrefixTree, _choice_cdf
 from randpress.errors import SingularMatrix
+from randpress.potentials import _log_norms, _row_payload
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 E = math.e
@@ -387,6 +389,104 @@ def reference_level_weights(bundle, potential, tree, depths, ts):
         V = np.concatenate(parts, axis=1).reshape(len(ts), -1, bundle.num_symbols)
         out.append(pressure._to_linear(V, d - 1))
     return out
+
+
+def sparse_measure_system(rng, valid):
+    """(chain, bundle, measure) with S and A drawn from {2, 3} and zeros in T and Q.
+
+    T holds a cycle and a self-loop, so the chain is ergodic; the bundle is the support of
+    Q.  With valid no row of Q enters the last fiber symbol and the initials are
+    solve_consistent_initial's, zero on that symbol; otherwise they are drawn with zeros, and
+    the measure is not invariant.
+    """
+    S, A = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    T = rng.uniform(0.1, 1.0, (S, S)) * (rng.random((S, S)) < 0.5)
+    T[np.arange(S), (np.arange(S) + 1) % S] += 0.5
+    T[0, 0] += 0.5
+    chain = BaseChain.from_transition(T / T.sum(axis=1, keepdims=True))
+    Q = rng.uniform(0.1, 1.0, (S, A, A)) * (rng.random((S, A, A)) < 0.6)
+    Q[np.arange(S)[:, None], np.arange(A), rng.integers(A, size=(S, A))] += 0.5
+    if valid:
+        Q[..., -1] = 0.0
+        Q[..., 0] += (Q.sum(axis=2) == 0.0) * 0.5
+    Q = Q / Q.sum(axis=2, keepdims=True)
+    if valid:
+        pi = solve_consistent_initial(Q, chain)[0]
+    else:
+        pi = rng.uniform(0.1, 1.0, (S, A)) * (rng.random((S, A)) < 0.7)
+        pi[:, 0] += 0.1
+        pi = pi / pi.sum(axis=1, keepdims=True)
+    bundle = BundleSFT.from_matrices((Q > 0.0).astype(int))
+    return chain, bundle, RandomMarkovMeasure(pi, Q)
+
+
+def sweep_potentials(rng, S, A):
+    """Cocycles of dimension 1, 2 and 3 under both norms, an additive potential and a
+    scaled_inverse potential at t = 0.7, for S base and A fiber symbols."""
+    cocycles = [random_cocycle(rng, S, A, dim=d, norm_kind=kind)
+                for d in (1, 2, 3) for kind in ("spectral", "max_row_sum")]
+    return [*cocycles, random_additive(rng, S, A),
+            ScaledInverseNormPotential(random_cocycle(rng, S, A), 0.7)]
+
+
+def reference_weighted_words(meas, chain, n, budget=DEFAULT_BUDGET):
+    """The length-n (base word, fiber word) rows of positive measure weight, one walk per
+    depth: the word columns and the cylinder weight p(u0) pi(w0) prod T Q as the payload,
+    chunk by chunk.  Yields (base, fiber, weight) arrays."""
+    tree = chain.prefix_tree(n, budget)
+    lead, T, Q = chain.stationary[:, None] * meas.initial, chain.transition, meas.transition
+
+    def extend(payload, u, w):
+        if payload is None:
+            return (*bundle_mod._word_columns(None, u, w), lead[u, w])
+        v, x = payload[0][:, -1], payload[1][:, -1]
+        return (*bundle_mod._word_columns(payload[:2], u, w), payload[2] * T[v, u] * Q[v, x, w])
+
+    for *_, (u, fibers, wgt) in bundle_mod._joint_walk(Q > 0.0, tree, [n], extend):
+        keep = wgt > 0.0
+        yield u[keep], fibers[keep], wgt[keep]
+
+
+def reference_averages(meas, chain, potential, depths):
+    """a_d for each d in depths, one walk per depth: eval_batch on the word columns of each
+    reference_weighted_words chunk, the chunks' dots added in order."""
+    return [float(sum(np.dot(wgt, potential.eval_batch(u, w, d))
+                      for u, w, wgt in reference_weighted_words(meas, chain, d)))
+            for d in depths]
+
+
+def reference_lyapunov_spread(cocycle, meas, chain, n):
+    """(top, bottom, spread) at depth n from reference_weighted_words: each chunk's products
+    rebuilt from its word columns by _row_payload and read by _log_norms."""
+    top = inv = 0
+    for u, w, wgt in reference_weighted_words(meas, chain, n):
+        P, log_det = _row_payload(ScaledInverseNormPotential(cocycle, 1.0), u, w, n)
+        log_top, log_inv = _log_norms(P, cocycle.norm_kind, log_det)
+        top += np.dot(wgt, log_top)
+        inv += np.dot(wgt, log_inv)
+    top, bottom = float(top), -float(inv)
+    return top / n, bottom / n, (top - bottom) / n
+
+
+def reference_power_lemma(chain, bundle, potential, k, n, m, max_words=None, seed=0):
+    """check_power_lemma's slack from word columns: eval_batch at depth k n on every length
+    k n + m - 1 row of the joint walk, classes keyed by the row and the window's columns."""
+    L = k * n + m - 1
+    words = chain.prefix_tree(L).words()
+    if max_words is not None and len(words) > max_words:
+        rng = np.random.default_rng(seed)
+        words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
+    window = sorted({i for j in range(n) for i in range(j * k, min(j * k + m, L))})
+    slack = np.inf
+    for _, nodes, row, _, (base, fibers) in bundle_mod._joint_walk(
+            bundle.allowed, pressure._forest(words), [L]):
+        size = nodes.stop - nodes.start
+        vals = potential.eval_batch(base, fibers, k * n)
+        lhs = pressure._segment_logsumexp(vals, row, size)
+        best = pressure._class_argmax(np.column_stack([row, fibers[:, window]]), vals)
+        rhs = pressure._segment_logsumexp(vals[best], row[best], size)
+        slack = np.minimum(slack, np.min(lhs - rhs))
+    return float(slack)
 
 
 def reference_sample_path(chain, n, seed):

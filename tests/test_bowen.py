@@ -33,9 +33,12 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
+    reference_lyapunov_spread,
     reference_sample_path,
     reference_value,
     shared_q_measure,
+    sparse_measure_system,
+    sweep_potentials,
     uniform_measure,
 )
 
@@ -609,3 +612,20 @@ def test_lyapunov_spread_raises_on_a_singular_product_of_positive_weight():
     for kind in ("spectral", "max_row_sum"):
         with pytest.raises(SingularMatrix):
             lyapunov_spread(chain, bundle, CocyclePotential(B, norm_kind=kind), meas, 2)
+
+
+@pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
+def test_lyapunov_spread_equals_the_word_column_reference_bit_for_bit(monkeypatch, joint_rows):
+    """lyapunov_spread reads both norms off the inverse-norm payload its walk grows once per
+    prefix; reference_lyapunov_spread rebuilds each chunk's products from its word columns.
+    Invariant measures with S and A drawn from {2, 3}, zeros in T, Q and the initials, and
+    cocycles of dimension 1 to 3 under both norms; one depth per walk, so the chunks and the
+    bits agree at any cap."""
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
+    rng = np.random.default_rng(45)
+    for _ in range(6):
+        chain, bundle, meas = sparse_measure_system(rng, valid=True)
+        for coc in sweep_potentials(rng, *meas.initial.shape)[:6]:
+            for n in (1, 2, 4):
+                got = lyapunov_spread(chain, bundle, coc, meas, n)
+                assert got == reference_lyapunov_spread(coc, meas, chain, n)

@@ -12,10 +12,11 @@ from randpress import (
     potential_average,
     solve_consistent_initial,
     validate_measure,
+    vp_gap,
 )
 from randpress import AdditivePotential, BaseChain, BundleSFT, ScaledInverseNormPotential
 from randpress import bundle as bundle_mod
-from randpress import measures
+from randpress import cli, measures
 from randpress.base import DEFAULT_BUDGET
 from randpress.errors import InvalidMeasure, NonErgodicChain, ShapeMismatch
 
@@ -36,10 +37,13 @@ from fixtures import (
     random_bundle,
     random_chain,
     random_cocycle,
+    reference_averages,
     reference_consistent_initial,
     reference_fiber_entropy,
     reference_value,
     shared_q_measure,
+    sparse_measure_system,
+    sweep_potentials,
     uniform_measure,
 )
 
@@ -351,9 +355,10 @@ def test_stacked_additive_average_matches_the_symbol_loop():
 
 @pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
 def test_weighted_words_match_a_brute_force_enumeration_bit_for_bit(monkeypatch, joint_rows):
-    """_weighted_words yields every (base word, fiber word) pair of positive weight, base words
-    and then fiber words in lexicographic order, weighing p(u0) pi_u0(w0) prod T Q multiplied
-    in that order, so rows, row order and weights match a brute-force enumeration exactly.
+    """_weighted_words yields every (base word, fiber word) pair of positive weight at every
+    depth 1..n of one walk, base words and then fiber words in lexicographic order, weighing
+    p(u0) pi_u0(w0) prod T Q multiplied in that order, so rows, row order and weights match a
+    brute-force enumeration exactly.
     S and A are drawn from {2, 3}; T, Q and the initials hold zeros; with 5 joint rows a chunk
     holds one or two base words."""
     monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
@@ -372,15 +377,82 @@ def test_weighted_words_match_a_brute_force_enumeration_bit_for_bit(monkeypatch,
                                    Q / Q.sum(axis=2, keepdims=True))
         support = BundleSFT.from_matrices((meas.transition > 0.0).astype(int))
         p, T, Q = chain.stationary, chain.transition, meas.transition
-        want = []
-        for u in itertools.product(range(S), repeat=n):
-            for w in naive_fiber_words(support, u, n):
-                wgt = p[u[0]] * meas.initial[u[0], w[0]]
-                for k in range(1, n):
-                    wgt = wgt * T[u[k - 1], u[k]] * Q[u[k - 1], w[k - 1], w[k]]
-                if wgt > 0.0:
-                    want.append((u, w, wgt))
-        got = [(tuple(u), tuple(w), x)
-               for U, W, X in measures._weighted_words(meas, chain, n, DEFAULT_BUDGET)
-               for u, w, x in zip(U.tolist(), W.tolist(), X.tolist())]
+        want = [[] for _ in range(n)]
+        for d in range(1, n + 1):
+            for u in itertools.product(range(S), repeat=d):
+                for w in naive_fiber_words(support, u, d):
+                    wgt = p[u[0]] * meas.initial[u[0], w[0]]
+                    for k in range(1, d):
+                        wgt = wgt * T[u[k - 1], u[k]] * Q[u[k - 1], w[k - 1], w[k]]
+                    if wgt > 0.0:
+                        want[d - 1].append((u, w, wgt))
+        got = [[] for _ in range(n)]
+        for i, X, (U, W) in measures._weighted_words(meas, chain, bundle_mod._word_columns,
+                                                      range(1, n + 1), DEFAULT_BUDGET):
+            got[i] += [(tuple(u), tuple(w), x) for u, w, x in zip(U.tolist(), W.tolist(),
+                                                                  X.tolist())]
         assert got == want
+
+
+@pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
+def test_one_walk_averages_equal_the_per_depth_reference(monkeypatch, joint_rows):
+    """f_star_bracket takes a_1 .. a_N from one walk of the measure's cylinders, each row
+    carrying the potential's own payload; reference_averages walks once per depth and reads
+    eval_batch on the word columns.  S and A are drawn from {2, 3}; T, Q and the initials hold
+    zeros; the potentials are cocycles of dimension 1 to 3 under both norms, an additive and a
+    scaled_inverse one.  At the default cap every depth is one chunk and every value is
+    bit-identical.  At 5 joint rows the walk cuts every depth where the last depth's nodes
+    fall, so a_N and a lone potential_average stay bit-identical and the shallower sums,
+    added in other chunks, agree within 1e-13."""
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
+    rng = np.random.default_rng(41)
+    N, checked = 4, 0
+    for i in range(8):
+        chain, bundle, meas = sparse_measure_system(rng, valid=i % 2 == 1)
+        S, A = meas.initial.shape
+        for pot in sweep_potentials(rng, S, A):
+            if pot.to_additive() is not None and validate_measure(meas, chain, bundle).valid:
+                continue  # the closed form, not a walk
+            got = f_star_bracket(meas, chain, bundle, pot, N).values
+            want = reference_averages(meas, chain, pot, range(1, N + 1))
+            assert got[-1] == want[-1]
+            assert potential_average(meas, chain, bundle, pot, 2) == want[1]
+            if joint_rows == 5:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            else:
+                assert got == tuple(want)
+            checked += 1
+    assert checked == 52  # 12 additive cases on the 4 invariant measures take the closed form
+
+
+def test_one_walk_per_measure_and_one_validation_per_verb(monkeypatch, tmp_path):
+    """f_star_bracket and check_lemma34 walk a measure's cylinders once, vp_gap once per
+    measure, and vp-check and lemmas validate each measure once."""
+    walks, checks = [], []
+    walk, validate = measures._joint_walk, measures.validate_measure
+
+    def counted_walk(*args, **kwargs):
+        walks.append(args[2])
+        return walk(*args, **kwargs)
+
+    def counted_validate(*args, **kwargs):
+        checks.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(measures, "_joint_walk", counted_walk)
+    monkeypatch.setattr(measures, "validate_measure", counted_validate)
+    rng = np.random.default_rng(43)
+    chain, bundle, meas = sparse_measure_system(rng, valid=True)
+    pot = random_cocycle(rng, *meas.initial.shape)
+    f_star_bracket(meas, chain, bundle, pot, 5)
+    assert walks == [range(1, 6)] and checks == []
+    check_lemma34(meas, chain, bundle, pot, 4, 2)
+    assert walks[1:] == [[2, 4]] and checks == [1]
+    walks.clear()
+    checks.clear()
+    vp_gap(chain, bundle, pot, [meas, meas], 2, 1, 3)
+    assert walks == [range(1, 4)] * 2 and checks == [1, 1]
+    for verb in ("vp-check", "lemmas"):
+        checks.clear()
+        assert cli.run("configs/golden_mean_vp.yaml", verb=verb, output_dir=str(tmp_path)) == 0
+        assert checks == [1]

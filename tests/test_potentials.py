@@ -400,3 +400,22 @@ def test_sup_norm_matches_per_word_eval():
                                                for a in range(2))
                      for s in range(3))
         assert sup_norm_f1(pot, chain, bundle) == pytest.approx(expect, abs=1e-12)
+
+
+def test_inverse_norm_takes_the_generators_log_det_once_per_potential(monkeypatch):
+    """The generators' log|det| is taken once, when the potential is built; the payload then
+    reads it on every level, and a 2x2 read takes no determinant of its own."""
+    calls = []
+    slogdet = np.linalg.slogdet
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return slogdet(a)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted)
+    rng = np.random.default_rng(59)
+    pot = ScaledInverseNormPotential(random_cocycle(rng, 2, 3), 0.5)
+    assert calls == [(2, 3, 2, 2)]
+    u, w = rng.integers(2, size=(40, 6)), rng.integers(3, size=(40, 6))
+    assert np.isfinite(pot.eval_batch(u, w, 6)).all()
+    assert calls == [(2, 3, 2, 2)]

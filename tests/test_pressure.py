@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 
 import numpy as np
@@ -38,8 +39,11 @@ from fixtures import (
     random_cocycle,
     reference_joint_values,
     reference_level_weights,
+    reference_power_lemma,
     reference_value,
+    sparse_measure_system,
     state_log_weights,
+    sweep_potentials,
 )
 
 
@@ -449,3 +453,41 @@ def test_joint_walk_equals_the_per_leaf_reference(monkeypatch, joint_rows, norm_
                                                rtol=1e-12, atol=1e-12)
                 else:
                     assert np.array_equal(g.W, w.W) and np.array_equal(g.scale, w.scale)
+
+
+@pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
+def test_power_lemma_on_the_payload_equals_the_word_column_reference(monkeypatch, joint_rows):
+    """check_power_lemma reads f_kn off the potential's payload, grown once per fiber-word
+    prefix and frozen after depth k n, and keys its classes by (row, window key);
+    reference_power_lemma takes eval_batch on the word columns and keys by the window's
+    columns.  Over S and A drawn from {2, 3}, bundles with zeros, chains with zeros in T,
+    the sweep's potentials and every cell the lemmas verb runs, the slacks are bit-identical,
+    also at 5 joint rows: each base word's sums are reduced within its own chunk."""
+    monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        chain, bundle, _ = sparse_measure_system(rng, valid=False)
+        for pot in sweep_potentials(rng, chain.num_states, bundle.num_symbols):
+            for k, n, m in itertools.product((2, 3), (1, 2), (1, 2)):
+                got = check_power_lemma(chain, bundle, pot, k, n, m, max_words=5, seed=k + n)
+                assert got == reference_power_lemma(chain, bundle, pot, k, n, m, 5, k + n)
+
+
+def test_power_lemma_forms_each_cocycle_product_once_per_prefix(monkeypatch):
+    """The lemmas verb's largest cell, k = 3, n = 2, m = 2 over 16 of the 2^7 base words of a
+    full 2-shift: the payload grows 16 * (2 + 4 + ... + 64) = 2,016 stacked 2x2 products
+    through depth k n = 6, where eval_batch on the 16 * 2^7 rows formed 12,288."""
+    rows = []
+    extend = CocyclePotential._extend
+
+    def counted(self, payload, u, w):
+        rows.append(len(u))
+        return extend(self, payload, u, w)
+
+    rng = np.random.default_rng(53)
+    chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 2, full=True)
+    coc = random_cocycle(rng, 2, 2)
+    want = reference_power_lemma(chain, bundle, coc, 3, 2, 2, max_words=16, seed=5)
+    monkeypatch.setattr(CocyclePotential, "_extend", counted)
+    assert check_power_lemma(chain, bundle, coc, 3, 2, 2, max_words=16, seed=5) == want
+    assert rows == [16 * 2 ** j for j in range(1, 7)] and sum(rows) == 2016
