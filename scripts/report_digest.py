@@ -22,7 +22,8 @@ records it.  The cases are:
   joint-word path of a matrix cocycle;
 - the lemma-vp pool systems at each seed, scaled the same way and run as
   exact ``dimension`` at n = N: each carries a valid measure, so the report
-  also holds the Lyapunov spread of ``bowen.lyapunov_spread``;
+  also holds the Lyapunov spread of ``bowen.lyapunov_spread``; their names
+  drop the pool case's verb, so that only cases that run a verb name it;
 - ``vp-check`` on a Bernoulli base with 2 fiber choices under one state and 3
   under the other, with an ``auto: true`` row-uniform measure whose joint law
   is stationary though pi_s Q_s = pi_{s'} fails;
@@ -229,7 +230,8 @@ def cases(out: Path, seeds: list[int]):
             config = case.config | {"potential": potential | {"matrices": matrices}, "run": {
                 "verb": "dimension", "n_list": [run["N"]], "m_list": [1], "N": run["N"],
                 "seed": seed, "budget": run["budget"]}}
-            yield f"lemma-vp dimension exact seed={seed} #{i} {case.label}", _run(
+            system = case.label.partition(" ")[2]  # the label without the pool case's verb
+            yield f"lemma-vp dimension exact seed={seed} #{i} {system}", _run(
                 out, _write(out, config))
     yield "fix-b vp-check auto row-uniform measure", _run(out, _write(out, FIX_B))
     for verb in ("vp-check", "lemmas"):

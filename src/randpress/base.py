@@ -7,7 +7,9 @@ with their stationary cylinder probabilities are a complete surrogate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import permutations, product
 
 import numpy as np
 
@@ -174,10 +176,46 @@ def _column_walk(cdf0: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray, over=N
     return out
 
 
+def _seed_states(seed: int, samples: int) -> np.ndarray:
+    """(samples, 4) uint64 whose row i is SeedSequence((seed, i)).generate_state(4, np.uint64):
+    its uint32 hash (constants fixed by numpy's stream policy) of seed's 32-bit words, then i."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    cells = [np.full(samples, w, np.uint32) for w in words] + [np.arange(samples, dtype=np.uint32)]
+    cells += [np.zeros(samples, np.uint32)] * (4 - len(cells))  # the pool of 4, then extra words
+    def hash_(v, xor=0, mul=1):  # xor, mul = c_j, c_{j+1} with c_j = init * mult^j mod 2^32
+        return (w := (v ^ xor) * mul) ^ w >> 16
+    a = np.multiply.accumulate([0x43B0D7E5] + [0x931E8875] * 4 * len(cells), dtype=np.uint32)
+    cells[:4] = [hash_(v, a[j], a[j + 1]) for j, v in enumerate(cells[:4])]
+    pairs = [*permutations(range(4), 2), *product(range(4, len(cells)), range(4))]  # (src, dst)
+    for j, (src, dst) in enumerate(pairs, start=4):
+        cells[dst] = hash_(cells[dst] * 0xCA01F9DD - hash_(cells[src], a[j], a[j + 1]) * 0x4973F715)
+    b = np.multiply.accumulate([0x8B51F9DD] + [0x58F38DED] * 8, dtype=np.uint32)
+    state = hash_(np.vstack(cells[:4] * 2), b[:-1, None], b[1:, None])  # 8 words read out
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _row_generator():
+    """row -> Generator(PCG64(s)), s.generate_state(4, np.uint64) being row; loads numpy.random."""
+    from numpy.random import PCG64, Generator, bit_generator
+
+    class RowSeed(bit_generator.ISeedSequence):
+        def __init__(self, row):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            assert n_words == 4 and np.dtype(dtype) == np.uint64
+            return self.row
+
+    return lambda row: Generator(PCG64(RowSeed(row)))
+
+
 def _sample_paths(chain: BaseChain, L: int, seed: int, samples: int) -> np.ndarray:
     """(samples, L) stationary-chain words; row i walks the uniforms of default_rng((seed, i))."""
     cdf0, cdfT = _choice_cdf(chain.stationary), _choice_cdf(chain.transition)
-    uniforms = np.empty((samples, L))
-    for i in range(samples):
-        np.random.default_rng((seed, i)).random(out=uniforms[i])
+    uniforms, generator = np.empty((samples, L)), _row_generator()
+    for row, out in zip(_seed_states(seed, samples), uniforms):
+        generator(row).random(out=out)
     return _column_walk(cdf0, cdfT, uniforms)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from fractions import Fraction as F
 
 import numpy as np
 
@@ -165,7 +166,13 @@ class ScaledInverseNormPotential(SubadditivePotential):
     def __post_init__(self):
         if self.t < 0.0:
             raise ValueError("scale t must be >= 0")
-        _freeze(self, "_log_det", np.linalg.slogdet(self.inner.matrices)[1])  # -inf if singular
+        B, log_det = self.inner.matrices, np.linalg.slogdet(self.inner.matrices)[1]
+        if B.shape[-1] == 2 and np.isfinite(B).all():  # ad - bc rounded once: LU loses cond(B) eps
+            for k, ((a, b), (c, d)) in enumerate(B.reshape(-1, 2, 2).tolist()):
+                det = abs(F(a) * F(d) - F(b) * F(c))
+                if det == 0 or 2.0 ** -1022 <= det < 2 ** 1023:  # a normal float, else LU's
+                    log_det.flat[k] = np.log(float(det)) if det else -np.inf
+        _freeze(self, "_log_det", log_det)  # -inf if singular
 
     def _extend(self, payload, u: np.ndarray, w: np.ndarray) -> tuple:
         """The inner cocycle's product, and the Birkhoff sum of the generators' log|det|."""

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from randpress import AdditivePotential, BaseChain, expected_log_sum, stationary_distribution
-from randpress.base import _sample_paths
+from randpress.base import _sample_paths, _seed_states
 from randpress.errors import BudgetExceeded, NonErgodicChain
 
 from fixtures import (
@@ -174,11 +174,37 @@ ZERO_TRANSITIONS = BaseChain.from_transition([[0.0, 1.0, 0.0], [0.2, 0.3, 0.5], 
 @example(ONE_STATE, 9, 4, 3)
 @example(ZERO_TRANSITIONS, 1, 7, 3)
 @example(ZERO_TRANSITIONS, 9, 1, 3)
+@example(ZERO_TRANSITIONS, 5, 3, 2 ** 32)
+@example(ZERO_TRANSITIONS, 5, 3, 2 ** 64 - 1)
+@example(ZERO_TRANSITIONS, 5, 3, 2 ** 64)
+@example(ZERO_TRANSITIONS, 5, 3, 2 ** 100 + 7)
 def test_sample_paths_match_the_choice_loop(chain, L, samples, seed):
     paths = _sample_paths(chain, L, seed, samples)
     assert paths.shape == (samples, L) and paths.dtype == np.int64
     for i in range(samples):
         assert tuple(paths[i].tolist()) == reference_sample_path(chain, L, (seed, i))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 100 + 7])
+def test_seed_states_are_the_seed_sequence_states(seed):
+    """One, two and three 32-bit seed words (then i) fill the pool of 4 with room to spare;
+    four (2^100 + 7) and i make five, one past the pool, so the extra-word mixing runs too."""
+    want = [np.random.SeedSequence((seed, i)).generate_state(4, np.uint64) for i in range(9)]
+    got = _seed_states(seed, 9)
+    assert got.dtype == np.uint64 and got.shape == (9, 4)
+    assert np.array_equal(got, want)
+    assert _seed_states(seed, 0).shape == (0, 4)
+
+
+def test_a_negative_seed_raises_value_error_as_default_rng_does():
+    chain = BaseChain.from_transition([[0.7, 0.3], [0.4, 0.6]])
+    with pytest.raises(ValueError, match="non-negative"):
+        np.random.default_rng((-1, 0))
+    with pytest.raises(ValueError, match="non-negative"):
+        _sample_paths(chain, 4, -1, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        expected_log_sum(chain, full_shift_bundle(2, 2), AdditivePotential(np.zeros((2, 2))), 2, 1,
+                         mode="monte_carlo", samples=3, seed=-1)
 
 
 @pytest.mark.parametrize("stationary, match", [

@@ -554,6 +554,18 @@ def test_importing_the_cli_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_and_loading_a_config_loads_no_numpy_random():
+    """numpy.random loads on the first Monte Carlo draw, so start-up does not pay for it."""
+    code = ("import sys, randpress.cli\n"
+            "randpress.cli.load_experiment('configs/product_pressure.yaml')\n"
+            "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True, cwd=REPO)
+    assert done.stdout.strip() == "[]"
+
+
 def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
     for path in sorted(CONFIGS.glob("*.yaml")):
         load_experiment(str(path))
