@@ -21,6 +21,7 @@ _ROW_SUM_TOL = 1e-12
 _STATIONARY_TOL = 1e-10
 # Generator.choice accepts a probability vector whose sum is 1 within sqrt(eps).
 _CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+_WALK_CELLS = 1 << 20  # (cdf entry, sample, column) tests _column_walk holds at once
 
 
 def _freeze(obj, name: str, value, dtype=float) -> np.ndarray:
@@ -164,16 +165,25 @@ def _choice_cdf(p: np.ndarray) -> np.ndarray:
 def _column_walk(cdf0: np.ndarray, cdf: np.ndarray, uniforms: np.ndarray, over=None) -> np.ndarray:
     """(N, L) words drawn a column at a time, symbol k of row i from uniforms[i, k].
 
-    Symbol 0 reads cdf0 and symbol k the cdf row at symbol k-1, or at
-    (over[i, k-1], symbol k-1) with over: the number of row entries <= the
-    uniform, the symbol Generator.choice(p=...) draws from it.
+    Symbol 0 reads cdf0 and symbol k the cdf row at symbol k-1, or at (over[i, k-1], symbol
+    k-1) with over: the number of row entries <= the uniform, the symbol Generator.choice
+    draws from it.  Without over, every cdf row's count is taken for a block of columns at
+    once, and a column is one gather of its rows' own.
     """
-    out = np.empty(uniforms.shape, dtype=np.int64)
-    out[:, 0] = np.searchsorted(cdf0, uniforms[:, 0], side="right")
-    for k in range(1, uniforms.shape[1]):
-        rows = cdf[out[:, k - 1]] if over is None else cdf[over[:, k - 1], out[:, k - 1]]
-        out[:, k] = (rows <= uniforms[:, k, None]).sum(axis=1)
-    return out
+    N, L = uniforms.shape
+    out = np.empty((L, N), dtype=np.int64)
+    out[0] = np.searchsorted(cdf0, uniforms[:, 0], side="right")
+    if over is not None:
+        for k in range(1, L):
+            out[k] = (cdf[over[:, k - 1], out[k - 1]] <= uniforms[:, k, None]).sum(axis=1)
+        return out.T
+    out[0] = out[0] * N + np.arange(N)  # N symbol + i: row i's entry in a (state, row) block
+    width = max(1, _WALK_CELLS // max(1, cdf.size * N))
+    for lo in range(1, L, width):
+        drawn = (cdf[:, :, None] <= uniforms[:, lo:lo + width].T[:, None, None]).sum(axis=2)
+        for k, step in enumerate(drawn * N + np.arange(N), start=lo):
+            step.take(out[k - 1], out=out[k], mode="clip")  # every index is in range
+    return out.T // N
 
 
 def _seed_states(seed: int, samples: int) -> np.ndarray:

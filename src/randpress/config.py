@@ -73,6 +73,16 @@ def _finite(value, path: str, positive: bool) -> float:
     return x
 
 
+def _finite_array(value, path: str, minus_inf: bool = False) -> np.ndarray:
+    """A float array of finite entries (or -inf, an exact zero weight, with minus_inf)."""
+    arr = np.asarray(value, dtype=float)
+    bad = np.argwhere(np.isnan(arr) | (arr == np.inf) | (not minus_inf) & (arr == -np.inf))
+    if len(bad):  # named by the first bad entry's index
+        raise ConfigError(f"{path}{''.join(f'[{j}]' for j in bad[0])}: expected a finite number"
+                          f"{' or -.inf' if minus_inf else ''}, got {arr[tuple(bad[0])]}")
+    return arr
+
+
 def _int_list(tree: dict, key: str, default: list) -> tuple[int, ...]:
     values = tree.get(key, default)
     if not isinstance(values, list) or not values:
@@ -154,12 +164,12 @@ def _build_potential(tree: dict, chain: BaseChain, bundle: BundleSFT):
     _only(tree, _POTENTIAL_KEYS[kind], "potential.")
     if kind == "additive":
         phi = _per_state_table(_need(tree, "phi", "potential"), chain.states, "potential.phi")
-        table = np.asarray(phi, dtype=float)
+        table = _finite_array(phi, "potential.phi", minus_inf=True)
         if table.shape != (chain.num_states, bundle.num_symbols):
             raise ConfigError(f"potential.phi: expected shape {(chain.num_states, bundle.num_symbols)}")
         return AdditivePotential(table)
     mats = _per_state_table(_need(tree, "matrices", "potential"), chain.states, "potential.matrices")
-    B = np.asarray(mats, dtype=float)
+    B = _finite_array(mats, "potential.matrices")
     if B.ndim == 2:  # scalar cocycle given as an (S, A) table
         B = B[:, :, None, None]
     if B.ndim != 4 or B.shape[:2] != (chain.num_states, bundle.num_symbols):
@@ -167,7 +177,7 @@ def _build_potential(tree: dict, chain: BaseChain, bundle: BundleSFT):
     cocycle = CocyclePotential(B, norm_kind=tree.get("norm", "spectral"))
     if kind == "cocycle":
         return cocycle
-    return ScaledInverseNormPotential(cocycle, _float(tree.get("t", 0.0), "potential.t"))
+    return ScaledInverseNormPotential(cocycle, _finite(tree.get("t", 0.0), "potential.t", False))
 
 
 def _build_measures(specs, chain: BaseChain, bundle: BundleSFT) -> tuple[RandomMarkovMeasure, ...]:

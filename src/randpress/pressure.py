@@ -3,18 +3,19 @@
 With the 2^-j fiber metric and epsilon = 2^-m, a maximal separated set holds
 exactly one point per admissible (n+m-1)-cylinder and the potential is
 constant on each, so the partition sum is an exact finite sum.  One transfer DP
-runs level by level along a tree of base words, from the weights of one
-level-weights engine at scale 1 or on a vector of scales t: additive (and
-additive-reducible) potentials multiply in their one-step table on every level;
-any other potential is read at every depth asked for from one walk of the joint
-(base word, fiber word) tree (bundle._joint_walk, which the power-inequality and
-greedy checks walk too), whose rows carry a payload such as the cocycle product
-(one stacked matmul per level), reduced per last fiber symbol and carried down the
-deeper levels.  The DP runs in scaled linear space, as the forward
-algorithm of a hidden Markov model does: one matmul per level, a log scale per node
-and one log at the end.  A range rule keeps every weight within e^+-600 of 1; a
-table whose per-level spread would break it takes the log-space (log-sum-exp) step
-from that level on.
+runs level by level along a tree of base words, planned once per tree (_Plan: each
+level's node pick and parent gather), from the weights of one level-weights engine at
+scale 1 or on a vector of scales t: additive (and additive-reducible) potentials
+multiply in their one-step table on every level; any other potential is read at every
+depth asked for from one walk of the joint (base word, fiber word) tree
+(bundle._joint_walk, which the power-inequality and greedy checks walk too), whose rows
+carry a payload such as the cocycle product (one stacked matmul per level), reduced
+per last fiber symbol and carried down the deeper levels.  The DP runs in scaled
+linear space, as the forward algorithm of a hidden Markov model does: one matmul per
+level, a log scale per node and one log at the end.  A range rule keeps every weight
+within e^+-600 of 1; a table whose per-level spread would break it takes the log-space
+(log-sum-exp) step from that level on.  A family in t (the Bowen root search) does its
+t-independent work once, so a root step is one DP pass that exponentiates t * table once.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class _Weights:
     level: int
 
 
-def _level_nats(A: int, table=None) -> float:
+def _level_nats(A: int, table: np.ndarray) -> float:
     """How far one DP level can lower a weight against its row's maximum, in nats.
 
     A sum over a grows a row at most A-fold and shrinks no term, and a table row less its
@@ -99,8 +100,6 @@ def _level_nats(A: int, table=None) -> float:
     (k + 1) times this stays within _LINEAR_NATS, every nonzero weight of level k lies
     within e^+-_LINEAR_NATS of 1 in linear space.  nan for a table holding nan or +inf.
     """
-    if table is None:
-        return np.log(A)
     with np.errstate(invalid="ignore"):  # inf - inf in a row holding +inf
         spread = table.max(axis=-1) - np.where(table > -np.inf, table, np.inf).min(axis=-1)
     return np.max(spread, initial=0.0) + np.log(A)  # a row with no finite entry is -inf
@@ -118,64 +117,84 @@ def _to_linear(V: np.ndarray, level: int) -> _Weights:
     return _Weights(np.exp(V - peak[..., None]), peak, level)
 
 
-def _carry(bundle: BundleSFT, symbol, parent, state: _Weights | None = None,
-           table=None) -> _Weights:
-    """The DP state at the last level of a base-word tree.
+class _Plan:
+    """The t-independent part of the DP along a base-word tree: every base symbol's 0/1 fiber
+    matrix side by side (blocks[a, s A + b]); per level k >= 1 the row of W @ blocks each node
+    picks and the parent gather of its scale (None where level k keeps level k-1's order)."""
 
-    Level k has last symbols symbol[k] and parent indices parent[k] into level k-1 (a
-    forest of unrelated words has parent[k] = arange).  Each level after the first sums
-    the parent's weights under allowed[u_{k-1}], then multiplies in exp(table[..., u_k, :])
-    if a table is given (leading axes of table and state are independent DPs).  A state
-    passed in replaces the level-0 weights, which are otherwise the table's (or 1: the DP
-    then counts fiber words).
+    def __init__(self, bundle: BundleSFT, tree: PrefixTree):
+        S, A = bundle.allowed.shape[:2]
+        self.bundle, self.tree, self.pick, self.gather = bundle, tree, [None], [None]
+        self.log_A, rows = np.log(A), np.arange(0)
+        for sym, par in zip(tree.symbol, tree.parent[1:]):
+            rows = rows if len(rows) == len(sym) else np.arange(len(sym)) * S
+            # children come by parent, one or more each: an equal-length level keeps the order
+            self.gather.append(None if len(par) == len(sym) else par)
+            self.pick.append(rows + sym if self.gather[-1] is None else (rows + sym)[par])
+        self.blocks = bundle.allowed.transpose(1, 0, 2).reshape(A, S * A).astype(float)
 
-    In linear space a level is one matmul by every base symbol's 0/1 matrix side by side,
-    a pick of each node's block and a product with the exp of the table row less its
-    maximum, which the node's log scale takes.  Level k is linear while (k + 1) times the
-    batch's _level_nats is at most _LINEAR_NATS; from there on the state takes the log-space
-    step.
+
+def _scaled_tables(table: np.ndarray):
+    """ts -> _carry's (log, nats, E, shift) for log = t * table, t on a leading axis (ts None:
+    scale 1, no axis): the range rule's nats per level, each row's maximum shift (0 if it has no
+    finite entry) and, if level 0 is linear, E = exp(log - shift).  For t >= 0, max(t x) = t max(x)
+    exactly, so a finite table's row extremes, taken once, give every t's shift and nats; other
+    tables (0 * -inf is nan), scale 1 and a t * table that overflows read them off log."""
+    A, finite, top, bottom = table.shape[-1], np.isfinite(table).all(), table.max(-1), table.min(-1)
+    log_A = np.log(A)
+
+    def scaled(ts=None):
+        log, nats = table if ts is None else ts[:, None, None] * table, np.inf
+        if finite and ts is not None:
+            shift = ts[:, None] * top
+            nats = (shift - ts[:, None] * bottom).max(initial=0.0) + log_A
+        if not nats < np.inf:
+            shift, nats = log.max(axis=-1), _level_nats(A, log)
+            shift[~np.isfinite(shift)] = 0.0  # a row with no finite entry stays 0
+        return log, nats, np.exp(log - shift[..., None]) if nats <= _LINEAR_NATS else None, shift
+    return scaled
+
+
+def _carry(plan: _Plan, depth: int, state: _Weights | None = None, table=None) -> _Weights:
+    """The DP state at level depth-1 of a plan's base-word tree.
+
+    Level k has last symbols symbol[k] and parent indices parent[k] into level k-1.  Each
+    level after the state's (level 0 if none is passed in: the table's weights, or 1 when the
+    DP counts fiber words) sums the parent's weights under allowed[u_{k-1}], then multiplies
+    in exp(log[..., u_k, :]) if a _scaled_tables table is given (leading axes of table and
+    state are independent DPs).  In linear space a level is one matmul by plan.blocks, a pick
+    of each node's block and a product with the table's E row, whose shift the node's log
+    scale takes.  Level k is linear while (k + 1) times the table's nats (log A with none) is
+    at most _LINEAR_NATS; from there on the state takes the log-space step.
     """
-    S, A = bundle.allowed.shape[:2]
-    level, nats = 0 if state is None else state.level, _level_nats(A, table)
-    if table is not None and (level + 1) * nats <= _LINEAR_NATS:
-        shift = table.max(axis=-1)
-        shift[~np.isfinite(shift)] = 0.0  # a row with no finite entry stays 0
-        E = np.exp(table - shift[..., None])
+    sym, par, A = plan.tree.symbol, plan.tree.parent, plan.blocks.shape[0]
+    (log, nats, E, shift), logM = table or (None, plan.log_A, None, None), None
     if state is None:
-        V = np.zeros((len(symbol[0]), A)) if table is None else table[..., symbol[0], :]
-        state = _to_linear(V, 0) if nats <= _LINEAR_NATS else _Weights(V, None, 0)
-    W, scale, rows = state.W, state.scale, np.arange(0)
-    if len(symbol) > 1:
-        blocks = bundle.allowed.transpose(1, 0, 2).reshape(A, S * A).astype(float)  # [a, sA+b]
-        logM = np.where(bundle.allowed == 1, 0.0, -np.inf)  # (S, A, A)
-    with np.errstate(divide="ignore"):  # log 0 = -inf over fiber words that do not extend
-        for k in range(1, len(symbol)):
-            if scale is not None and not (level + k + 1) * nats <= _LINEAR_NATS:
-                W, scale = np.log(W) + scale[..., None], None
-            if scale is None:
-                W = _logsumexp(W[..., None] + logM[symbol[k - 1]], axis=-2)[..., parent[k], :]
-                if table is not None:
-                    W = W + table[..., symbol[k], :]
-                continue
-            if len(rows) != len(symbol[k - 1]):
-                rows = np.arange(len(symbol[k - 1])) * S
-            # Prefix trees and forests list children by parent, and every node has one, so
-            # a level as long as the one before has parent[k] = arange and skips the gather.
-            same = len(parent[k]) == len(rows)
-            pick = rows + symbol[k - 1] if same else (rows + symbol[k - 1])[parent[k]]
-            W = W @ blocks
-            W = W.reshape(*W.shape[:-2], -1, A).take(pick, axis=-2)
-            if not same:
-                scale = scale.take(parent[k], axis=-1)
-            if table is not None:
-                W = W * E.take(symbol[k], axis=-2)
-                scale = scale + shift.take(symbol[k], axis=-1)
-    return _Weights(W, scale, level + len(symbol) - 1)
+        state = (_Weights(np.ones((len(sym[0]), A)), np.zeros(len(sym[0])), 0) if log is None
+                 else _Weights(log[..., sym[0], :], None, 0) if E is None
+                 else _Weights(E.take(sym[0], axis=-2), shift.take(sym[0], axis=-1), 0))
+    W, scale = state.W, state.scale
+    for k in range(state.level + 1, depth):
+        if scale is None or not (k + 1) * nats <= _LINEAR_NATS:
+            with np.errstate(divide="ignore"):  # log 0 = -inf over fiber words that do not extend
+                W, scale = W if scale is None else np.log(W) + scale[..., None], None
+                logM = np.where(plan.bundle.allowed == 1, 0.0, -np.inf) if logM is None else logM
+                W = _logsumexp(W[..., None] + logM[sym[k - 1]], axis=-2)[..., par[k], :]
+            if log is not None:
+                W = W + log[..., sym[k], :]
+            continue
+        W = (W @ plan.blocks).reshape(*W.shape[:-2], -1, A).take(plan.pick[k], axis=-2)
+        if plan.gather[k] is not None:
+            scale = scale.take(plan.gather[k], axis=-1)
+        if log is not None:
+            W = W * E.take(sym[k], axis=-2)
+            scale = scale + shift.take(sym[k], axis=-1)
+    return _Weights(W, scale, depth - 1)
 
 
-def _tree_log_partition(bundle: BundleSFT, symbol, parent, state=None) -> np.ndarray:
-    """Log partition sums at a tree's last level: _carry with no table, then a sum over a."""
-    state = _carry(bundle, symbol, parent, state)
+def _tree_log_partition(plan: _Plan, depth: int, state=None) -> np.ndarray:
+    """Log partition sums at level depth-1: _carry with no table, then a sum over a."""
+    state = _carry(plan, depth, state)
     with np.errstate(divide="ignore"):
         if state.scale is None:
             vals = _logsumexp(state.W, axis=-1)
@@ -199,40 +218,41 @@ def _joint_values(bundle: BundleSFT, potential, tree: PrefixTree, depths):
         yield i, (nodes.stop - nodes.start) * A, node * A + last, vals
 
 
-def _level_weights(bundle: BundleSFT, potential, tree: PrefixTree, depths, budget: int,
-                   reuse: bool = False):
+def _level_weights(plan: _Plan, potential, depths, budget: int, reuse: bool = False):
     """ts -> [DP state of t * f_d at level d-1, t on its leading axis, for each d in depths].
 
-    An additive potential scales its table by t and runs one DP pass through every
-    depth.  Any other potential checks the fiber budget at the tree's length and takes f_d
-    for every depth from one _joint_walk, on every admissible length-d fiber word over the
-    depth-d base words, keyed per (base word, last fiber symbol) by _joint_values.  A call
-    scales each chunk's values by t and reduces them per key as the chunks arrive (one call
-    only, unless reuse keeps the chunks); a SingularMatrix is raised there at any t > 0.  No
-    table follows these weights, so they enter linear space as they are.
+    ts None is scale 1 with no t axis.  An additive potential scales its table by t once per
+    call (_scaled_tables) and runs one DP pass along the plan through every depth.  Any other
+    potential checks the fiber budget at the tree's length and takes f_d for every depth from
+    one _joint_walk, on every admissible length-d fiber word over the depth-d base words,
+    keyed per (base word, last fiber symbol) by _joint_values.  A call scales each chunk's
+    values by t and reduces them per key as the chunks arrive (one call only, unless reuse
+    keeps the chunks); a SingularMatrix is raised there at any t > 0.  No table follows these
+    weights, so they enter linear space as they are.
     """
-    sym, par, A = tree.symbol, tree.parent, bundle.num_symbols
-    add = potential.to_additive()
+    A, add = plan.bundle.num_symbols, potential.to_additive()
     if add is not None:
-        def weights(ts):  # each depth resumes the pass at level d-1 of the one before
-            table, out = ts[:, None, None] * add.table, [None]
-            for lo, d in zip([1, *depths], depths):
-                out.append(_carry(bundle, sym[lo - 1:d], par[lo - 1:d], out[-1], table))
+        scaled = _scaled_tables(add.table)
+
+        def weights(ts=None):  # each depth resumes the pass at level d-1 of the one before
+            table, out = scaled(ts), [None]
+            for d in depths:
+                out.append(_carry(plan, d, out[-1], table))
             return out[1:]
         return weights
-    fiber_budget(A, len(sym), budget)
-    chunks = _joint_values(bundle, potential, tree, depths)
+    fiber_budget(A, len(plan.tree.symbol), budget)
+    chunks = _joint_values(plan.bundle, potential, plan.tree, depths)
     chunks = list(chunks) if reuse else chunks
 
-    def weights(ts):
-        out = [[] for _ in depths]
+    def weights(ts=None):
+        scales, out = np.ones(1) if ts is None else ts, [[] for _ in depths]
         for i, size, key, vals in chunks:
-            if isinstance(vals, SingularMatrix) and (ts > 0.0).any():
+            if isinstance(vals, SingularMatrix) and (scales > 0.0).any():
                 raise vals  # at t = 0 every joint word weighs 1
             out[i].append([_segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key,
-                                              size) for t in ts])
-        return [_to_linear(np.concatenate(acc, axis=1).reshape(len(ts), -1, A), d - 1)
-                for d, acc in zip(depths, out)]
+                                              size) for t in scales])
+        V = [np.concatenate(acc, axis=1).reshape(len(scales), -1, A) for acc in out]
+        return [_to_linear(v if ts is not None else v[0], d - 1) for d, v in zip(depths, V)]
     return weights
 
 
@@ -249,9 +269,9 @@ def log_partition_sum(
     syms = tuple(u)
     if len(syms) < n + m - 1:
         raise ValueError(f"base word must have length >= {n + m - 1}")
-    tree = _forest([syms[:n + m - 1]])
-    [V] = _level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
-    return float(_tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V)[0, 0])
+    plan = _Plan(bundle, _forest([syms[:n + m - 1]]))
+    [V] = _level_weights(plan, potential, [n], budget)()
+    return float(_tree_log_partition(plan, n + m - 1, V)[0])
 
 
 def _forest(rows) -> PrefixTree:
@@ -316,30 +336,30 @@ def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m:
                       samples: int, seed: int, budget: int):
     """t -> depth increments E[log Z(n) - log Z(n-1)] of t * f (not divided by n), for a t vector.
 
-    The t-independent work is done once: the base tree or sampled forest, and the level
-    weights of f at depths n-1 and n, kept for every probe.  Each call scales them by t
+    The t-independent work is done once: the base tree or sampled forest, its DP plan, and
+    the level weights of f at depths n-1 and n (or its table's row extremes), kept for
+    every probe.  Each call scales them by t
     and runs the DP with a leading t axis.  A table leaves linear space at the level its
     batch's widest scale sets, so a batch in which one did so within the tree runs again
     one scale at a time: no scale's bits depend on its batch.
     """
     tree = _base_words(chain, n, m, mode, samples, seed, budget)
-    sym, par, L, k = tree.symbol, tree.parent, n + m - 1, max(n - 2, 0)
-    weights = _level_weights(bundle, potential, tree, range(max(n - 1, 1), n + 1), budget,
-                             reuse=True)
+    plan, L = _Plan(bundle, tree), n + m - 1
+    weights = _level_weights(plan, potential, range(max(n - 1, 1), n + 1), budget, reuse=True)
 
     def evaluate(ts) -> list[PressureEstimate]:
         ts = np.asarray(ts, dtype=float)
         if not (np.isfinite(ts).all() and (ts >= 0.0).all()):
             raise ValueError(f"scale t must be finite and >= 0, got {ts.tolist()}")
-        step = _per_chunk(len(sym[-1]))  # caps the T * nodes rows of the DP arrays
+        step = _per_chunk(len(tree.symbol[-1]))  # caps the T * nodes rows of the DP arrays
         if len(ts) > step:
             return [est for i in range(0, len(ts), step) for est in evaluate(ts[i:i + step])]
         *lo, hi = weights(ts)  # lo is empty at n = 1
         if hi.scale is None and len(ts) > 1:
             return [est for t in ts for est in evaluate([t])]
-        hi = _tree_log_partition(bundle, sym[n - 1:], par[n - 1:], hi)
+        hi = _tree_log_partition(plan, L, hi)
         if L > 1:  # at n = 1, f_0 = 0 and the depth-0 DP counts fiber words
-            hi = hi - _tree_log_partition(bundle, sym[k:L - 1], par[k:L - 1], *lo)[..., par[-1]]
+            hi = hi - _tree_log_partition(plan, L - 1, *lo)[..., tree.parent[-1]]
         # A row view of hi is not aligned as a fresh array, and BLAS dot may sum it in
         # another order; a contiguous copy keeps every t bit-identical to a lone call.
         return [_estimate(tree, n, m, mode, samples, seed, row.copy()) for row in hi]
@@ -370,10 +390,10 @@ def pressure_curve(
     if n_list != sorted(n_list) or m_list != sorted(m_list):
         raise ValueError("n_list and m_list must be increasing")
     tree = _base_words(chain, n_list[-1], m_list[-1], mode, samples, seed, budget)
-    weights = _level_weights(bundle, potential, tree, n_list, budget)(np.ones(1))
-    rows = [_estimate(tree, n, m, mode, samples, seed, _tree_log_partition(
-        bundle, tree.symbol[n - 1:n + m - 1], tree.parent[n - 1:n + m - 1], V)[0] / n)
-        for n, V in zip(n_list, weights) for m in m_list]
+    plan = _Plan(bundle, tree)
+    weights = _level_weights(plan, potential, n_list, budget)()
+    rows = [_estimate(tree, n, m, mode, samples, seed, _tree_log_partition(plan, n + m - 1, V) / n)
+            for n, V in zip(n_list, weights) for m in m_list]
     by_nm = {(r.n, r.m): r.value for r in rows}
     for n in n_list:
         for m_lo, m_hi in zip(m_list, m_list[1:]):

@@ -591,8 +591,8 @@ def separated_set_oracle(bundle, potential, base_symbols, n, m, length):
 
 def log_space_carry(bundle, symbol, parent, V=None, table=None):
     """The transfer DP in log space, one max-shifted log-sum-exp per level: the log weights
-    V[..., node, a] at the last level of a base-word tree, with pressure._carry's arguments
-    (a log V in place of its state)."""
+    V[..., node, a] at the last level of a base-word tree, from log weights V at level 0 (by
+    default the table's, or 0) and a one-step table."""
     logM = np.where(bundle.allowed == 1, 0.0, -np.inf)
     if V is None:
         V = (np.zeros((len(symbol[0]), bundle.num_symbols)) if table is None
@@ -628,8 +628,9 @@ def state_log_weights(state):
 def cell_log_partition(bundle, potential, tree, n, budget=DEFAULT_BUDGET):
     """Log partition sums of one cell at depth n over the deepest level of a tree or forest,
     on its own: the level-weights engine at scale 1, then the DP down the deeper levels."""
-    [V] = pressure._level_weights(bundle, potential, tree, [n], budget)(np.ones(1))
-    return pressure._tree_log_partition(bundle, tree.symbol[n - 1:], tree.parent[n - 1:], V)[0]
+    plan = pressure._Plan(bundle, tree)
+    [V] = pressure._level_weights(plan, potential, [n], budget)(np.ones(1))
+    return pressure._tree_log_partition(plan, len(tree.symbol), V)[0]
 
 
 def per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode="exact", samples=0, seed=0):
@@ -641,6 +642,6 @@ def per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode="exact", samples=0
     if len(tree.symbol) > 1:  # n = m = 1: f_0 = 0 over words of length 0
         lower = PrefixTree(tree.symbol[:-1], tree.parent[:-1], tree.prob[:-1])
         lo = (cell_log_partition(bundle, potential, lower, n - 1) if n > 1
-              else pressure._tree_log_partition(bundle, lower.symbol, lower.parent))
+              else pressure._tree_log_partition(pressure._Plan(bundle, lower), n + m - 2))
         vals = vals - lo[tree.parent[-1]]
     return pressure._estimate(tree, n, m, mode, samples, seed, vals)

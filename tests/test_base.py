@@ -1,3 +1,4 @@
+import bisect
 import itertools
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from randpress import AdditivePotential, BaseChain, expected_log_sum, stationary_distribution
-from randpress.base import _sample_paths, _seed_states
+from randpress import base
+from randpress.base import _choice_cdf, _column_walk, _sample_paths, _seed_states
 from randpress.errors import BudgetExceeded, NonErgodicChain
 
 from fixtures import (
@@ -183,6 +185,32 @@ def test_sample_paths_match_the_choice_loop(chain, L, samples, seed):
     assert paths.shape == (samples, L) and paths.dtype == np.int64
     for i in range(samples):
         assert tuple(paths[i].tolist()) == reference_sample_path(chain, L, (seed, i))
+
+
+@pytest.mark.parametrize("S", [1, 2, 3])
+@pytest.mark.parametrize("cells", [base._WALK_CELLS, 1])
+def test_column_walk_draws_every_symbol_by_bisection_of_its_cdf_row(monkeypatch, S, cells):
+    """Each symbol of a walk is bisect_right of its uniform in the cdf row of the symbol before
+    (in cdf0 at symbol 0), over seeds, with zero-probability transitions and initial states and
+    uniforms equal to cdf entries; with one count per block, every column is its own block."""
+    monkeypatch.setattr(base, "_WALK_CELLS", cells)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        T = rng.uniform(0.1, 1.0, (S, S)) * (rng.random((S, S)) < 0.5)
+        T[np.arange(S), rng.integers(S, size=S)] += 0.5  # a positive entry in every row
+        p0 = rng.uniform(0.1, 1.0, S) * (np.arange(S) != seed % S) + (S == 1)
+        cdf0, cdf = _choice_cdf(p0 / p0.sum()), _choice_cdf(T / T.sum(axis=1, keepdims=True))
+        for N, L in [(1, 1), (1, 9), (6, 1), (5, 33), (40, 12)]:
+            U = rng.random((N, L))
+            U[rng.random((N, L)) < 0.2] = rng.choice(cdf[cdf < 1.0]) if (cdf < 1.0).any() else 0.0
+            want = []
+            for u in U.tolist():
+                want.append([bisect.bisect_right(cdf0.tolist(), u[0])])
+                for x in u[1:]:
+                    want[-1].append(bisect.bisect_right(cdf[want[-1][-1]].tolist(), x))
+            got = _column_walk(cdf0, cdf, U)
+            assert got.shape == (N, L) and got.dtype == np.int64
+            assert got.tolist() == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 100 + 7])

@@ -334,6 +334,35 @@ def test_batched_scales_equal_per_t_evaluations_bit_for_bit(monkeypatch, joint_r
                                                seed) for t in scales]
 
 
+@pytest.mark.parametrize("S, A", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_dimension_root_equals_the_solve_on_per_t_pressures(monkeypatch, S, A, m):
+    """On seeded scalar systems, every field of a dimension_root record (t_star, bracket,
+    each root step, convergence) equals that of the same solve run on pressures taken the
+    per-t way, each with its own potential, tree or forest and two full DPs, in exact and in
+    Monte Carlo mode, at n = 1 and n = 4."""
+    rng = np.random.default_rng(70 + 10 * S + A + 100 * m)
+    chain, allowed = random_chain(rng, S), random_bundle(rng, S, A).allowed.copy()
+    allowed[..., :2] = 1  # at least two fiber choices everywhere: P(0) > 0 on every sample
+    bundle = BundleSFT.from_matrices(allowed)
+    cocycle = CocyclePotential(rng.uniform(2.0, 5.0, (S, A, 1, 1)))
+
+    def per_t_family(chain, bundle, cocycle, n, m, mode, samples, seed, budget):
+        return lambda ts: [per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode, samples,
+                                               seed) for t in ts]
+
+    for n, (mode, samples, seed) in itertools.product([1, 4], [("exact", 0, 0),
+                                                               ("monte_carlo", 9, 5)]):
+        def solve():
+            return dimension_root(chain, bundle, cocycle, n, m, 2.0, mode=mode, samples=samples,
+                                  seed=seed)
+        got = solve()
+        with monkeypatch.context() as patch:
+            patch.setattr(bowen, "_inverse_norm_family", per_t_family)
+            assert solve() == got
+        assert got.converged and got.bracket[0] < got.bracket[1] and got.iterations
+
+
 def test_switch_scales_leave_linear_space_on_both_sides_of_the_family_depths():
     """SWITCH_SCALES does what the bit-for-bit test above needs of it."""
     rng = np.random.default_rng(41)  # the draws of the dim = 1 case above
@@ -359,27 +388,29 @@ def _counting(monkeypatch, module, name):
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (1, 4), (2, 1), (2, 3), (4, 2), (6, 3)])
 @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
 def test_scalar_family_runs_one_dp_pass_for_any_number_of_scales(monkeypatch, n, m, mode):
-    """Depths n-1 and n share one DP pass and all scales share its t axis, so a call carries
-    as many levels for one scale as for five, in as many _carry calls: n - 1 levels with the
-    table (two calls, one per depth), then m - 1 levels without it for depth n and m - 1 for
-    depth n-1.  At n = 1 the table has one level and depth 0 carries m - 2 levels when
-    m > 1."""
+    """The family plans its base tree once, depths n-1 and n share one DP pass along the plan
+    and all scales share its t axis, so a call steps through the same plan levels for one
+    scale as for five: levels 1..n-1 once each with the table (one pass per depth), then
+    without it the m - 1 levels after depth n and the m - 1 after depth n-1.  At n = 1 the
+    table has only level 0 and depth 0 counts from there, over m - 2 levels when m > 1."""
     chain, bundle, coc = fix_f()
+    plans = _counting(monkeypatch, pressure, "_Plan")
     family = bowen._inverse_norm_family(chain, bundle, coc, n, m, mode, 9, 5, DEFAULT_BUDGET)
-    levels, carry = [], pressure._carry
+    passes, carry, L = [], pressure._carry, n + m - 1
 
-    def counting(bundle, symbol, parent, state=None, table=None):
-        levels.append(len(symbol) - 1)
-        return carry(bundle, symbol, parent, state, table)
+    def counting(plan, depth, state=None, table=None):
+        passes.append((table is not None, range(1 if state is None else state.level + 1, depth)))
+        return carry(plan, depth, state, table)
 
     monkeypatch.setattr(pressure, "_carry", counting)
     for ts in ([0.7], FAMILY_SCALES):
-        levels.clear()
+        passes.clear()
         assert len(family(ts)) == len(ts)
-        if n >= 2:
-            assert (len(levels), sum(levels)) == (4, n + 2 * m - 3)
-        else:
-            assert (len(levels), sum(levels)) == ((3, 2 * m - 3) if m > 1 else (2, 0))
+        assert len(passes) == (4 if n >= 2 else 3 if m > 1 else 2)
+        assert sorted(k for table, levels in passes if table for k in levels) == [*range(1, n)]
+        assert sorted(k for table, levels in passes if not table for k in levels) == sorted(
+            [*range(n, L), *range(max(n - 1, 1), L - 1)])
+        assert plans["_Plan"] == 1
 
 
 @pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 40])
@@ -421,9 +452,9 @@ def test_patching_the_one_joint_row_cap_moves_the_walk_and_the_scale_batches(mon
 
     tree_log_partition = pressure._tree_log_partition
 
-    def recording(bundle, symbol, parent, state):
+    def recording(plan, depth, state):
         batches.append(len(state.W))
-        return tree_log_partition(bundle, symbol, parent, state)
+        return tree_log_partition(plan, depth, state)
 
     def solve():
         rows.clear(), batches.clear()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 import yaml
 
@@ -499,6 +500,49 @@ def test_dimension_keys_must_be_finite_and_in_range(tmp_path, capsys, override, 
         assert cli.run(cfg, overrides=[override], output_dir=str(tmp_path / "o")) == 1
     assert path in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override,path", [
+    ("potential.matrices={s0: [3.0, .nan, 3.0], s1: [4.0, 4.0, 4.0]}", "potential.matrices[0][1]"),
+    ("potential.matrices={s0: [3.0, 3.0, 3.0], s1: [4.0, 4.0, .inf]}", "potential.matrices[1][2]"),
+    ("potential.matrices=[[3.0, 3.0, 3.0], [-.inf, 4.0, 4.0]]", "potential.matrices[1][0]"),
+    ("potential.matrices=[[&g [[1, 0], [0, 2]], *g, *g], [*g, [[1, 0], [.nan, 2]], *g]]",
+     "potential.matrices[1][1][1][0]"),
+    ("potential={kind: additive, phi: [[0.0, .nan, 0.0], [1.0, 1.0, 1.0]]}", "potential.phi[0][1]"),
+    ("potential={kind: additive, phi: {s0: [0.0, 0.0, 0.0], s1: [.inf, 1.0, 1.0]}}",
+     "potential.phi[1][0]"),
+    ("potential={kind: scaled_inverse, matrices: [[3, 3, 3], [4, 4, 4]], t: .nan}", "potential.t"),
+    ("potential={kind: scaled_inverse, matrices: [[3, 3, 3], [4, 4, 4]], t: .inf}", "potential.t"),
+    ("potential={kind: scaled_inverse, matrices: [[3, 3, 3], [4, 4, 4]], t: -.inf}", "potential.t"),
+])
+def test_potential_numbers_must_be_finite(tmp_path, capsys, override, path):
+    """A NaN or infinite cocycle entry, a NaN or +inf phi entry and a non-finite t are config
+    errors naming the key and the entry's index: no DP runs, so no numpy warning and no
+    EmptyFiber or singular-cocycle error that names no key."""
+    cfg = str(CONFIGS / "random_scalar_dimension.yaml")
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: expected a finite number"):
+        load_experiment(cfg, [override])
+    for verb in ("dimension", "pressure"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(cfg, overrides=[override, f"run.verb={verb}"],
+                           output_dir=str(tmp_path / "o")) == 1
+        assert path in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_minus_inf_phi_entry_is_an_exact_zero_weight(tmp_path):
+    """-inf stays legal in potential.phi: the fiber symbol it weighs never counts, so the full
+    2-shift with phi = (-inf, 1) has the pressure of the one-word fiber, 1."""
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    exp = load_experiment(cfg, ["potential.phi=[[-.inf, 1.0]]"])
+    assert exp.potential.table.tolist() == [[-np.inf, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(cfg, overrides=["potential.phi=[[-.inf, 1.0]]", "run.m_list=[1]"],
+                       output_dir=str(tmp_path / "o")) == 0
+    rows = json.loads((tmp_path / "o" / "report.json").read_text())["results"]["rows"]
+    assert [row["value"] for row in rows] == pytest.approx([1.0] * 3, abs=1e-12)
 
 
 def test_number_and_bool_keys_take_yaml_numbers_and_bools(tmp_path):

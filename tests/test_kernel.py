@@ -173,17 +173,18 @@ def test_transfer_dp_split_at_any_level_equals_one_pass(system):
     chain, bundle, pot, n, m = system
     L = n + m - 1
     tree = chain.prefix_tree(L, DEFAULT_BUDGET)
-    sym, par = tree.symbol, tree.parent
+    plan = pressure._Plan(bundle, tree)
     for table in (pot.table, 60.0 * pot.table):
-        whole = pressure._carry(bundle, sym, par, table=table)
+        table = pressure._scaled_tables(table)()
+        whole = pressure._carry(plan, L, table=table)
         for j in range(L):
-            head = pressure._carry(bundle, sym[:j + 1], par[:j + 1], table=table)
-            split = pressure._carry(bundle, sym[j:], par[j:], head, table)
+            head = pressure._carry(plan, j + 1, table=table)
+            split = pressure._carry(plan, L, head, table)
             assert split.level == whole.level == L - 1
             assert np.array_equal(split.W, whole.W)
             assert (split.scale is None) == (whole.scale is None)
             assert whole.scale is None or np.array_equal(split.scale, whole.scale)
-    counts = pressure._tree_log_partition(bundle, sym, par)
+    counts = pressure._tree_log_partition(plan, L)
     assert counts == pytest.approx(
         [math.log(transfer_count(bundle, u, L)) for u in tree.words().tolist()], abs=1e-12)
 
@@ -210,10 +211,12 @@ def test_linear_dp_matches_the_log_space_reference(S, A, kind, L):
     linear state's log weights at depths 1, 2, L/2, L-1 and L and the log partition sums
     after the remaining levels equal the log-space loop to 1e-13 relative."""
     rng, bundle, tree = _dp_system(10 * S + A, S, A, kind, L)
-    table = DP_SCALES[:, None, None] * rng.uniform(-1.0, 2.0, (S, A))
-    sym, par = tree.symbol, tree.parent
+    unit = rng.uniform(-1.0, 2.0, (S, A))
+    table = DP_SCALES[:, None, None] * unit
+    sym, par, plan = tree.symbol, tree.parent, pressure._Plan(bundle, tree)
+    scaled = pressure._scaled_tables(unit)(DP_SCALES)
     for n in sorted({1, 2, L // 2, L - 1, L}):
-        state = pressure._carry(bundle, sym[:n], par[:n], table=table)
+        state = pressure._carry(plan, n, table=scaled)
         assert state.scale is not None and state.level == n - 1  # the linear path ran
         reference = log_space_carry(bundle, sym[:n], par[:n], table=table)
         assert np.array_equal(np.isfinite(state_log_weights(state)), np.isfinite(reference))
@@ -221,7 +224,7 @@ def test_linear_dp_matches_the_log_space_reference(S, A, kind, L):
         np.testing.assert_allclose(state_log_weights(state)[finite], reference[finite],
                                    rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(
-            pressure._tree_log_partition(bundle, sym[n - 1:], par[n - 1:], state),
+            pressure._tree_log_partition(plan, L, state),
             log_space_partition(bundle, sym[n - 1:], par[n - 1:], reference),
             rtol=1e-13, atol=0.0)
 
@@ -233,18 +236,18 @@ def test_a_wide_table_leaves_linear_space_and_matches_log_space_and_mpmath(sprea
     relative and mpmath's sums over every fiber word to 1e-10."""
     rng, bundle, tree = _dp_system(7, 2, 2, "forest", 24)
     table = np.array([-0.5, 0.5]) * spread + rng.uniform(-1.0, 1.0, (2, 2))  # each row spans it
-    sym, par = tree.symbol, tree.parent
-    state = pressure._carry(bundle, sym, par, table=table)
+    sym, par, plan = tree.symbol, tree.parent, pressure._Plan(bundle, tree)
+    scaled = pressure._scaled_tables(table)()
+    state = pressure._carry(plan, 24, table=scaled)
     assert state.scale is None
     switch = int(pressure._LINEAR_NATS // pressure._level_nats(2, table))  # the first log level
     assert switch == (0 if spread > 600.0 else 14)
     if switch:
-        assert pressure._carry(bundle, sym[:switch], par[:switch], table=table).scale is not None
-    vals = pressure._tree_log_partition(bundle, sym[-1:], par[-1:], state)
+        assert pressure._carry(plan, switch, table=scaled).scale is not None
+    vals = pressure._tree_log_partition(plan, 24, state)
     np.testing.assert_allclose(vals, log_space_partition(bundle, sym, par, table=table),
                                rtol=1e-12, atol=0.0)
-    short = pressure._tree_log_partition(
-        bundle, sym[7:8], par[7:8], pressure._carry(bundle, sym[:8], par[:8], table=table))
+    short = pressure._tree_log_partition(plan, 8, pressure._carry(plan, 8, table=scaled))
     with mpmath.workdps(40):
         for u, val in zip(tree.words(8).tolist(), short):
             z = mpmath.fsum(mpmath.exp(mpmath.fsum(mpmath.mpf(table[u[k], w[k]])
@@ -261,21 +264,21 @@ def test_a_minus_inf_table_entry_is_an_exact_zero(kind, L):
     rng, bundle, tree = _dp_system(3, 2, 3, kind, L)
     table = rng.uniform(-1.0, 1.0, (2, 3))
     table[0, 1] = table[1, 2] = -np.inf
-    sym, par = tree.symbol, tree.parent
-    state = pressure._carry(bundle, sym, par, table=table)
+    sym, par, plan = tree.symbol, tree.parent, pressure._Plan(bundle, tree)
+    state = pressure._carry(plan, L, table=pressure._scaled_tables(table)())
     assert state.scale is not None
     reference = log_space_carry(bundle, sym, par, table=table)
     weights = state_log_weights(state)
     assert np.array_equal(weights == -np.inf, reference == -np.inf)
     np.testing.assert_allclose(weights[reference > -np.inf], reference[reference > -np.inf],
                                rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(pressure._tree_log_partition(bundle, sym[-1:], par[-1:], state),
+    np.testing.assert_allclose(pressure._tree_log_partition(plan, L, state),
                                log_space_partition(bundle, sym, par, table=table),
                                rtol=1e-13, atol=0.0)
     table[:, :] = -np.inf
     with pytest.raises(EmptyFiber):
-        pressure._tree_log_partition(bundle, sym[-1:], par[-1:],
-                                     pressure._carry(bundle, sym, par, table=table))
+        pressure._tree_log_partition(plan, L, pressure._carry(
+            plan, L, table=pressure._scaled_tables(table)()))
 
 
 # --- the batched non-additive kernel -------------------------------------------------

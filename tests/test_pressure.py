@@ -445,7 +445,8 @@ def test_joint_walk_equals_the_per_leaf_reference(monkeypatch, joint_rows, norm_
                     np.testing.assert_allclose(vals, want, rtol=1e-12, atol=0.0)
                 else:
                     assert np.array_equal(vals, want)
-            got = pressure._level_weights(bundle, pot, tree, depths, DEFAULT_BUDGET)(ts)
+            got = pressure._level_weights(pressure._Plan(bundle, tree), pot, depths,
+                                          DEFAULT_BUDGET)(ts)
             want = reference_level_weights(bundle, pot, tree, depths, ts)
             for g, w in zip(got, want, strict=True):
                 if closed_form:
