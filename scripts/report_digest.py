@@ -44,8 +44,9 @@ records it.  The cases are:
 - error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
   ``pressure`` grid that crosses the base budget and one that crosses the
   fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
-  and configs whose sections are not mappings or whose ``--set`` value does
-  not parse.
+  configs whose sections are not mappings or whose ``--set`` value does
+  not parse, then one non-number or ragged row in each config array, an
+  unknown ``potential.norm`` and a ``vp-check`` measure of the wrong shape.
 
 Standard output is one JSON object ``{case: [exit code, sha256(report.json),
 sha256(curve.csv), stderr]}``; a file the case did not write hashes as null,
@@ -311,6 +312,16 @@ LEMMAS = {
 }
 BAD_SECTIONS = ["measures=5", "measures={a: 1}", "measures=[5]", "bundle=[1]", "run=5",
                 "base=[1]", "potential=additive", "run.seed=[1"]
+# One non-number or ragged row per config array, an unknown norm (product_pressure.yaml), and
+# a measure of the wrong shape (golden_mean_vp.yaml): each fails at load, naming its key.
+BAD_ARRAYS = ["base.transition=[[abc]]", "bundle.allowed=[[[1, 1], [1]]]",
+              "potential.phi=[[0.0, [1.0]]]",
+              "potential={kind: cocycle, matrices: [[2.0, abc]]}",
+              "potential={kind: cocycle, matrices: [[2.0, 3.0]], norm: foo}",
+              "measures=[{transition: [[[0.5, abc], [0.5, 0.5]]], auto: true}]",
+              "measures=[{transition: [[[0.5, 0.5], [0.5, 0.5]]], initial: [[0.5, [0.5]]]}]"]
+BAD_MEASURE_SHAPE = "measures=[{transition: [[[0.5, 0.5, 0], [0.5, 0.5, 0], [1, 0, 0]]], " \
+                    "auto: true}]"
 
 
 def error_cases(out: Path):
@@ -330,6 +341,10 @@ def error_cases(out: Path):
         yield f"{product} --set {override}", _run(out, product, [override])
     config = yaml.safe_load(product.read_text()) | {"output": 5}
     yield "output: 5", _run(out, _write(out, config), out_flag=False)
+    for override in BAD_ARRAYS:
+        yield f"{product} --set {override}", _run(out, product, [override])
+    golden = Path("configs/golden_mean_vp.yaml")
+    yield f"{golden} --set {BAD_MEASURE_SHAPE}", _run(out, golden, [BAD_MEASURE_SHAPE])
 
 
 def main(argv=None) -> int:

@@ -20,9 +20,9 @@ import yaml
 from . import __version__
 from .bowen import dimension_root, lyapunov_spread
 from .config import Experiment, load_experiment
-from .errors import BudgetExceeded, ConfigError, InvariantViolation, RandpressError
+from .errors import BudgetExceeded, InvariantViolation, RandpressError
 from .measures import _lemma34
-from .potentials import CocyclePotential, check_subadditivity
+from .potentials import check_subadditivity
 from .pressure import check_power_lemma, pressure_curve
 from .varprinciple import empirical_measure_diagnostic, vp_gap
 
@@ -84,8 +84,6 @@ def _run_pressure(exp: Experiment) -> tuple[dict, int]:
 
 def _run_vp_check(exp: Experiment) -> tuple[dict, int]:
     run = exp.run
-    if not exp.measures:
-        raise ConfigError("vp-check requires at least one measure in the config")
     report = vp_gap(
         exp.chain, exp.bundle, exp.potential, exp.measures,
         n=run.n_list[-1], m=run.m_list[-1], N=run.N, budget=run.budget,
@@ -110,8 +108,6 @@ def _run_vp_check(exp: Experiment) -> tuple[dict, int]:
 
 def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
     run = exp.run
-    if exp.measures and run.N < 3:  # Lemma 3.4 runs at n = min(N, 4) against k = 2
-        raise ConfigError(f"run.N: lemmas with a measure needs N >= 3, got {run.N}")
     violations = []
 
     worst_subadd = check_subadditivity(
@@ -160,18 +156,10 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
     return results, (2 if violations else 0)
 
 
-def _cocycle_of(exp: Experiment) -> CocyclePotential:
-    """The verb builds the scaled inverse family itself, so it takes the cocycle alone."""
-    if not isinstance(exp.potential, CocyclePotential):
-        raise ConfigError("dimension verb requires potential.kind: cocycle")
-    return exp.potential
-
-
 def _run_dimension(exp: Experiment) -> tuple[dict, int]:
     run = exp.run
-    cocycle = _cocycle_of(exp)
     root = dimension_root(
-        exp.chain, exp.bundle, cocycle, n=run.n_list[-1], m=run.m_list[-1],
+        exp.chain, exp.bundle, exp.potential, n=run.n_list[-1], m=run.m_list[-1],
         t_max=run.t_max, tol_t=run.tol_t, tol_p=run.tol_p, mode=run.mode,
         samples=run.samples, seed=run.seed, budget=run.budget,
     )
@@ -185,7 +173,7 @@ def _run_dimension(exp: Experiment) -> tuple[dict, int]:
     }
     if exp.measures:
         top, bottom, spread = lyapunov_spread(
-            exp.chain, exp.bundle, cocycle, exp.measures[0],
+            exp.chain, exp.bundle, exp.potential, exp.measures[0],
             n=min(run.N, 6), budget=run.budget,
         )
         results["lyapunov"] = {"top": top, "bottom": bottom, "spread": spread}
@@ -238,7 +226,7 @@ def run(config_path: str, overrides: list[str] | None = None,
             _write_json(exp, {"invariant_violation": str(exc)})
             print(f"invariant violation: {exc}", file=sys.stderr)
             return 2
-    except (ConfigError, RandpressError, ValueError, OSError) as exc:
+    except (RandpressError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     path = _write_json(exp, results)

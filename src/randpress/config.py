@@ -13,7 +13,7 @@ from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import BundleSFT
 from .errors import ConfigError
 from .measures import RandomMarkovMeasure, solve_consistent_initial
-from .potentials import AdditivePotential, CocyclePotential, ScaledInverseNormPotential
+from .potentials import _NORMS, AdditivePotential, CocyclePotential, ScaledInverseNormPotential
 
 VERBS = ("pressure", "vp-check", "lemmas", "dimension", "convergence", "diagnose")
 MODES = ("exact", "monte_carlo")
@@ -73,16 +73,6 @@ def _finite(value, path: str, positive: bool) -> float:
     return x
 
 
-def _finite_array(value, path: str, minus_inf: bool = False) -> np.ndarray:
-    """A float array of finite entries (or -inf, an exact zero weight, with minus_inf)."""
-    arr = np.asarray(value, dtype=float)
-    bad = np.argwhere(np.isnan(arr) | (arr == np.inf) | (not minus_inf) & (arr == -np.inf))
-    if len(bad):  # named by the first bad entry's index
-        raise ConfigError(f"{path}{''.join(f'[{j}]' for j in bad[0])}: expected a finite number"
-                          f"{' or -.inf' if minus_inf else ''}, got {arr[tuple(bad[0])]}")
-    return arr
-
-
 def _int_list(tree: dict, key: str, default: list) -> tuple[int, ...]:
     values = tree.get(key, default)
     if not isinstance(values, list) or not values:
@@ -93,19 +83,37 @@ def _int_list(tree: dict, key: str, default: list) -> tuple[int, ...]:
     return ints
 
 
-def _per_state_table(spec, states, path) -> list:
-    """Accept either a list in state order or a mapping keyed by state name."""
-    if isinstance(spec, dict):
+def _shape(arr: np.ndarray, shape: tuple, path: str) -> None:
+    """Raise unless arr has shape; a None entry is the size of arr's first None axis (a square)."""
+    free = next((n for n, want in zip(arr.shape, shape) if want is None), None)
+    shape = tuple(free if want is None else want for want in shape)
+    if arr.shape != shape:
+        raise ConfigError(f"{path}: expected shape {shape}, got {arr.shape}")
+
+
+def _array(spec, path: str, states=None, shape=None, minus_inf: bool = False) -> np.ndarray:
+    """The float array of a list of rows of numbers (or, with states, a mapping by state name):
+    finite (or -inf, an exact zero weight, with minus_inf), of the given shape; errors name path.
+    """
+    if isinstance(spec, dict) and states is not None:
         _only(spec, states, f"{path}.")
         try:
-            return [spec[name] for name in states]
+            spec = [spec[name] for name in states]
         except KeyError as exc:
             raise ConfigError(f"{path}: missing entry for state {exc.args[0]!r}") from exc
-    if isinstance(spec, list):
-        if len(spec) != len(states):
-            raise ConfigError(f"{path}: expected {len(states)} entries, got {len(spec)}")
-        return spec
-    raise ConfigError(f"{path}: expected list or mapping")
+    try:
+        arr = np.array(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected numbers in rows of equal length, "
+                          f"got {spec!r}") from None
+    if not np.isfinite(arr).all():
+        bad = np.argwhere(np.isnan(arr) | (arr == np.inf) | (not minus_inf) & (arr == -np.inf))
+        if len(bad):  # named by the first bad entry's index
+            raise ConfigError(f"{path}{''.join(f'[{j}]' for j in bad[0])}: expected a finite number"
+                              f"{' or -.inf' if minus_inf else ''}, got {arr[tuple(bad[0])]}")
+    if shape is not None:
+        _shape(arr, shape, path)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -136,23 +144,22 @@ class Experiment:
 
 def _build_chain(tree: dict) -> BaseChain:
     _only(tree, ("states", "transition"), "base.")
-    transition = np.asarray(_need(tree, "transition", "base"), dtype=float)
-    states = tree.get("states")
+    transition = _array(_need(tree, "transition", "base"), "base.transition", shape=(None, None))
     try:
-        return BaseChain.from_transition(transition, states=states)
+        return BaseChain.from_transition(transition, states=tree.get("states"))
     except Exception as exc:
         raise ConfigError(f"base: {exc}") from exc
 
 
 def _build_bundle(tree: dict, chain: BaseChain) -> BundleSFT:
     _only(tree, ("alphabet", "allowed", "strict"), "bundle.")
-    alphabet = tree.get("alphabet")
-    allowed = _per_state_table(_need(tree, "allowed", "bundle"), chain.states, "bundle.allowed")
+    allowed = _array(_need(tree, "allowed", "bundle"), "bundle.allowed", chain.states,
+                     (chain.num_states, None, None))
     strict = tree.get("strict", False)
     if not isinstance(strict, bool):
         raise ConfigError(f"bundle.strict: expected true or false, got {strict!r}")
     try:
-        return BundleSFT.from_matrices(np.asarray(allowed), alphabet=alphabet, strict=strict)
+        return BundleSFT.from_matrices(allowed, alphabet=tree.get("alphabet"), strict=strict)
     except Exception as exc:
         raise ConfigError(f"bundle: {exc}") from exc
 
@@ -162,19 +169,16 @@ def _build_potential(tree: dict, chain: BaseChain, bundle: BundleSFT):
     if kind not in tuple(_POTENTIAL_KEYS):
         raise ConfigError(f"potential.kind: unknown kind {kind!r}")
     _only(tree, _POTENTIAL_KEYS[kind], "potential.")
+    SA = (chain.num_states, bundle.num_symbols)
     if kind == "additive":
-        phi = _per_state_table(_need(tree, "phi", "potential"), chain.states, "potential.phi")
-        table = _finite_array(phi, "potential.phi", minus_inf=True)
-        if table.shape != (chain.num_states, bundle.num_symbols):
-            raise ConfigError(f"potential.phi: expected shape {(chain.num_states, bundle.num_symbols)}")
-        return AdditivePotential(table)
-    mats = _per_state_table(_need(tree, "matrices", "potential"), chain.states, "potential.matrices")
-    B = _finite_array(mats, "potential.matrices")
-    if B.ndim == 2:  # scalar cocycle given as an (S, A) table
-        B = B[:, :, None, None]
-    if B.ndim != 4 or B.shape[:2] != (chain.num_states, bundle.num_symbols):
-        raise ConfigError("potential.matrices: leading shape must be (states, alphabet)")
-    cocycle = CocyclePotential(B, norm_kind=tree.get("norm", "spectral"))
+        return AdditivePotential(_array(_need(tree, "phi", "potential"), "potential.phi",
+                                        chain.states, SA, minus_inf=True))
+    B = _array(_need(tree, "matrices", "potential"), "potential.matrices", chain.states)
+    _shape(B, SA if B.ndim == 2 else (*SA, None, None), "potential.matrices")
+    norm = tree.get("norm", "spectral")
+    if norm not in _NORMS:
+        raise ConfigError(f"potential.norm: must be one of {_NORMS}, got {norm!r}")
+    cocycle = CocyclePotential(B[:, :, None, None] if B.ndim == 2 else B, norm_kind=norm)
     if kind == "cocycle":
         return cocycle
     return ScaledInverseNormPotential(cocycle, _finite(tree.get("t", 0.0), "potential.t", False))
@@ -183,24 +187,16 @@ def _build_potential(tree: dict, chain: BaseChain, bundle: BundleSFT):
 def _build_measures(specs, chain: BaseChain, bundle: BundleSFT) -> tuple[RandomMarkovMeasure, ...]:
     if specs is not None and not isinstance(specs, list):
         raise ConfigError(f"measures: expected a list of mappings, got {specs!r}")
-    out = []
+    out, SAA = [], (chain.num_states, bundle.num_symbols, bundle.num_symbols)
     for i, spec in enumerate(specs or []):
         path = f"measures[{i}]"
         _only(spec, ("transition", "initial", "auto"), f"{path}.")
-        Q = np.asarray(
-            _per_state_table(_need(spec, "transition", path), chain.states, f"{path}.transition"),
-            dtype=float,
-        )
+        Q = _array(_need(spec, "transition", path), f"{path}.transition", chain.states, SAA)
         auto = spec.get("auto", False)
         if not isinstance(auto, bool):
             raise ConfigError(f"{path}.auto: expected true or false, got {auto!r}")
-        if auto:
-            pi, _resid = solve_consistent_initial(Q, chain)
-        else:
-            pi = np.asarray(
-                _per_state_table(_need(spec, "initial", path), chain.states, f"{path}.initial"),
-                dtype=float,
-            )
+        pi = (solve_consistent_initial(Q, chain)[0] if auto else
+              _array(_need(spec, "initial", path), f"{path}.initial", chain.states, SAA[:2]))
         out.append(RandomMarkovMeasure(initial=pi, transition=Q))
     return tuple(out)
 
@@ -249,13 +245,11 @@ def apply_overrides(tree: dict, overrides: list[str]) -> dict:
         keys = path.split(".")
         node = tree
         for key in keys[:-1]:
-            if not isinstance(node, dict):
-                raise ConfigError(f"override path {path!r} does not address a mapping")
             if node.get(key) is None:  # a bare `output:` is an empty section, not a value
                 node[key] = {}
             node = node[key]
-        if not isinstance(node, dict):
-            raise ConfigError(f"override path {path!r} does not address a mapping")
+            if not isinstance(node, dict):
+                raise ConfigError(f"override path {path!r} does not address a mapping")
         try:
             node[keys[-1]] = yaml.load(raw, Loader=_LOADER)
         except yaml.YAMLError as exc:
@@ -284,6 +278,12 @@ def load_experiment(config_path: str, overrides: list[str] | None = None) -> Exp
     output_dir = (tree.get("output") or {}).get("dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output.dir: expected a string, got {output_dir!r}")
+    if run.verb == "vp-check" and not measures:
+        raise ConfigError("vp-check requires at least one measure in the config")
+    if run.verb == "lemmas" and measures and run.N < 3:  # Lemma 3.4 runs at n = min(N, 4), k = 2
+        raise ConfigError(f"run.N: lemmas with a measure needs N >= 3, got {run.N}")
+    if run.verb == "dimension" and not isinstance(potential, CocyclePotential):
+        raise ConfigError("dimension verb requires potential.kind: cocycle")
     return Experiment(
         chain=chain, bundle=bundle, potential=potential, measures=measures,
         run=run, output_dir=output_dir, resolved=tree,

@@ -18,6 +18,8 @@ from .base import BaseChain, _choice_cdf, _column_walk, _freeze
 from .bundle import BundleSFT
 from .errors import SingularMatrix
 
+_NORMS = ("spectral", "max_row_sum")  # the matrix norms a cocycle's norm_kind may name
+
 
 class SubadditivePotential(ABC):
     """Family f_n with f_{n+m} <= f_n + f_m composed with the n-fold skew shift."""
@@ -57,8 +59,6 @@ def _mat_norm(P: np.ndarray, kind: str) -> np.ndarray:
     2x2 takes no LAPACK call and no reduce over an axis of length 2: the larger row sum, or
     sigma_1 = (hypot(a+d, b-c) + hypot(a-d, b+c)) / 2.
     """
-    if kind not in ("spectral", "max_row_sum"):
-        raise ValueError(f"unknown norm kind {kind!r}")
     if P.shape[-1] != 2:
         return (np.linalg.svd(P, compute_uv=False)[..., 0] if kind == "spectral"
                 else np.abs(P).sum(axis=-1).max(axis=-1))
@@ -127,7 +127,7 @@ class CocyclePotential(SubadditivePotential):
         B = _freeze(self, "matrices", self.matrices)
         if B.ndim != 4 or B.shape[2] != B.shape[3]:
             raise ValueError("matrices must have shape (S, A, d, d)")
-        if self.norm_kind not in ("spectral", "max_row_sum"):
+        if self.norm_kind not in _NORMS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
 
     @property

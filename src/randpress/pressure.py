@@ -297,6 +297,16 @@ def _base_words(chain: BaseChain, n: int, m: int, mode: str, samples: int, seed:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _unscaled(stat, vals: np.ndarray) -> float:
+    """stat(vals), or where that overflows on finite vals, stat(vals / max|vals|) scaled back."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf of two overflowed sums
+        out = stat(vals)
+        if not np.isfinite(out) and np.isfinite(vals).all():
+            scale = np.max(np.abs(vals))
+            out = stat(vals / scale) * scale
+    return float(out)
+
+
 def _estimate(tree: PrefixTree, n: int, m: int, mode: str, samples: int, seed: int,
               vals: np.ndarray) -> PressureEstimate:
     """Expectation of one value per length-(n+m-1) word of a _base_words tree or forest.
@@ -307,8 +317,9 @@ def _estimate(tree: PrefixTree, n: int, m: int, mode: str, samples: int, seed: i
     if mode == "exact":
         return PressureEstimate(n=n, m=m, value=float(np.dot(tree.prob[n + m - 2], vals)),
                                 mode="exact")
-    std_error = float(np.std(vals, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return PressureEstimate(n=n, m=m, value=float(np.mean(vals)), mode="monte_carlo",
+    std_error = (_unscaled(lambda v: np.std(v, ddof=1) / np.sqrt(samples), vals)
+                 if samples > 1 else 0.0)
+    return PressureEstimate(n=n, m=m, value=_unscaled(np.mean, vals), mode="monte_carlo",
                             std_error=std_error, samples=samples, seed=seed)
 
 

@@ -545,6 +545,132 @@ def test_a_minus_inf_phi_entry_is_an_exact_zero_weight(tmp_path):
     assert [row["value"] for row in rows] == pytest.approx([1.0] * 3, abs=1e-12)
 
 
+ARRAYS_TREE = {
+    "base": {"states": ["s0", "s1"], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+    "bundle": {"alphabet": ["a", "b"], "allowed": [[[1, 1], [1, 1]], [[1, 1], [1, 0]]]},
+    "potential": {"kind": "cocycle", "matrices": [[2.0, 3.0], [4.0, 5.0]]},
+    "measures": [{"transition": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]],
+                  "initial": [[0.5, 0.5], [0.5, 0.5]]}],
+    "run": {"verb": "pressure", "n_list": [2], "m_list": [1]},
+}
+ARRAY_KEYS = ("base.transition", "bundle.allowed", "potential.matrices", "potential.phi",
+              "measures[0].transition", "measures[0].initial")
+
+
+def _innermost_rows(value):
+    """The innermost lists of a nested list of numbers, in order."""
+    if not isinstance(value[0], list):
+        return [value]
+    return [row for v in value for row in _innermost_rows(v)]
+
+
+def _bad(rows, kind):
+    """Spoil a nested list of numbers in place: one entry, one row, or every row."""
+    if kind in ("non-number", "nan", "-inf"):
+        rows[0][0] = {"non-number": "abc", "nan": math.nan, "-inf": -math.inf}[kind]
+    elif kind == "ragged":
+        rows[-1].pop()
+    else:  # wrong shape: every innermost row one entry longer, so the array stays rectangular
+        for row in rows:
+            row.append(row[-1])
+
+
+BAD_ARRAY_ENTRIES = {
+    "non-number": ": expected numbers in rows of equal length",
+    "ragged": ": expected numbers in rows of equal length",
+    "nan": "[0]: expected a finite number",
+    "wrong shape": ": expected shape",
+    "-inf": "[0]: expected a finite number, got -inf",
+}
+
+
+@pytest.mark.parametrize("key,kind", [
+    (key, kind) for key in ARRAY_KEYS for kind in BAD_ARRAY_ENTRIES
+    if (key, kind) != ("potential.phi", "-inf")  # -inf is an exact zero weight in phi
+])
+def test_every_config_array_is_read_and_checked_at_load(tmp_path, monkeypatch, capsys, key, kind):
+    """A non-number, a ragged row, a NaN, a wrong shape and (outside potential.phi) -inf in any
+    config array fail at load with a ConfigError naming the key (and the entry's index for a
+    non-finite value): no bare numpy error, no later ShapeMismatch, no numpy warning."""
+    monkeypatch.chdir(tmp_path)
+    tree = json.loads(json.dumps(ARRAYS_TREE))
+    if key == "potential.phi":
+        tree["potential"] = {"kind": "additive", "phi": [[0.0, 1.0], [1.0, 0.0]]}
+    *sections, name = key.replace("[0]", ".0").split(".")
+    node = tree
+    for section in sections:
+        node = node[int(section)] if section.isdigit() else node[section]
+    ndim = np.ndim(node[name])
+    _bad(_innermost_rows(node[name]), kind)
+    cfg = write_config(tmp_path, tree)
+    message = BAD_ARRAY_ENTRIES[kind]
+    if message.startswith("[0]"):
+        message = "[0]" * ndim + message[3:]
+    with pytest.raises(ConfigError, match=f"^{re.escape(key + message)}"):
+        load_experiment(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}{message}") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
+
+
+@pytest.mark.parametrize("potential", [ARRAYS_TREE["potential"],
+                                       {"kind": "additive", "phi": [[0.0, 1.0], [1.0, 0.0]]}])
+def test_the_unspoilt_arrays_tree_runs(tmp_path, potential):
+    """Each case of the test above fails on its own spoilt entry, not on the rest of the tree."""
+    cfg = write_config(tmp_path, ARRAYS_TREE | {"potential": potential})
+    exp = load_experiment(cfg)
+    assert exp.bundle.allowed.dtype == np.int8 and exp.measures[0].initial.shape == (2, 2)
+    assert cli.run(cfg, output_dir=str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda t: t.update(measures=[]) or t["run"].update(verb="vp-check"),
+     "vp-check requires at least one measure in the config"),
+    (lambda t: t["run"].update(verb="lemmas", N=2),
+     "run.N: lemmas with a measure needs N >= 3, got 2"),
+    (lambda t: t["run"].update(verb="dimension"),
+     "dimension verb requires potential.kind: cocycle"),
+    (lambda t: t.update(potential=SCALED_TREE["potential"]) or t["run"].update(verb="dimension"),
+     "dimension verb requires potential.kind: cocycle"),
+])
+def test_verb_requirements_are_checked_at_load(tmp_path, capsys, edit, message):
+    """load_experiment alone rejects a verb its config cannot serve, with the message the
+    CLI prints."""
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    edit(tree)
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_experiment(cfg)
+    assert cli.run(cfg, output_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("norm", ["foo", "Spectral", 1, None])
+def test_an_unknown_norm_is_named_at_load(tmp_path, capsys, norm):
+    cfg = str(CONFIGS / "random_scalar_dimension.yaml")
+    override = f"potential.norm={yaml.safe_dump(norm)}"
+    with pytest.raises(ConfigError, match=f"^potential.norm: must be one of .*, got {norm!r}$"):
+        load_experiment(cfg, [override])
+    assert cli.run(cfg, overrides=[override], output_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("error: potential.norm: ")
+
+
+def test_monte_carlo_dimension_near_the_float_limit_warns_nothing(tmp_path):
+    """Probe pressures of order -1e306 overflow np.std's squares; the estimate recomputes the
+    spread on the values scaled by their largest magnitude, so no RuntimeWarning is raised."""
+    cfg = str(CONFIGS / "random_scalar_dimension.yaml")
+    overrides = ["run.t_max=1.0e+306", "run.mode=monte_carlo", "run.samples=5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(cfg, overrides=overrides, output_dir=str(tmp_path / "o")) == 0
+    results = json.loads((tmp_path / "o" / "report.json").read_text())["results"]
+    assert results["converged"] and math.isfinite(results["t_star"])
+
+
 def test_number_and_bool_keys_take_yaml_numbers_and_bools(tmp_path):
     cfg = write_config(tmp_path, SCALED_TREE)
     exp = load_experiment(cfg, ["run.t_max=3", "run.tol_t=1.0e-6", "run.tol_p=0",

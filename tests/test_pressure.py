@@ -492,3 +492,25 @@ def test_power_lemma_forms_each_cocycle_product_once_per_prefix(monkeypatch):
     monkeypatch.setattr(CocyclePotential, "_extend", counted)
     assert check_power_lemma(chain, bundle, coc, 3, 2, 2, max_words=16, seed=5) == want
     assert rows == [16 * 2 ** j for j in range(1, 7)] and sum(rows) == 2016
+
+
+def test_monte_carlo_mean_and_spread_near_the_float_limit():
+    """Where np.mean or np.std overflows on finite values, the estimate takes them on the
+    values scaled by their largest magnitude; elsewhere it keeps np.mean's and np.std's bits."""
+    from fractions import Fraction
+
+    rng = np.random.default_rng(5)
+    for vals in (rng.normal(size=7), rng.normal(size=3) * 1e150, np.array([-2.5, -2.5])):
+        est = pressure._estimate(None, 1, 1, "monte_carlo", len(vals), 0, vals)
+        assert est.value == float(np.mean(vals))
+        assert est.std_error == float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
+    for vals in (np.array([-1.0e306, -1.3e306, -0.7e306, -1.1e306, -0.9e306]),
+                 np.array([1.7e308, 1.6e308, 1.5e308]), np.array([1.7e308, -1.7e308]),
+                 np.tile([1.7e308, 1.7e308, -1.7e308, -1.6e308], 8)):
+        est = pressure._estimate(None, 1, 1, "monte_carlo", len(vals), 0, vals)
+        exact = [Fraction(float(v)) for v in vals]
+        mean = sum(exact) / len(exact)
+        top = max(abs(v) for v in exact)  # the exact spread in units of top, which stays finite
+        var = sum(((v - mean) / top) ** 2 for v in exact) / (len(exact) - 1) / len(exact)
+        assert est.value == pytest.approx(float(mean), rel=1e-15)
+        assert est.std_error == pytest.approx(math.sqrt(float(var)) * float(top), rel=1e-15)
