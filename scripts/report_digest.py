@@ -36,6 +36,9 @@ records it.  The cases are:
   the SVD and inverse path, and on a near-singular 2x2 cocycle (products of
   condition up to about 1e12), which reads the 2x2 closed forms; each carries
   a uniform measure, so ``dimension`` also reports the Lyapunov spread;
+- ``pressure`` in exact and in Monte Carlo mode on a Bernoulli base with full
+  2-symbol fibers and a table of 150 nats plus log 2 per level, whose DP
+  leaves linear space at level 3 and takes the log-space step;
 - ``vp-check`` at N = 9 with a 2x2 cocycle and a uniform measure on full 2-shifts,
   whose depth-9 measure cylinders (2^18 rows) span four chunks of the joint walk,
   which cuts every shallower depth where those chunks fall, and ``lemmas`` at N = 8
@@ -43,10 +46,15 @@ records it.  The cases are:
   Fekete leaves read the shallower depths that ``vp-check``'s minimum does not;
 - error paths: ``pressure`` on a singular 2x2 ``scaled_inverse`` potential, a
   ``pressure`` grid that crosses the base budget and one that crosses the
-  fiber budget, ``lemmas`` with a power-lemma cell over the base budget only,
-  configs whose sections are not mappings or whose ``--set`` value does
-  not parse, then one non-number or ragged row in each config array, an
-  unknown ``potential.norm`` and a ``vp-check`` measure of the wrong shape.
+  fiber budget, ``lemmas`` on a system whose longest words of the power
+  inequality would cross the base budget (named for that cell, which
+  ``lemmas`` no longer runs), configs whose sections are not mappings or
+  whose ``--set`` value does not parse, then one non-number or ragged row in
+  each config array, an unknown ``potential.norm``, a ``vp-check`` measure of
+  the wrong shape, state and symbol names that are not distinct strings, a
+  YAML ``true`` or ``null`` array entry, a measure's ``initial`` next to
+  ``auto: true``, and a budget below 1 in ``run.budget`` and in
+  ``RANDPRESS_BUDGET``.
 
 Standard output is one JSON object ``{case: [exit code, sha256(report.json),
 sha256(curve.csv), stderr]}``; a file the case did not write hashes as null,
@@ -78,6 +86,7 @@ import sys
 import traceback
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import yaml
@@ -89,7 +98,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402
 
 from randpress import cli  # noqa: E402
-from randpress.config import VERBS  # noqa: E402
+from randpress.config import BUDGET_ENV, VERBS  # noqa: E402
 
 OUT = Path(".report-digest")
 MC = ["run.mode=monte_carlo", "run.samples=24"]
@@ -246,6 +255,9 @@ def cases(out: Path, seeds: list[int]):
         for norm, verb in itertools.product(("spectral", "max_row_sum"), ("pressure", "dimension")):
             config = system | {"potential": system["potential"] | {"norm": norm}}
             yield f"{name} cocycle {norm} {verb}", _run(out, _write(out, config), verb=verb)
+    for mode in ("exact", "monte_carlo"):
+        config = WIDE_TABLE | {"run": WIDE_TABLE["run"] | {"mode": mode, "samples": 24}}
+        yield f"wide table log-space pressure {mode}", _run(out, _write(out, config))
     for config in (MULTI_CHUNK, MULTI_CHUNK_LEMMAS):
         yield f"multi-chunk measure sums {config['run']['verb']}", _run(out, _write(out, config))
 
@@ -302,7 +314,14 @@ ZERO_GENERATOR = FIX_B | {
     "potential": {"kind": "cocycle", "matrices": [[2.0, 0.0], [3.0, 0.0]]},
     "measures": [{"initial": [[1.0, 0.0]] * 2, "transition": [[[1.0, 0.0]] * 2] * 2}],
 }
-# 3^7 base words exceed the budget, 2^7 fiber words do not: lemmas' k=3, n=2, m=2 cell.
+# A Bernoulli base with full 2-symbol fibers and a per-level spread of 150 nats plus log 2:
+# past the 600-nat range rule from level 3 on, so the DP takes the log-space step.
+WIDE_TABLE = COCYCLE | {
+    "potential": {"kind": "additive", "phi": [[0.0, 150.0], [-75.0, 75.0]]},
+    "run": {"verb": "pressure", "n_list": [4, 8], "m_list": [1, 2]},
+}
+# 3^7 base words exceed the budget, 2^7 fiber words do not: the power inequality's k=3, n=2,
+# m=2 cell, which lemmas ran until it stopped checking that inequality.
 LEMMAS = {
     "base": {"transition": [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]},
     "bundle": {"allowed": [[[1, 1], [1, 1]]] * 3},
@@ -322,6 +341,13 @@ BAD_ARRAYS = ["base.transition=[[abc]]", "bundle.allowed=[[[1, 1], [1]]]",
               "measures=[{transition: [[[0.5, 0.5], [0.5, 0.5]]], initial: [[0.5, [0.5]]]}]"]
 BAD_MEASURE_SHAPE = "measures=[{transition: [[[0.5, 0.5, 0], [0.5, 0.5, 0], [1, 0, 0]]], " \
                     "auto: true}]"
+# Names that are not one distinct string per state or symbol, YAML true and null array
+# entries, an initial law that auto: true would ignore and a budget below 1
+# (product_pressure.yaml); each fails at load, naming its key.
+BAD_INPUTS = ["bundle.alphabet=ab", "bundle.alphabet=5", "bundle.alphabet=[x, x]",
+              "base.states=[s0, s1]", "potential.phi=[[0.0, true]]", "potential.phi=[[0.0, null]]",
+              "measures=[{transition: [[[0.5, 0.5], [0.5, 0.5]]], initial: [[0.5, 0.5]], "
+              "auto: true}]", "run.budget=-5"]
 
 
 def error_cases(out: Path):
@@ -345,6 +371,11 @@ def error_cases(out: Path):
         yield f"{product} --set {override}", _run(out, product, [override])
     golden = Path("configs/golden_mean_vp.yaml")
     yield f"{golden} --set {BAD_MEASURE_SHAPE}", _run(out, golden, [BAD_MEASURE_SHAPE])
+    for override in BAD_INPUTS:
+        yield f"{product} --set {override}", _run(out, product, [override])
+    with mock.patch.dict(os.environ, {BUDGET_ENV: "-5"}):
+        row = _run(out, product)
+    yield f"{product} with {BUDGET_ENV}=-5", row
 
 
 def main(argv=None) -> int:

@@ -2,8 +2,8 @@
 
 Reads a YAML experiment config, runs one verb, and writes deterministic
 report files (JSON, plus CSV for curves).  Identical config and seed produce
-byte-identical reports; wall-time and budget usage go to the console only so
-re-runs stay reproducible at the byte level.
+byte-identical reports; wall time goes to the console only so re-runs stay
+reproducible at the byte level.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ import yaml
 from . import __version__
 from .bowen import dimension_root, lyapunov_spread
 from .config import Experiment, load_experiment
-from .errors import BudgetExceeded, InvariantViolation, RandpressError
+from .errors import InvariantViolation, RandpressError
 from .measures import _lemma34
 from .potentials import check_subadditivity
-from .pressure import check_power_lemma, pressure_curve
+from .pressure import pressure_curve
 from .varprinciple import empirical_measure_diagnostic, vp_gap
 
 _FEKETE_TOL = 1e-9
@@ -110,26 +110,10 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
     run = exp.run
     violations = []
 
-    worst_subadd = check_subadditivity(
-        exp.potential, exp.chain, exp.bundle, sample_count=1000, seed=run.seed
-    )
+    worst_subadd = check_subadditivity(exp.potential, exp.chain, exp.bundle, sample_count=1000,
+                                       seed=run.seed)
     if worst_subadd > _SUBADD_TOL:
         violations.append("subadditivity")
-
-    power = {}
-    for k in (2, 3):  # at k = 1 the window covers every position: the slack is 0 by construction
-        for n in (1, 2):
-            for m in (1, 2):
-                try:
-                    slack = check_power_lemma(
-                        exp.chain, exp.bundle, exp.potential, k, n, m,
-                        budget=run.budget, max_words=16, seed=run.seed,
-                    )
-                except BudgetExceeded:  # over the base or the fiber budget: no cell
-                    continue
-                power[f"k={k},n={n},m={m}"] = slack
-                if slack < -_SLACK_TOL:
-                    violations.append(f"power_lemma k={k} n={n} m={m}")
 
     lemma34 = []
     fekete_worst = None
@@ -148,7 +132,6 @@ def _run_lemmas(exp: Experiment) -> tuple[dict, int]:
 
     results = {
         "subadditivity_worst": worst_subadd,
-        "power_lemma_slacks": power,
         "lemma34_slacks": lemma34,
         "fekete_worst": fekete_worst,
         "violations": sorted(set(violations)),

@@ -92,9 +92,9 @@ def _shape(arr: np.ndarray, shape: tuple, path: str) -> None:
 
 
 def _array(spec, path: str, states=None, shape=None, minus_inf: bool = False) -> np.ndarray:
-    """The float array of a list of rows of numbers (or, with states, a mapping by state name):
-    finite (or -inf, an exact zero weight, with minus_inf), of the given shape; errors name path.
-    """
+    """The float array of a list of rows of numbers, not bools or None (or, with states, a mapping
+    by state name): finite (or -inf, an exact zero weight, with minus_inf), of the given shape;
+    errors name path."""
     if isinstance(spec, dict) and states is not None:
         _only(spec, states, f"{path}.")
         try:
@@ -106,11 +106,16 @@ def _array(spec, path: str, states=None, shape=None, minus_inf: bool = False) ->
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: expected numbers in rows of equal length, "
                           f"got {spec!r}") from None
-    if not np.isfinite(arr).all():
-        bad = np.argwhere(np.isnan(arr) | (arr == np.inf) | (not minus_inf) & (arr == -np.inf))
-        if len(bad):  # named by the first bad entry's index
-            raise ConfigError(f"{path}{''.join(f'[{j}]' for j in bad[0])}: expected a finite number"
-                              f"{' or -.inf' if minus_inf else ''}, got {arr[tuple(bad[0])]}")
+    flat = [spec]
+    for _ in range(arr.ndim):  # nested lists of equal length, as the conversion found
+        flat = [x for row in flat for x in row]
+    if not (np.isfinite(arr).all() and bool not in set(map(type, flat))):  # YAML true reads 1.0
+        bad = np.isnan(arr) | (arr == np.inf) | (not minus_inf) & (arr == -np.inf)
+        bad = np.flatnonzero(bad.ravel() | [isinstance(x, bool) for x in flat])
+        if len(bad):  # named by the first bad entry's index; YAML null reads nan
+            raise ConfigError(f"{path}{''.join(f'[{j}]' for j in np.unravel_index(bad[0], arr.shape))}"
+                              f": expected a finite number{' or -.inf' if minus_inf else ''}, "
+                              f"got {flat[bad[0]]!r}")
     if shape is not None:
         _shape(arr, shape, path)
     return arr
@@ -142,11 +147,21 @@ class Experiment:
     resolved: dict = field(repr=False, default_factory=dict)
 
 
+def _names(tree: dict, key: str, path: str, count: int):
+    """tree[key] if given: a list of count distinct strings, one name per state or symbol."""
+    names = tree.get(key)
+    if key in tree and not (isinstance(names, list) and all(isinstance(x, str) for x in names)
+                            and len(set(names)) == len(names) == count):
+        raise ConfigError(f"{path}: expected a list of {count} distinct strings, got {names!r}")
+    return names
+
+
 def _build_chain(tree: dict) -> BaseChain:
     _only(tree, ("states", "transition"), "base.")
     transition = _array(_need(tree, "transition", "base"), "base.transition", shape=(None, None))
+    states = _names(tree, "states", "base.states", len(transition))
     try:
-        return BaseChain.from_transition(transition, states=tree.get("states"))
+        return BaseChain.from_transition(transition, states=states)
     except Exception as exc:
         raise ConfigError(f"base: {exc}") from exc
 
@@ -155,11 +170,12 @@ def _build_bundle(tree: dict, chain: BaseChain) -> BundleSFT:
     _only(tree, ("alphabet", "allowed", "strict"), "bundle.")
     allowed = _array(_need(tree, "allowed", "bundle"), "bundle.allowed", chain.states,
                      (chain.num_states, None, None))
+    alphabet = _names(tree, "alphabet", "bundle.alphabet", allowed.shape[1])
     strict = tree.get("strict", False)
     if not isinstance(strict, bool):
         raise ConfigError(f"bundle.strict: expected true or false, got {strict!r}")
     try:
-        return BundleSFT.from_matrices(allowed, alphabet=tree.get("alphabet"), strict=strict)
+        return BundleSFT.from_matrices(allowed, alphabet=alphabet, strict=strict)
     except Exception as exc:
         raise ConfigError(f"bundle: {exc}") from exc
 
@@ -195,6 +211,8 @@ def _build_measures(specs, chain: BaseChain, bundle: BundleSFT) -> tuple[RandomM
         auto = spec.get("auto", False)
         if not isinstance(auto, bool):
             raise ConfigError(f"{path}.auto: expected true or false, got {auto!r}")
+        if auto and "initial" in spec:
+            raise ConfigError(f"{path}.initial: auto: true solves for it, so it would be ignored")
         pi = (solve_consistent_initial(Q, chain)[0] if auto else
               _array(_need(spec, "initial", path), f"{path}.initial", chain.states, SAA[:2]))
         out.append(RandomMarkovMeasure(initial=pi, transition=Q))
@@ -216,9 +234,9 @@ def _build_run(tree: dict) -> RunSettings:
         raise ConfigError(f"run.mode: must be one of {MODES}, got {mode!r}")
     env_budget = os.environ.get(BUDGET_ENV)
     try:
-        default_budget = DEFAULT_BUDGET if env_budget is None else int(env_budget)
+        default_budget = DEFAULT_BUDGET if env_budget is None else _int(int(env_budget), BUDGET_ENV, 1)
     except ValueError:
-        raise ConfigError(f"{BUDGET_ENV}: expected an integer, got {env_budget!r}") from None
+        raise ConfigError(f"{BUDGET_ENV}: expected an integer >= 1, got {env_budget!r}") from None
     n_list = _int_list(tree, "n_list", [8])
     m_list = _int_list(tree, "m_list", [1])
     return RunSettings(
@@ -229,7 +247,7 @@ def _build_run(tree: dict) -> RunSettings:
         mode=mode,
         samples=_int(tree.get("samples", 0), "run.samples"),
         seed=_int(tree.get("seed", 0), "run.seed", 0),
-        budget=_int(tree.get("budget", default_budget), "run.budget"),
+        budget=_int(tree.get("budget", default_budget), "run.budget", 1),
         t_max=_finite(tree.get("t_max", 4.0), "run.t_max", positive=True),
         tol_t=_finite(tree.get("tol_t", 1e-8), "run.tol_t", positive=False),
         tol_p=_finite(tree.get("tol_p", 1e-9), "run.tol_p", positive=False),

@@ -4,8 +4,8 @@ With the 2^-j fiber metric and epsilon = 2^-m, a maximal separated set holds
 exactly one point per admissible (n+m-1)-cylinder and the potential is
 constant on each, so the partition sum is an exact finite sum.  One transfer DP
 runs level by level along a tree of base words, planned once per tree (_Plan: each
-level's node pick and parent gather), from the weights of one level-weights engine at
-scale 1 or on a vector of scales t: additive (and additive-reducible) potentials
+level's node pick and parent gather), from the weights of one level-weights engine on
+a vector of scales t (a plain sum is t = 1): additive (and additive-reducible) potentials
 multiply in their one-step table on every level; any other potential is read at every
 depth asked for from one walk of the joint (base word, fiber word) tree
 (bundle._joint_walk, which the power-inequality and greedy checks walk too), whose rows
@@ -135,19 +135,18 @@ class _Plan:
 
 
 def _scaled_tables(table: np.ndarray):
-    """ts -> _carry's (log, nats, E, shift) for log = t * table, t on a leading axis (ts None:
-    scale 1, no axis): the range rule's nats per level, each row's maximum shift (0 if it has no
-    finite entry) and, if level 0 is linear, E = exp(log - shift).  For t >= 0, max(t x) = t max(x)
-    exactly, so a finite table's row extremes, taken once, give every t's shift and nats; other
-    tables (0 * -inf is nan), scale 1 and a t * table that overflows read them off log."""
+    """ts -> _carry's (log, nats, E, shift) for log = t * table, t on a leading axis: the range
+    rule's nats per level, each row's maximum shift (0 if it has no finite entry) and, if level 0
+    is linear, E = exp(log - shift).  For t >= 0, max(t x) = t max(x) exactly, so a finite table's
+    row extremes, taken once, give every t's shift and nats; other tables (0 * -inf is nan) and a
+    t * table that overflows read them off log."""
     A, finite, top, bottom = table.shape[-1], np.isfinite(table).all(), table.max(-1), table.min(-1)
-    log_A = np.log(A)
 
-    def scaled(ts=None):
-        log, nats = table if ts is None else ts[:, None, None] * table, np.inf
-        if finite and ts is not None:
+    def scaled(ts):
+        log, nats = ts[:, None, None] * table, np.inf
+        if finite:
             shift = ts[:, None] * top
-            nats = (shift - ts[:, None] * bottom).max(initial=0.0) + log_A
+            nats = (shift - ts[:, None] * bottom).max(initial=0.0) + np.log(A)
         if not nats < np.inf:
             shift, nats = log.max(axis=-1), _level_nats(A, log)
             shift[~np.isfinite(shift)] = 0.0  # a row with no finite entry stays 0
@@ -196,10 +195,8 @@ def _tree_log_partition(plan: _Plan, depth: int, state=None) -> np.ndarray:
     """Log partition sums at level depth-1: _carry with no table, then a sum over a."""
     state = _carry(plan, depth, state)
     with np.errstate(divide="ignore"):
-        if state.scale is None:
-            vals = _logsumexp(state.W, axis=-1)
-        else:
-            vals = np.log(state.W.sum(axis=-1)) + state.scale
+        vals = (_logsumexp(state.W, axis=-1) if state.scale is None
+                else np.log(state.W.sum(axis=-1)) + state.scale)
     if not np.isfinite(vals).all():
         raise EmptyFiber("partition sum is 0 or infinite over some base word")
     return vals
@@ -221,20 +218,20 @@ def _joint_values(bundle: BundleSFT, potential, tree: PrefixTree, depths):
 def _level_weights(plan: _Plan, potential, depths, budget: int, reuse: bool = False):
     """ts -> [DP state of t * f_d at level d-1, t on its leading axis, for each d in depths].
 
-    ts None is scale 1 with no t axis.  An additive potential scales its table by t once per
-    call (_scaled_tables) and runs one DP pass along the plan through every depth.  Any other
-    potential checks the fiber budget at the tree's length and takes f_d for every depth from
-    one _joint_walk, on every admissible length-d fiber word over the depth-d base words,
-    keyed per (base word, last fiber symbol) by _joint_values.  A call scales each chunk's
-    values by t and reduces them per key as the chunks arrive (one call only, unless reuse
-    keeps the chunks); a SingularMatrix is raised there at any t > 0.  No table follows these
-    weights, so they enter linear space as they are.
+    An additive potential scales its table by t once per call (_scaled_tables) and runs one
+    DP pass along the plan through every depth.  Any other potential checks the fiber budget
+    at the tree's length and takes f_d for every depth from one _joint_walk, on every
+    admissible length-d fiber word over the depth-d base words, keyed per (base word, last
+    fiber symbol) by _joint_values.  A call scales each chunk's values by t and reduces them
+    per key as the chunks arrive (one call only, unless reuse keeps the chunks); a
+    SingularMatrix is raised there at any t > 0.  No table follows these weights, so they
+    enter linear space as they are.
     """
     A, add = plan.bundle.num_symbols, potential.to_additive()
     if add is not None:
         scaled = _scaled_tables(add.table)
 
-        def weights(ts=None):  # each depth resumes the pass at level d-1 of the one before
+        def weights(ts):  # each depth resumes the pass at level d-1 of the one before
             table, out = scaled(ts), [None]
             for d in depths:
                 out.append(_carry(plan, d, out[-1], table))
@@ -244,15 +241,15 @@ def _level_weights(plan: _Plan, potential, depths, budget: int, reuse: bool = Fa
     chunks = _joint_values(plan.bundle, potential, plan.tree, depths)
     chunks = list(chunks) if reuse else chunks
 
-    def weights(ts=None):
-        scales, out = np.ones(1) if ts is None else ts, [[] for _ in depths]
+    def weights(ts):
+        out = [[] for _ in depths]
         for i, size, key, vals in chunks:
-            if isinstance(vals, SingularMatrix) and (scales > 0.0).any():
+            if isinstance(vals, SingularMatrix) and (ts > 0.0).any():
                 raise vals  # at t = 0 every joint word weighs 1
             out[i].append([_segment_logsumexp(t * vals if t > 0.0 else np.zeros(len(key)), key,
-                                              size) for t in scales])
-        V = [np.concatenate(acc, axis=1).reshape(len(scales), -1, A) for acc in out]
-        return [_to_linear(v if ts is not None else v[0], d - 1) for d, v in zip(depths, V)]
+                                              size) for t in ts])
+        V = [np.concatenate(acc, axis=1).reshape(len(ts), -1, A) for acc in out]
+        return [_to_linear(v, d - 1) for d, v in zip(depths, V)]
     return weights
 
 
@@ -270,8 +267,8 @@ def log_partition_sum(
     if len(syms) < n + m - 1:
         raise ValueError(f"base word must have length >= {n + m - 1}")
     plan = _Plan(bundle, _forest([syms[:n + m - 1]]))
-    [V] = _level_weights(plan, potential, [n], budget)()
-    return float(_tree_log_partition(plan, n + m - 1, V)[0])
+    [V] = _level_weights(plan, potential, [n], budget)(np.ones(1))
+    return float(_tree_log_partition(plan, n + m - 1, V)[0, 0])
 
 
 def _forest(rows) -> PrefixTree:
@@ -348,11 +345,10 @@ def _increment_family(chain: BaseChain, bundle: BundleSFT, potential, n: int, m:
     """t -> depth increments E[log Z(n) - log Z(n-1)] of t * f (not divided by n), for a t vector.
 
     The t-independent work is done once: the base tree or sampled forest, its DP plan, and
-    the level weights of f at depths n-1 and n (or its table's row extremes), kept for
-    every probe.  Each call scales them by t
-    and runs the DP with a leading t axis.  A table leaves linear space at the level its
-    batch's widest scale sets, so a batch in which one did so within the tree runs again
-    one scale at a time: no scale's bits depend on its batch.
+    the level weights of f at depths n-1 and n (or its table's row extremes), kept for every
+    probe.  Each call scales them by t and runs the DP with a leading t axis.  A table leaves
+    linear space at the level its batch's widest scale sets, so a batch in which one did so
+    within the tree runs again one scale at a time: no scale's bits depend on its batch.
     """
     tree = _base_words(chain, n, m, mode, samples, seed, budget)
     plan, L = _Plan(bundle, tree), n + m - 1
@@ -402,8 +398,9 @@ def pressure_curve(
         raise ValueError("n_list and m_list must be increasing")
     tree = _base_words(chain, n_list[-1], m_list[-1], mode, samples, seed, budget)
     plan = _Plan(bundle, tree)
-    weights = _level_weights(plan, potential, n_list, budget)()
-    rows = [_estimate(tree, n, m, mode, samples, seed, _tree_log_partition(plan, n + m - 1, V) / n)
+    weights = _level_weights(plan, potential, n_list, budget)(np.ones(1))  # t = 1: row 0
+    rows = [_estimate(tree, n, m, mode, samples, seed,
+                      _tree_log_partition(plan, n + m - 1, V)[0] / n)
             for n, V in zip(n_list, weights) for m in m_list]
     by_nm = {(r.n, r.m): r.value for r in rows}
     for n in n_list:

@@ -366,9 +366,10 @@ def test_malformed_override_value_names_the_override(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_lemmas_skips_a_power_lemma_cell_over_the_base_budget(tmp_path):
-    """3^7 base words exceed a budget of 1000 while 2^7 fiber words do not: k=3, n=2, m=2 is
-    skipped like a cell over the fiber budget, and every other cell is checked."""
+def test_lemmas_reports_its_four_keys_and_no_power_inequality_cells(tmp_path):
+    """On a config whose 3^7 base words exceed its budget of 1000, lemmas reports exactly
+    its four keys and no violation: the power inequality holds by inclusion (a maximal
+    separated set of the k-th power is separated for the map), so no cell of it is run."""
     tree = json.loads(json.dumps(FIX_A_TREE))
     tree.update({
         "base": {"transition": [[0.2, 0.3, 0.5], [0.4, 0.4, 0.2], [0.3, 0.3, 0.4]]},
@@ -380,8 +381,8 @@ def test_lemmas_skips_a_power_lemma_cell_over_the_base_budget(tmp_path):
     out = tmp_path / "o"
     assert cli.run(write_config(tmp_path, tree), output_dir=str(out)) == 0
     results = json.loads((out / "report.json").read_text())["results"]
-    cells = {f"k={k},n={n},m={m}" for k in (2, 3) for n in (1, 2) for m in (1, 2)}
-    assert set(results["power_lemma_slacks"]) == cells - {"k=3,n=2,m=2"}
+    assert set(results) == {"subadditivity_worst", "lemma34_slacks", "fekete_worst",
+                            "violations"}
     assert results["violations"] == []
 
 
@@ -614,6 +615,87 @@ def test_every_config_array_is_read_and_checked_at_load(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}{message}") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
+
+
+@pytest.mark.parametrize("key", ARRAY_KEYS)
+@pytest.mark.parametrize("entry", [True, False, None])
+def test_a_yaml_bool_or_null_array_entry_is_named_with_its_index(tmp_path, monkeypatch, capsys,
+                                                                 key, entry):
+    """true and false in a config array are not read as 1.0 and 0.0, nor null as a NaN: each
+    fails at load, naming the key, the entry's index and the entry."""
+    monkeypatch.chdir(tmp_path)
+    tree = json.loads(json.dumps(ARRAYS_TREE))
+    if key == "potential.phi":
+        tree["potential"] = {"kind": "additive", "phi": [[0.0, 1.0], [1.0, 0.0]]}
+    *sections, name = key.replace("[0]", ".0").split(".")
+    node = tree
+    for section in sections:
+        node = node[int(section)] if section.isdigit() else node[section]
+    _innermost_rows(node[name])[0][0] = entry
+    where = key + "[0]" * np.ndim(node[name])
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(where)}: expected a finite number.*, got {entry!r}$"):
+        load_experiment(cfg)
+    assert cli.main([cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("bundle.alphabet", "ab"), ("bundle.alphabet", 5), ("bundle.alphabet", ["x", "x"]),
+    ("bundle.alphabet", ["a"]), ("bundle.alphabet", [0, 1]), ("bundle.alphabet", None),
+    ("base.states", "ab"), ("base.states", ["s0", "s0"]), ("base.states", ["s0", "s1", "s2"]),
+    ("base.states", [1, 2]),
+])
+def test_state_and_symbol_names_are_lists_of_distinct_strings(tmp_path, monkeypatch, capsys,
+                                                              key, value):
+    """base.states and bundle.alphabet, when given, hold one distinct string per base state or
+    fiber symbol: a string is not split into characters, and duplicate names, under which the
+    diagnose report would merge marginal entries, fail at load naming the key."""
+    monkeypatch.chdir(tmp_path)
+    tree = json.loads(json.dumps(ARRAYS_TREE))
+    section, name = key.split(".")
+    tree[section][name] = value
+    cfg = write_config(tmp_path, tree)
+    message = f"{key}: expected a list of 2 distinct strings, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_experiment(cfg)
+    assert cli.main([cfg, "--verb", "diagnose"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "exp.yaml"]
+
+
+def test_a_measure_initial_next_to_auto_true_is_named(tmp_path, capsys):
+    """auto: true solves for the initial law, so a given measures[i].initial would be ignored:
+    the pair fails at load naming measures[i].initial."""
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree["measures"].append({"transition": [[[0.5, 0.5], [0.5, 0.5]]],
+                             "initial": [[0.5, 0.5]], "auto": True})
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match=r"^measures\[1\]\.initial: "):
+        load_experiment(cfg)
+    assert cli.run(cfg, output_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("error: measures[1].initial: ")
+    tree["measures"][1]["auto"] = False  # the same initial law, read
+    exp = load_experiment(write_config(tmp_path, tree, "read.yaml"))
+    assert exp.measures[1].initial.tolist() == [[0.5, 0.5]]
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_budget_below_one_is_named_by_its_source(tmp_path, monkeypatch, capsys, budget):
+    """run.budget and RANDPRESS_BUDGET below 1 fail at load, each naming itself, rather than as
+    a budget that no word count meets."""
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    with pytest.raises(ConfigError, match=f"^run.budget: expected an integer >= 1, got {budget}$"):
+        load_experiment(cfg, [f"run.budget={budget}"])
+    assert cli.run(cfg, overrides=[f"run.budget={budget}"], output_dir=str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("error: run.budget: ")
+    monkeypatch.setenv(config.BUDGET_ENV, str(budget))
+    with pytest.raises(ConfigError,
+                       match=f"^RANDPRESS_BUDGET: expected an integer >= 1, got {budget}$"):
+        load_experiment(cfg)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("potential", [ARRAYS_TREE["potential"],

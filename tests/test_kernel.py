@@ -175,7 +175,7 @@ def test_transfer_dp_split_at_any_level_equals_one_pass(system):
     tree = chain.prefix_tree(L, DEFAULT_BUDGET)
     plan = pressure._Plan(bundle, tree)
     for table in (pot.table, 60.0 * pot.table):
-        table = pressure._scaled_tables(table)()
+        table = pressure._scaled_tables(table)(np.ones(1))
         whole = pressure._carry(plan, L, table=table)
         for j in range(L):
             head = pressure._carry(plan, j + 1, table=table)
@@ -237,17 +237,17 @@ def test_a_wide_table_leaves_linear_space_and_matches_log_space_and_mpmath(sprea
     rng, bundle, tree = _dp_system(7, 2, 2, "forest", 24)
     table = np.array([-0.5, 0.5]) * spread + rng.uniform(-1.0, 1.0, (2, 2))  # each row spans it
     sym, par, plan = tree.symbol, tree.parent, pressure._Plan(bundle, tree)
-    scaled = pressure._scaled_tables(table)()
+    scaled = pressure._scaled_tables(table)(np.ones(1))
     state = pressure._carry(plan, 24, table=scaled)
     assert state.scale is None
     switch = int(pressure._LINEAR_NATS // pressure._level_nats(2, table))  # the first log level
     assert switch == (0 if spread > 600.0 else 14)
     if switch:
         assert pressure._carry(plan, switch, table=scaled).scale is not None
-    vals = pressure._tree_log_partition(plan, 24, state)
+    vals = pressure._tree_log_partition(plan, 24, state)[0]
     np.testing.assert_allclose(vals, log_space_partition(bundle, sym, par, table=table),
                                rtol=1e-12, atol=0.0)
-    short = pressure._tree_log_partition(plan, 8, pressure._carry(plan, 8, table=scaled))
+    short = pressure._tree_log_partition(plan, 8, pressure._carry(plan, 8, table=scaled))[0]
     with mpmath.workdps(40):
         for u, val in zip(tree.words(8).tolist(), short):
             z = mpmath.fsum(mpmath.exp(mpmath.fsum(mpmath.mpf(table[u[k], w[k]])
@@ -265,20 +265,20 @@ def test_a_minus_inf_table_entry_is_an_exact_zero(kind, L):
     table = rng.uniform(-1.0, 1.0, (2, 3))
     table[0, 1] = table[1, 2] = -np.inf
     sym, par, plan = tree.symbol, tree.parent, pressure._Plan(bundle, tree)
-    state = pressure._carry(plan, L, table=pressure._scaled_tables(table)())
+    state = pressure._carry(plan, L, table=pressure._scaled_tables(table)(np.ones(1)))
     assert state.scale is not None
     reference = log_space_carry(bundle, sym, par, table=table)
-    weights = state_log_weights(state)
+    weights = state_log_weights(state)[0]
     assert np.array_equal(weights == -np.inf, reference == -np.inf)
     np.testing.assert_allclose(weights[reference > -np.inf], reference[reference > -np.inf],
                                rtol=1e-13, atol=0.0)
-    np.testing.assert_allclose(pressure._tree_log_partition(plan, L, state),
+    np.testing.assert_allclose(pressure._tree_log_partition(plan, L, state)[0],
                                log_space_partition(bundle, sym, par, table=table),
                                rtol=1e-13, atol=0.0)
     table[:, :] = -np.inf
     with pytest.raises(EmptyFiber):
         pressure._tree_log_partition(plan, L, pressure._carry(
-            plan, L, table=pressure._scaled_tables(table)()))
+            plan, L, table=pressure._scaled_tables(table)(np.ones(1))))
 
 
 # --- the batched non-additive kernel -------------------------------------------------

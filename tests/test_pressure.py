@@ -332,6 +332,32 @@ def test_power_lemma_nonadditive():
     assert check_power_lemma(chain, bundle, coc, 2, 2, 1, max_words=4) >= -1e-12
 
 
+class _ArbitraryValues(SubadditivePotential):
+    """f_n of a joint word: a pseudo-random value in [-20, 20] of n and its first n base and
+    fiber symbols, so neither sub-additive nor local."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def eval_batch(self, base_arr, fiber_arr, n):
+        code = np.zeros(len(base_arr))
+        for j in range(n):
+            code = 7.0 * code + 3.0 * base_arr[:, j] + fiber_arr[:, j] + 1.0
+        return 20.0 * np.sin(code * math.sqrt(2.0) + self.seed + 0.1 * n)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_power_lemma_slack_is_nonnegative_for_any_potential_values(seed):
+    """A maximal separated set of the k-th power is separated for the map, so the power sum
+    never exceeds the map's, whatever the values of f: every k = 2, 3 cell's slack is
+    >= -1e-12 on a plug-in potential with arbitrary values."""
+    rng = np.random.default_rng(seed)
+    S, A = 1 + seed % 3, 2 + seed % 2
+    chain, bundle, pot = random_chain(rng, S), random_bundle(rng, S, A), _ArbitraryValues(seed)
+    for k, n, m in itertools.product((2, 3), (1, 2), (1, 2)):
+        assert check_power_lemma(chain, bundle, pot, k, n, m, max_words=16, seed=seed) >= -1e-12
+
+
 @pytest.mark.parametrize("k,n,m,max_words", [(1, 2, 2, None), (2, 2, 1, 5), (3, 1, 2, 3),
                                                (2, 1, 2, None)])
 def test_power_lemma_matches_per_word_oracle(k, n, m, max_words):
