@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import yaml
 
@@ -29,11 +29,50 @@ from .varprinciple import empirical_measure_diagnostic, vp_gap
 _FEKETE_TOL = 1e-9
 _SLACK_TOL = 1e-12
 _SUBADD_TOL = 1e-12
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # float.__repr__ -> JSON
 
 
 def _report_path(exp: Experiment, name: str) -> str:
     os.makedirs(exp.output_dir, exist_ok=True)
-    return os.path.join(exp.output_dir, name)
+    path = os.path.join(exp.output_dir, name)
+    try:  # a new file each time: rewriting one in place costs several times more on ext4
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return path
+
+
+def _json(obj, out: list, indent: str = "\n") -> list:
+    """Append obj's text to out as json.dumps(obj, sort_keys=True, indent=2) lays it out."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        out.append(_JSON_NONFINITE.get(text, text))
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        inner = indent + "  "
+        out.append("[" + inner)
+        for item in obj:
+            _json(item, out, inner)
+            out.append("," + inner)
+        out[-1] = indent + "]" if obj else "[]"  # over the last separator, or the bare opening
+    elif isinstance(obj, dict):
+        inner = indent + "  "
+        out.append("{" + inner)
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(encode_basestring_ascii(key) + ": ")
+            _json(obj[key], out, inner)
+            out.append("," + inner)
+        out[-1] = indent + "}" if obj else "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return out
 
 
 def _write_json(exp: Experiment, results: dict) -> str:
@@ -48,7 +87,7 @@ def _write_json(exp: Experiment, results: dict) -> str:
     }
     path = _report_path(exp, "report.json")
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write("".join(_json(payload, [])) + "\n")
     return path
 
 

@@ -245,7 +245,7 @@ def _build_run(tree: dict) -> RunSettings:
         m_list=m_list,
         N=_int(tree.get("N", n_list[-1]), "run.N", 1),
         mode=mode,
-        samples=_int(tree.get("samples", 0), "run.samples"),
+        samples=_int(tree.get("samples", 0), "run.samples", 1 if mode == "monte_carlo" else 0),
         seed=_int(tree.get("seed", 0), "run.seed", 0),
         budget=_int(tree.get("budget", default_budget), "run.budget", 1),
         t_max=_finite(tree.get("t_max", 4.0), "run.t_max", positive=True),

@@ -12,6 +12,8 @@ import warnings
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from randpress import cli, config
 from randpress.config import apply_overrides, load_experiment
@@ -75,6 +77,77 @@ def test_lemmas_rerun_is_byte_identical(tmp_path):
     assert cli.run(cfg, output_dir=str(out)) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second and b'"subadditivity_worst"' in first["report.json"]
+
+
+def _dumps(obj) -> str:
+    """The report writer's text for obj."""
+    return "".join(cli._json(obj, []))
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+                | st.floats().map(np.float64))
+
+
+@given(st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner) | st.tuples(inner, inner)
+                    | st.dictionaries(st.text(), inner), max_leaves=40))
+def test_report_writer_lays_out_json_as_json_dumps_sorted_with_indent_two(obj):
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 2 ** 64, -(2 ** 70) - 1, True, False,
+    None, "é ∑ \U0001F600", "\x00\x1f\x7f\"\\\n\t", "", [], {}, (), [[], {}, ()],
+    {"b": [1, (2.5, None)], "a": {"z": {}, "y": [[[]]]}, "": "x"}, (1, "t", [0.5]),
+    np.float64(0.1), np.float64(-np.inf), np.float64(np.nan), [np.float64(1e-300), np.float64(2.0)],
+    {"rows": [{"n": 2, "value": np.float64(1.3132616875182228), "mode": "exact"}]},
+])
+def test_report_writer_matches_json_dumps_on_edge_values(obj):
+    assert _dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [np.int64(3), {1, 2}, b"x", np.bool_(True), [np.float32(0.5)],
+                                 {"a": object()}, {1: "int key"}])
+def test_report_writer_rejects_what_json_cannot_hold(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)
+
+
+def test_a_rerun_into_a_used_directory_writes_new_files(tmp_path, monkeypatch):
+    """A shorter curve over a longer one leaves no tail, and the old file is replaced, not
+    rewritten: a hard link to it keeps the old bytes."""
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree["run"]["n_list"] = [2, 3, 4]
+    long_cfg = write_config(tmp_path, tree, "long.yaml")
+    tree["run"]["n_list"] = [2]
+    short_cfg = write_config(tmp_path, tree, "short.yaml")
+    for name in ("used", "empty"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "used")  # the same relative output.dir in both reports
+    assert cli.run(long_cfg, output_dir="out") == 0
+    old = {}
+    for name in ("report.json", "curve.csv"):
+        os.link(f"out/{name}", f"old-{name}")
+        old[name] = (pathlib.Path("out", name).read_bytes(), os.stat(f"out/{name}").st_ino)
+    assert cli.run(short_cfg, output_dir="out") == 0
+    monkeypatch.chdir(tmp_path / "empty")
+    assert cli.run(short_cfg, output_dir="out") == 0
+    for name, (old_bytes, old_inode) in old.items():
+        used = tmp_path / "used" / "out" / name
+        assert used.read_bytes() == (tmp_path / "empty" / "out" / name).read_bytes() != old_bytes
+        assert (tmp_path / "used" / f"old-{name}").read_bytes() == old_bytes
+        assert used.stat().st_ino != old_inode
+
+
+def test_a_symlink_at_the_report_path_is_replaced_not_written_through(tmp_path):
+    cfg = write_config(tmp_path, FIX_A_TREE)
+    target = tmp_path / "elsewhere.json"
+    target.write_text("kept\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "report.json").symlink_to(target)
+    assert cli.run(cfg, output_dir=str(tmp_path / "out")) == 0
+    assert target.read_text() == "kept\n"
+    assert not (tmp_path / "out" / "report.json").is_symlink()
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["verb"] == "pressure"
 
 
 def test_zero_row_config_exit_one(tmp_path, capsys):
@@ -398,7 +471,7 @@ def test_invalid_mode_rejected_at_load(tmp_path):
     cfg = write_config(tmp_path, tree)
     with pytest.raises(ConfigError, match="run.mode"):
         load_experiment(cfg)
-    assert load_experiment(cfg, ["run.mode=monte_carlo"]).run.mode == "monte_carlo"
+    assert load_experiment(cfg, ["run.mode=monte_carlo", "run.samples=5"]).run.mode == "monte_carlo"
 
 
 @pytest.mark.parametrize("verb", ["vp-check", "lemmas", "diagnose"])
@@ -431,6 +504,7 @@ def test_sampling_keys_rejected_on_exact_verbs(tmp_path, verb, key, value):
     ("run.m_list=[1, -1]", "run.m_list[1]"),
     ("run.N=0", "run.N"),
     ("run.seed=-1", "run.seed"),
+    ("run.samples=-3", "run.samples"),
 ])
 def test_integer_keys_reject_other_values(tmp_path, capsys, override, path):
     cfg = write_config(tmp_path, FIX_A_TREE)
@@ -439,6 +513,21 @@ def test_integer_keys_reject_other_values(tmp_path, capsys, override, path):
     assert cli.run(cfg, overrides=[override], output_dir=str(tmp_path / "o")) == 1
     assert path in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("samples", [None, 0, -2])
+def test_monte_carlo_needs_a_sample_and_the_error_names_run_samples(tmp_path, capsys, samples):
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree["run"].update({"mode": "monte_carlo"} if samples is None else
+                       {"mode": "monte_carlo", "samples": samples})
+    cfg = write_config(tmp_path, tree)
+    got = 0 if samples is None else samples
+    with pytest.raises(ConfigError, match=f"^run.samples: expected an integer >= 1, got {got}$"):
+        load_experiment(cfg)
+    assert cli.run(cfg, output_dir=str(tmp_path / "o")) == 1
+    assert "run.samples" in capsys.readouterr().err and not (tmp_path / "o").exists()
+    assert load_experiment(cfg, ["run.samples=1"]).run.samples == 1
+    assert load_experiment(cfg, ["run.mode=exact", "run.samples=0"]).run.samples == 0
 
 
 def test_list_keys_take_repeated_values_and_n_defaults_to_the_last(tmp_path):
