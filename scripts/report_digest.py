@@ -36,6 +36,8 @@ records it.  The cases are:
   the SVD and inverse path, and on a near-singular 2x2 cocycle (products of
   condition up to about 1e12), which reads the 2x2 closed forms; each carries
   a uniform measure, so ``dimension`` also reports the Lyapunov spread;
+- ``pressure``, ``vp-check`` and ``dimension`` on a 3x3 similarity cocycle, which
+  reduces to an additive table through one SVD per generator;
 - ``pressure`` in exact and in Monte Carlo mode on a Bernoulli base with full
   2-symbol fibers and a table of 150 nats plus log 2 per level, whose DP
   leaves linear space at level 3 and takes the log-space step;
@@ -255,6 +257,9 @@ def cases(out: Path, seeds: list[int]):
         for norm, verb in itertools.product(("spectral", "max_row_sum"), ("pressure", "dimension")):
             config = system | {"potential": system["potential"] | {"norm": norm}}
             yield f"{name} cocycle {norm} {verb}", _run(out, _write(out, config), verb=verb)
+    for verb in ("pressure", "vp-check", "dimension"):
+        yield f"3x3 similarity cocycle spectral {verb}", _run(out, _write(out, SIMILAR_3X3),
+                                                              verb=verb)
     for mode in ("exact", "monte_carlo"):
         config = WIDE_TABLE | {"run": WIDE_TABLE["run"] | {"mode": mode, "samples": 24}}
         yield f"wide table log-space pressure {mode}", _run(out, _write(out, config))
@@ -287,6 +292,20 @@ CUBIC = COCYCLE | {"measures": UNIFORM, "potential": {"kind": "cocycle", "matric
 NEAR_SINGULAR = COCYCLE | {"measures": UNIFORM, "potential": {"kind": "cocycle", "matrices": [
     [[[1e4, 1e4], [1e4 - 4, 1e4]], [[1e4, 1e4 - 6], [1e4, 1e4]]],
     [[[2e4, 1e4], [2e4 - 5, 1e4]], [[1e4, 2e4 - 6], [1e4, 2e4]]]]}}
+
+
+def _similarity(r: float, a: float, b: float) -> list:
+    """r times the rotation by a about the z axis after the rotation by b about the x axis."""
+    z = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0.0, 0.0, 1.0]])
+    x = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(b), -np.sin(b)], [0.0, np.sin(b), np.cos(b)]])
+    return (r * z @ x).tolist()
+
+
+# 3x3 similarities with scales 2, 2.5, 3 and 1.5, which reduce to additive tables through one
+# SVD per generator.
+SIMILAR_3X3 = COCYCLE | {"measures": UNIFORM, "potential": {"kind": "cocycle", "matrices": [
+    [_similarity(2.0, 0.3, 1.1), _similarity(2.5, 2.0, -0.4)],
+    [_similarity(3.0, -1.2, 0.7), _similarity(1.5, 0.9, 2.6)]]}}
 # 2^9 base words times 2^9 fiber words at depth N = 9: four chunks of 2^16 joint rows; then
 # 3^8 base words times 2^8 fiber words at depth 8, the deepest lemmas reads.
 MULTI_CHUNK = COCYCLE | {"measures": UNIFORM, "run": {

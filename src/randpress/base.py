@@ -65,11 +65,11 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     if np.max(np.abs(T.sum(axis=1) - 1.0)) > _ROW_SUM_TOL:
         raise ValueError("transition matrix rows must sum to 1")
     adj = T > 0.0
-    # adj | I is primitive exactly when the graph is strongly connected; then
-    # adj itself is primitive exactly when the graph is aperiodic.
-    if not _eventually_positive(adj | np.eye(n, dtype=bool)):
-        raise NonErgodicChain("positive-transition graph is not strongly connected")
+    # adj is primitive exactly when the graph is strongly connected and aperiodic; when it
+    # is not, adj | I is primitive exactly when the graph is strongly connected.
     if not _eventually_positive(adj):
+        if not _eventually_positive(adj | np.eye(n, dtype=bool)):
+            raise NonErgodicChain("positive-transition graph is not strongly connected")
         raise NonErgodicChain("positive-transition graph is periodic")
     p = _stationary_law(T)
     p = p / p.sum()

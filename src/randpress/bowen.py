@@ -18,8 +18,7 @@ from .bundle import BundleSFT
 from .errors import NoBracket, NonMonotone
 from .measures import RandomMarkovMeasure, _require_valid, _weighted_words
 from .pressure import _MONO_TOL, PressureEstimate, _increment_family
-from .potentials import (CocyclePotential, ScaledInverseNormPotential, _generators_conformal,
-                         _log_norms)
+from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_norms
 
 
 def _inverse_norm_family(chain: BaseChain, bundle: BundleSFT, cocycle: CocyclePotential,
@@ -125,7 +124,7 @@ def dimension_root(
         pressure_at_root=p_star,
         iterations=tuple(iterations),
         converged=bool(hi - lo <= tol_t and abs(p_star) <= tol_p),
-        upper_estimate=not _generators_conformal(cocycle),
+        upper_estimate=not cocycle._similar(1e-9),
     )
 
 

@@ -19,6 +19,9 @@ from .bundle import BundleSFT
 from .errors import SingularMatrix
 
 _NORMS = ("spectral", "max_row_sum")  # the matrix norms a cocycle's norm_kind may name
+# c eps with c = 8: a cocycle reduces to an additive table when every generator has
+# sigma_1 <= (1 + c eps) sigma_d.  Float-built similarities r R(theta) read at most 2 eps.
+_SIMILAR_RTOL = 8 * np.finfo(float).eps
 
 
 class SubadditivePotential(ABC):
@@ -106,10 +109,25 @@ def _row_payload(potential, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int)
     return payload
 
 
-def _generators_conformal(cocycle: CocyclePotential) -> bool:
-    """Whether every generator M has ||M||_2 ||M^{-1}||_2 <= 1 + 1e-9, a scaled isometry."""
-    sigma = np.linalg.svd(cocycle.matrices, compute_uv=False)
-    return bool(((sigma[..., -1] > 0.0) & (sigma[..., 0] <= (1.0 + 1e-9) * sigma[..., -1])).all())
+def _extreme_singular_values(B: np.ndarray) -> np.ndarray:
+    """(sigma_1, sigma_d) of each generator of an (S, A, d, d) stack, on a leading axis of 2.
+
+    d = 1 is |b| twice.  2x2 takes no LAPACK call: _mat_norm's closed form, and |ad - bc| /
+    sigma_1 (NaN for a zero matrix); near a similarity ad and bc do not cancel, so the float
+    determinant is good to a few ulps wherever a similarity test can pass.  d >= 3 takes one SVD
+    (NaN with a non-finite entry).  A NaN fails every similarity test.
+    """
+    if B.shape[-1] == 1:
+        return np.stack([np.abs(B[..., 0, 0])] * 2)
+    if B.shape[-1] == 2:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            top = _mat_norm(B, "spectral")
+            det = np.abs(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0])
+            return np.stack([top, det / top])
+    if not np.isfinite(B).all():  # LAPACK fails on NaN
+        return np.full((2, *B.shape[:2]), np.nan)
+    sigma = np.linalg.svd(B, compute_uv=False)
+    return np.stack([sigma[..., 0], sigma[..., -1]])
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,19 @@ class CocyclePotential(SubadditivePotential):
             raise ValueError("matrices must have shape (S, A, d, d)")
         if self.norm_kind not in _NORMS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
+        _freeze(self, "_sigma", _extreme_singular_values(B))
+
+    def _similar(self, rtol: float) -> bool:
+        """Whether every generator is a similarity to within rtol: 0 < sigma_d < inf and
+        sigma_1 <= (1 + rtol) sigma_d.
+
+        Two tolerances read this.  The Bowen root's upper_estimate flag asks whether the
+        generators are conformal as given, and 1e-9 forgives entries rounded in a config.  The
+        additive reduction replaces the enumerated values, so it takes _SIMILAR_RTOL, a few ulps:
+        a reduced value then stays within the rounding of the enumerated product.
+        """
+        top, bottom = self._sigma
+        return bool(((bottom > 0.0) & (bottom < np.inf) & (top <= (1.0 + rtol) * bottom)).all())
 
     @property
     def dim(self) -> int:
@@ -145,11 +176,25 @@ class CocyclePotential(SubadditivePotential):
     def eval_batch(self, base_arr, fiber_arr, n: int) -> np.ndarray:
         return self._read(_row_payload(self, base_arr, fiber_arr, n), n)
 
+    def _reduces(self) -> bool:
+        """Whether f_n is a Birkhoff sum to rounding: every generator is a similarity r R (R
+        orthogonal) and the norm is spectral (or d = 1), so ||B_n ... B_1|| = r_n ... r_1.
+
+        Every generator B has sigma_d(B) <= ||B x|| / ||x|| <= sigma_1(B), so the log-norm of
+        a length-n product, and of its inverse, lies between Birkhoff sums of log sigma_d and
+        log sigma_1: either table is off by at most n c eps nats per word (c eps = _SIMILAR_RTOL,
+        plus the few ulps in which the test itself rounds).  max_row_sum is not multiplicative
+        on rotations.
+        """
+        return (self.dim == 1 or self.norm_kind == "spectral") and self._similar(_SIMILAR_RTOL)
+
     def to_additive(self):
-        if self.dim != 1:
+        """log sigma_1 of each generator: for d = 1 (a zero generator gives f_1 = -inf, as in
+        eval_batch), or when _reduces holds."""
+        if self.dim != 1 and not self._reduces():
             return None
-        with np.errstate(divide="ignore"):  # a zero generator gives f_1 = -inf, as in eval_batch
-            return AdditivePotential(np.log(np.abs(self.matrices[:, :, 0, 0])))
+        with np.errstate(divide="ignore"):
+            return AdditivePotential(np.log(self._sigma[0]))
 
 
 @dataclass(frozen=True)
@@ -188,10 +233,16 @@ class ScaledInverseNormPotential(SubadditivePotential):
         return self._read(_row_payload(self, base_arr, fiber_arr, n), n)
 
     def to_additive(self):
-        b = self.inner.matrices[:, :, 0, 0]
-        if self.inner.dim != 1 or np.any(b == 0.0):  # a zero entry takes the joint-word path
+        """-t log sigma_d of each generator, within the bound of CocyclePotential._reduces:
+        for d = 1 with no zero entry (a zero takes the joint-word path), or when the inner
+        cocycle reduces.  2x2 reads log sigma_d = log|det| - log sigma_1 off the exact _log_det,
+        as _log_norms does on the walk."""
+        if not self.inner._reduces():
             return None
-        return AdditivePotential(-self.t * np.log(np.abs(b)))
+        top, bottom = self.inner._sigma
+        if self.inner.dim == 2:
+            return AdditivePotential(self.t * (np.log(top) - self._log_det))
+        return AdditivePotential(-self.t * np.log(bottom))
 
 
 def _subadditivity_pairs(chain: BaseChain, bundle: BundleSFT, sample_count: int, seed: int,

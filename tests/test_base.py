@@ -48,12 +48,12 @@ def test_stationary_ten_states_is_the_left_eigenvector():
 
 
 def test_stationary_rejects_reducible():
-    with pytest.raises(NonErgodicChain):
+    with pytest.raises(NonErgodicChain, match="positive-transition graph is not strongly connected"):
         stationary_distribution(np.eye(2))
 
 
 def test_stationary_rejects_periodic():
-    with pytest.raises(NonErgodicChain):
+    with pytest.raises(NonErgodicChain, match="positive-transition graph is periodic"):
         stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 

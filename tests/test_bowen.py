@@ -486,9 +486,17 @@ def test_dimension_root_equals_a_solve_with_one_evaluation_per_t(monkeypatch, mo
                                       seed=2) for chain, bundle, coc, n, m in systems]
 
 
+def _stretched_system():
+    """_rotation_system with every generator stretched by diag(1, 1.25): no similarity, so its
+    cocycle has no additive table."""
+    chain, bundle, coc = _rotation_system()
+    return chain, bundle, CocyclePotential(coc.matrices @ np.diag([1.0, 1.25]))
+
+
 def test_one_draw_and_one_joint_walk_per_solve_or_grid(monkeypatch):
     """A matrix solve draws its words once and walks the joint tree once, for depths n-1 and
-    n together; a pressure grid walks it once for all its depths.  A scalar solve walks none."""
+    n together; a pressure grid walks it once for all its depths.  A scalar solve walks none,
+    and neither does a solve or a grid on similarity generators, which run on a table."""
     calls = collections.Counter()
 
     def counting(name, f):
@@ -499,16 +507,17 @@ def test_one_draw_and_one_joint_walk_per_solve_or_grid(monkeypatch):
 
     monkeypatch.setattr(pressure, "_sample_paths", counting("draws", pressure._sample_paths))
     monkeypatch.setattr(pressure, "_joint_walk", counting("walks", pressure._joint_walk))
-    chain, bundle, coc = _rotation_system()
-    for mode, n in (("monte_carlo", 4), ("exact", 4), ("exact", 1)):
-        calls.clear()
-        root = dimension_root(chain, bundle, coc, n, 2, 2.0, mode=mode, samples=16, seed=3)
-        assert len(root.iterations) >= 3
-        assert calls == {"walks": 1, **({"draws": 1} if mode != "exact" else {})}
-    for mode in ("exact", "monte_carlo"):
-        calls.clear()
-        pressure.pressure_curve(chain, bundle, coc, [1, 2, 2, 4], [1, 2], mode, 16, 3)
-        assert calls == {"walks": 1, **({"draws": 1} if mode != "exact" else {})}
+    for system, walks in ((_stretched_system(), 1), (_rotation_system(), 0)):
+        chain, bundle, coc = system
+        for mode, n in (("monte_carlo", 4), ("exact", 4), ("exact", 1)):
+            calls.clear()
+            root = dimension_root(chain, bundle, coc, n, 2, 2.0, mode=mode, samples=16, seed=3)
+            assert len(root.iterations) >= 3
+            assert (calls["walks"], calls["draws"]) == (walks, int(mode != "exact"))
+        for mode in ("exact", "monte_carlo"):
+            calls.clear()
+            pressure.pressure_curve(chain, bundle, coc, [1, 2, 2, 4], [1, 2], mode, 16, 3)
+            assert (calls["walks"], calls["draws"]) == (walks, int(mode != "exact"))
     calls.clear()
     chain, bundle, coc = fix_f()
     root = dimension_root(chain, bundle, coc, 5, 2, 2.0, mode="monte_carlo", samples=16, seed=3)

@@ -17,6 +17,7 @@ from randpress import (
     expected_log_sum,
     greedy_maximal_separated,
     log_partition_sum,
+    potential_average,
     pressure_curve,
 )
 from randpress import bundle as bundle_mod
@@ -41,6 +42,7 @@ from fixtures import (
     reference_level_weights,
     reference_power_lemma,
     reference_value,
+    shared_q_measure,
     sparse_measure_system,
     state_log_weights,
     sweep_potentials,
@@ -540,3 +542,73 @@ def test_monte_carlo_mean_and_spread_near_the_float_limit():
         var = sum(((v - mean) / top) ** 2 for v in exact) / (len(exact) - 1) / len(exact)
         assert est.value == pytest.approx(float(mean), rel=1e-15)
         assert est.std_error == pytest.approx(math.sqrt(float(var)) * float(top), rel=1e-15)
+
+
+def _similarities(rng, S: int, A: int, d: int) -> np.ndarray:
+    """(S, A, d, d) float-built similarities r Q: r in [0.5, 2], Q a rotation or reflection
+    (cos and sin for d = 2, the QR factor of a normal matrix for d = 3)."""
+    r = rng.uniform(0.5, 2.0, (S, A))
+    if d == 2:
+        theta, flip = rng.uniform(0.0, 2 * math.pi, (S, A)), rng.integers(2, size=(S, A))
+        c, s = np.cos(theta), np.sin(theta)
+        Q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+        Q[..., 1] *= np.where(flip, -1.0, 1.0)[..., None]
+    else:
+        Q = np.linalg.qr(rng.normal(size=(S, A, d, d)))[0]
+    return r[..., None, None] * Q
+
+
+def test_similarity_generators_take_the_table_within_1e_13_of_the_walk():
+    """On 200 seeded systems of similarity generators (d = 2 and 3), the cocycle and its
+    inverse family at four scales reduce to additive tables, and their exact and Monte Carlo
+    E[log Z] and measure averages stay within 1e-13 of the joint walk's.  The tables are off
+    by at most n c eps nats per word, an absolute bound, so near 0 the gate is absolute."""
+    rng = np.random.default_rng(311)
+    for i in range(200):
+        S, A, d = int(rng.integers(2, 4)), int(rng.integers(2, 4)), 2 + i % 2
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        chain, bundle = random_chain(rng, S), random_bundle(rng, S, A, full=i % 4 < 2)
+        coc = CocyclePotential(_similarities(rng, S, A, d))
+        walked = _WalkedCocycle(coc.matrices)
+        pairs = [(coc, walked)] + [(ScaledInverseNormPotential(coc, t), _WalkedInverse(walked, t))
+                                   for t in (0.0, 0.4, 1.0, 2.5)]
+        mode = ("exact", "monte_carlo")[i // 100]
+        meas = shared_q_measure(rng, chain, bundle) if i % 4 < 2 else None
+        for pot, ref in pairs:
+            assert pot.to_additive() is not None
+            got = expected_log_sum(chain, bundle, pot, n, m, mode, 5, i).value
+            want = expected_log_sum(chain, bundle, ref, n, m, mode, 5, i).value
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
+            if meas is not None:
+                assert potential_average(meas, chain, bundle, pot, n) == pytest.approx(
+                    potential_average(meas, chain, bundle, ref, n), rel=1e-13, abs=1e-13)
+
+
+def test_near_similarities_max_row_sum_and_singular_generators_keep_the_walk():
+    """sigma_1 / sigma_d = 1 + 1e-10 is no similarity to rounding, so the cocycle and its
+    inverse family have no table, though the Bowen root's 1e-9 flag still counts it as
+    conformal; neither do similarities under max_row_sum, nor a stack with a zero generator."""
+    rng = np.random.default_rng(312)
+    for d in (2, 3):
+        B = _similarities(rng, 2, 2, d)
+        near = B @ np.diag([1.0 + 1e-10] + [1.0] * (d - 1))
+        zero = B.copy()
+        zero[1, 0] = 0.0
+        for coc in (CocyclePotential(near), CocyclePotential(B, "max_row_sum"),
+                    CocyclePotential(zero)):
+            assert coc.to_additive() is None
+            assert ScaledInverseNormPotential(coc, 1.0).to_additive() is None
+        assert CocyclePotential(B).to_additive() is not None
+        assert CocyclePotential(near)._similar(1e-9) and not CocyclePotential(zero)._similar(1e-9)
+
+
+def test_conformal_pressure_at_depth_14_takes_no_joint_walk(monkeypatch):
+    """Exact pressure of 2x2 similarities on S = A = 2 at n = 14 fits the default budget
+    (2^28 joint words would not), walks no joint tree, and equals its scalar twin b = r."""
+    monkeypatch.setattr(pressure, "_joint_walk", None)  # a walk would raise TypeError
+    rng = np.random.default_rng(313)
+    chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 2, full=True)
+    B = _similarities(rng, 2, 2, 2)
+    got = expected_log_sum(chain, bundle, CocyclePotential(B), 14, 1).value
+    twin = CocyclePotential(np.linalg.norm(B, 2, axis=(-2, -1))[..., None, None])
+    assert got == pytest.approx(expected_log_sum(chain, bundle, twin, 14, 1).value, rel=1e-13)
