@@ -68,9 +68,12 @@ With ``--values`` each row also holds the numeric leaves of its ``report.json``
 (``{json path: number}``, or null with no report).  ``--diff`` reads two such
 digests and prints the largest relative difference of a leaf with the case and
 path where it occurs, and apart from it the largest absolute difference of a
-root-search residual (``pressure_at_root``, ``iterations/*/pressure``: values
-near 0 whose sign is rounding noise at the root, so a relative difference says
-nothing).  A case whose leaf paths differ has its shared leaves compared and the
+leaf that is near 0 by design: a root-search residual (``pressure_at_root``,
+``iterations/*/pressure``), whose sign is rounding noise at the root, and the
+pressure curve's ``/results/fit_slope``, which is rounding noise on a curve flat
+in 1/n.  A relative difference of such values says nothing (slopes of -6.9e-15
+and -6.3e-16 differ by 0.9 relative), and as the largest one it would hide a real
+gap elsewhere.  A case whose leaf paths differ has its shared leaves compared and the
 paths found on one side only listed; a case whose exit code or stderr differs is
 listed, uncompared.
 """
@@ -166,18 +169,19 @@ def _absolute(a: float, b: float) -> float:
     return 0.0 if a == b or (a != a and b != b) else abs(a - b)
 
 
-def _residual(path: str) -> bool:
-    """Whether a leaf is a root-search residual: pressure_at_root or iterations/*/pressure."""
+def _near_zero(path: str) -> bool:
+    """Whether a leaf is compared absolutely: /results/fit_slope, or a root-search residual
+    (pressure_at_root or iterations/*/pressure)."""
     parts = path.split("/")
-    return parts[-1] == "pressure_at_root" or (
+    return path == "/results/fit_slope" or parts[-1] == "pressure_at_root" or (
         parts[-3:-2] == ["iterations"] and parts[-1] == "pressure")
 
 
 def diff(before: dict, after: dict) -> dict:
     """The largest relative difference of a leaf between two --values digests, the largest
-    absolute difference of a root-search residual leaf, the leaf paths found on one side
-    only, and the cases whose exit code or stderr differ."""
-    worst = {False: [0.0, None], True: [0.0, None]}  # keyed by _residual(path)
+    absolute difference of a _near_zero leaf, the leaf paths found on one side only, and the
+    cases whose exit code or stderr differ."""
+    worst = {False: [0.0, None], True: [0.0, None]}  # keyed by _near_zero(path)
     one_side, other = {}, []
     for case in sorted(before.keys() | after.keys()):
         a, b = before.get(case), after.get(case)
@@ -189,10 +193,10 @@ def diff(before: dict, after: dict) -> dict:
             one_side[case] = {"before_only": sorted(x.keys() - y.keys()),
                               "after_only": sorted(y.keys() - x.keys())}
         for path in (path for path in x if path in y):
-            residual = _residual(path)
-            gap = (_absolute if residual else _relative)(x[path], y[path])
-            if gap > worst[residual][0]:
-                worst[residual] = [gap, [case, path, x[path], y[path]]]
+            near_zero = _near_zero(path)
+            gap = (_absolute if near_zero else _relative)(x[path], y[path])
+            if gap > worst[near_zero][0]:
+                worst[near_zero] = [gap, [case, path, x[path], y[path]]]
     return {"max_relative_difference": worst[False][0], "at": worst[False][1],
             "max_residual_abs_difference": worst[True][0], "residual_at": worst[True][1],
             "cases": len(before),

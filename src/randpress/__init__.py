@@ -2,7 +2,7 @@
 
 from .base import BaseChain, stationary_distribution
 from .bundle import BundleSFT
-from .bowen import DimensionRoot, dimension_root, lyapunov_spread, pressure_at_t
+from .bowen import DimensionRoot, dimension_root, lyapunov_spread
 from .measures import (
     FStarBracket,
     RandomMarkovMeasure,

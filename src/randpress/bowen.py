@@ -17,35 +17,16 @@ from .base import DEFAULT_BUDGET, BaseChain
 from .bundle import BundleSFT
 from .errors import NoBracket, NonMonotone
 from .measures import RandomMarkovMeasure, _require_valid, _weighted_words
-from .pressure import _MONO_TOL, PressureEstimate, _increment_family
+from .pressure import _MONO_TOL, _increment_family
 from .potentials import CocyclePotential, ScaledInverseNormPotential, _log_norms
 
 
 def _inverse_norm_family(chain: BaseChain, bundle: BundleSFT, cocycle: CocyclePotential,
                          n: int, m: int, mode: str, samples: int, seed: int, budget: int):
-    """t -> pressure_at_t(t) on a vector of t: the unit inverse-norm potential's increment family."""
+    """t -> pressure of t times the unit inverse-norm potential, on a vector of t: each base
+    word of length n+m-1 adds log Z(n) - log Z(n-1), Z(n-1) over its parent in the tree."""
     return _increment_family(chain, bundle, ScaledInverseNormPotential(cocycle, 1.0), n, m, mode,
                              samples, seed, budget)
-
-
-def pressure_at_t(
-    chain: BaseChain,
-    bundle: BundleSFT,
-    cocycle: CocyclePotential,
-    t: float,
-    n: int,
-    m: int,
-    mode: str = "exact",
-    samples: int = 0,
-    seed: int = 0,
-    budget: int = DEFAULT_BUDGET,
-) -> PressureEstimate:
-    """Depth-increment pressure of the scaled inverse-norm family at scale t.
-
-    Each base word of length n+m-1 contributes log Z(n) - log Z(n-1); the
-    lower depth reads the word's first n+m-2 symbols, its parent in the tree.
-    """
-    return _inverse_norm_family(chain, bundle, cocycle, n, m, mode, samples, seed, budget)([t])[0]
 
 
 @dataclass(frozen=True)
@@ -73,7 +54,7 @@ def dimension_root(
     budget: int = DEFAULT_BUDGET,
     max_iter: int = 60,
 ) -> DimensionRoot:
-    """Root of the monotone map t -> pressure_at_t by a bracketed secant step.
+    """Root of the monotone map t -> _inverse_norm_family(t) by a bracketed secant step.
 
     Illinois regula falsi shrinks the first sign-change pair among five probes
     on [0, t_max], each step held tol_t/2 inside the bracket so both ends close

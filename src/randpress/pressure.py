@@ -476,8 +476,7 @@ def check_power_lemma(
     For each checked base word, computes log partition sum for T at depth kn
     minus the T^k partition sum at depth n (separation only at multiples of
     k); returns the minimum slack, which must be >= -1e-12.  Both sums and
-    the minimum are reduced per chunk of base words; f_kn is read off the
-    potential's payload, grown once per fiber-word prefix.
+    the minimum are reduced per chunk of base words.
     """
     if k < 1 or n < 1 or m < 1:
         raise ValueError("k, n, m must be >= 1")
@@ -487,22 +486,14 @@ def check_power_lemma(
     if max_words is not None and len(words) > max_words:
         rng = np.random.default_rng(seed)
         words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
-    window = {i for j in range(n) for i in range(j * k, min(j * k + m, L))}
-    (pot_extend, read), A, level = _payload_of(potential), bundle.num_symbols, 0
-
-    def extend(payload, u, w):  # the window key, then f's payload up to depth k n
-        nonlocal level
-        level, key, rest = (0, 0, None) if payload is None else (level + 1, payload[0], payload[1:])
-        rest = pot_extend(rest, u, w) if level < k * n else rest
-        return (key * A + w if level in window else key, *rest)
-
+    window = sorted({i for j in range(n) for i in range(j * k, min(j * k + m, L))})
     slack = np.inf
-    for _, nodes, row, _, (key, *pot) in _joint_walk(bundle.allowed, _forest(words), [L], extend):
-        vals, size = read(tuple(pot), k * n), nodes.stop - nodes.start
+    for _, nodes, row, _, (base, fibers) in _joint_walk(bundle.allowed, _forest(words), [L]):
+        vals, size = potential.eval_batch(base, fibers, k * n), nodes.stop - nodes.start
         lhs = _segment_logsumexp(vals, row, size)
-        # Fiber words of one base word that agree on the separation window (the key's base-A
-        # digits) are not separated for T^k; its partition sum takes one maximizer per class.
-        best = _class_argmax(np.column_stack([row, key]), vals)
+        # Fiber words of one base word that agree on the separation window are not separated
+        # for T^k; its partition sum takes one maximizer per class.
+        best = _class_argmax(np.column_stack([row, fibers[:, window]]), vals)
         rhs = _segment_logsumexp(vals[best], row[best], size)
         slack = np.minimum(slack, np.min(lhs - rhs))
     return float(slack)

@@ -17,7 +17,7 @@ from randpress import (
     stationary_distribution,
 )
 from randpress import bundle as bundle_mod
-from randpress import pressure
+from randpress import bowen, pressure
 from randpress.base import DEFAULT_BUDGET, PrefixTree, _choice_cdf
 from randpress.errors import SingularMatrix
 from randpress.potentials import _log_norms, _row_payload
@@ -468,27 +468,6 @@ def reference_lyapunov_spread(cocycle, meas, chain, n):
     return top / n, bottom / n, (top - bottom) / n
 
 
-def reference_power_lemma(chain, bundle, potential, k, n, m, max_words=None, seed=0):
-    """check_power_lemma's slack from word columns: eval_batch at depth k n on every length
-    k n + m - 1 row of the joint walk, classes keyed by the row and the window's columns."""
-    L = k * n + m - 1
-    words = chain.prefix_tree(L).words()
-    if max_words is not None and len(words) > max_words:
-        rng = np.random.default_rng(seed)
-        words = words[np.sort(rng.choice(len(words), size=max_words, replace=False))]
-    window = sorted({i for j in range(n) for i in range(j * k, min(j * k + m, L))})
-    slack = np.inf
-    for _, nodes, row, _, (base, fibers) in bundle_mod._joint_walk(
-            bundle.allowed, pressure._forest(words), [L]):
-        size = nodes.stop - nodes.start
-        vals = potential.eval_batch(base, fibers, k * n)
-        lhs = pressure._segment_logsumexp(vals, row, size)
-        best = pressure._class_argmax(np.column_stack([row, fibers[:, window]]), vals)
-        rhs = pressure._segment_logsumexp(vals[best], row[best], size)
-        slack = np.minimum(slack, np.min(lhs - rhs))
-    return float(slack)
-
-
 def reference_sample_path(chain, n, seed):
     """A stationary-chain word drawn symbol by symbol with Generator.choice, as a tuple."""
     rng = np.random.default_rng(seed)
@@ -631,6 +610,13 @@ def cell_log_partition(bundle, potential, tree, n, budget=DEFAULT_BUDGET):
     plan = pressure._Plan(bundle, tree)
     [V] = pressure._level_weights(plan, potential, [n], budget)(np.ones(1))
     return pressure._tree_log_partition(plan, len(tree.symbol), V)[0]
+
+
+def pressure_at_t(chain, bundle, cocycle, t, n, m, mode="exact", samples=0, seed=0,
+                  budget=DEFAULT_BUDGET):
+    """The Bowen family's depth-increment pressure estimate at one scale t."""
+    return bowen._inverse_norm_family(chain, bundle, cocycle, n, m, mode, samples, seed,
+                                      budget)([t])[0]
 
 
 def per_t_pressure_at_t(chain, bundle, cocycle, t, n, m, mode="exact", samples=0, seed=0):

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -286,3 +287,14 @@ def test_prefix_tree_matches_brute_force_and_its_prefixes():
     assert len(chain.prefix_tree(6).symbol) == 6
     with pytest.raises(BudgetExceeded):
         chain.prefix_tree(3, budget=7)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: BaseChain.from_transition(np.full((2, 3), 1 / 3)), "transition matrix must be square"),
+    (lambda: BaseChain.from_transition([[0.5, 0.5], [0.5, 0.5]], states=["s0"]),
+     "state list does not match transition matrix size"),
+    (lambda: BaseChain.from_transition([[1.0]]).prefix_tree(0), "word length must be >= 1"),
+], ids=["square", "states", "length"])
+def test_base_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

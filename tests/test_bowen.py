@@ -16,7 +16,6 @@ from randpress import (
     dimension_root,
     lyapunov_spread,
     potential_average,
-    pressure_at_t,
 )
 from randpress import bowen, pressure
 from randpress import bundle as bundle_mod
@@ -30,6 +29,7 @@ from fixtures import (
     full_shift_bundle,
     one_state_chain,
     per_t_pressure_at_t,
+    pressure_at_t,
     random_bundle,
     random_chain,
     random_cocycle,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,12 @@ def test_transfer_count_matches_enumeration():
         assert transfer_count(bundle, word, ell) == len(cylinders(bundle, word, ell))
     assert chain is not None
 
+
+@pytest.mark.parametrize("matrices,alphabet,message", [
+    (np.ones((2, 2, 3)), None, "allowed must have shape (num_base_symbols, A, A)"),
+    (np.full((1, 2, 2), 2), None, "admissibility matrices must be 0/1"),
+    (np.ones((1, 2, 2)), ["a"], "alphabet does not match matrix size"),
+], ids=["shape", "zero-one", "alphabet"])
+def test_bundle_input_checks_name_the_fault(matrices, alphabet, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BundleSFT.from_matrices(matrices, alphabet)

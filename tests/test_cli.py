@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from randpress import cli, config
+from randpress import cli, config, lyapunov_spread
 from randpress.config import apply_overrides, load_experiment
 from randpress.errors import ConfigError, InvariantViolation
 
@@ -299,6 +299,55 @@ def test_dimension_not_converged_exit_two(tmp_path, capsys):
     assert cli.run(cfg, output_dir=str(tmp_path / "ok")) == 0
 
 
+# A 2x2 expanding cocycle on a Bernoulli base over full 2-shifts, with an auto measure.
+DIMENSION_TREE = {
+    "base": {"transition": [[0.5, 0.5], [0.5, 0.5]]},
+    "bundle": {"allowed": [[[1, 1], [1, 1]]] * 2},
+    "potential": {"kind": "cocycle", "matrices": [
+        [[[3.0, 1.0], [0.0, 2.0]], [[2.0, 0.0], [1.0, 3.0]]],
+        [[[4.0, 0.5], [0.5, 2.5]], [[2.0, 1.0], [0.0, 2.0]]]]},
+    "measures": [{"transition": [[[0.3, 0.7], [0.6, 0.4]]] * 2, "auto": True}],
+    "run": {"verb": "dimension", "n_list": [4], "m_list": [1], "t_max": 4.0},
+}
+
+
+@pytest.mark.parametrize("N", [3, 8])
+def test_dimension_with_a_measure_reports_the_lyapunov_spread_at_depth_min_n_6(tmp_path, N):
+    tree = json.loads(json.dumps(DIMENSION_TREE))
+    tree["run"]["N"] = N
+    cfg = write_config(tmp_path, tree)
+    out = tmp_path / "o"
+    assert cli.run(cfg, output_dir=str(out)) == 0
+    exp = load_experiment(cfg)
+    top, bottom, spread = lyapunov_spread(exp.chain, exp.bundle, exp.potential, exp.measures[0],
+                                          n=min(N, 6))
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["lyapunov"] == {"top": top, "bottom": bottom, "spread": spread}
+
+
+def test_lemmas_reports_each_violation_once_sorted_and_exits_two(tmp_path, monkeypatch):
+    """Subadditivity, Lemma 3.4 and Fekete all fail, the last two on each of two measures:
+    each is listed once, in sorted order, and the report is still written."""
+    monkeypatch.setattr(cli, "check_subadditivity", lambda *args, **kwargs: 1.0)
+    depths = []
+
+    def lemma34(meas, chain, bundle, potential, n, k, ds, budget):
+        depths.append(list(ds))
+        return -1.0, [float(d * d) for d in ds]  # a_{i+j} - a_i - a_j = 2 i j > 0
+
+    monkeypatch.setattr(cli, "_lemma34", lemma34)
+    tree = json.loads(json.dumps(FIX_A_TREE))
+    tree["measures"] *= 2
+    tree["run"].update({"verb": "lemmas", "N": 4})
+    out = tmp_path / "o"
+    assert cli.run(write_config(tmp_path, tree), output_dir=str(out)) == 2
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert depths == [[1, 2, 3, 4]] * 2
+    assert results == {"subadditivity_worst": 1.0, "lemma34_slacks": [-1.0, -1.0],
+                       "fekete_worst": 16.0 - 4.0 - 4.0,
+                       "violations": ["fekete", "lemma34", "subadditivity"]}
+
+
 def test_diagnose_verb(tmp_path):
     tree = json.loads(json.dumps(FIX_A_TREE))
     tree["run"].update({"verb": "diagnose", "n_list": [4], "m_list": [2]})
@@ -331,6 +380,25 @@ def test_load_experiment_reports_key_path(tmp_path):
     cfg = write_config(tmp_path, tree)
     with pytest.raises(ConfigError, match="potential.phi"):
         load_experiment(cfg)
+
+
+@pytest.mark.parametrize("sections,overrides,message", [
+    ({"base": {"states": ["s0", "s1"], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+      "bundle": {"allowed": {"s0": [[1, 1], [1, 1]]}}}, [],
+     "bundle.allowed: missing entry for state 's1'"),
+    ({"base": {"transition": [[0.9]]}}, [], "base: transition matrix rows must sum to 1"),
+    ({"base": {"transition": [[0.0, 1.0], [1.0, 0.0]]}}, [],
+     "base: positive-transition graph is periodic"),
+    ({"potential": {"kind": "foo"}}, [], "potential.kind: unknown kind 'foo'"),
+    ({}, ["run.verb.x=1"], "override path 'run.verb.x' does not address a mapping"),
+    (["not", "a", "mapping"], [], "config root must be a mapping"),
+], ids=["state-missing", "non-stochastic", "periodic", "kind", "override-path", "root"])
+def test_config_input_checks_name_the_fault(tmp_path, sections, overrides, message):
+    tree = sections
+    if isinstance(sections, dict):
+        tree = json.loads(json.dumps(FIX_A_TREE)) | sections
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_experiment(write_config(tmp_path, tree), overrides)
 
 
 def test_apply_overrides_nested_and_malformed():

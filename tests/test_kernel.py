@@ -32,7 +32,6 @@ from randpress import (
     log_partition_sum,
     lyapunov_spread,
     potential_average,
-    pressure_at_t,
     solve_consistent_initial,
     validate_measure,
 )
@@ -46,6 +45,7 @@ from fixtures import (
     log_space_carry,
     log_space_partition,
     naive_fiber_words,
+    pressure_at_t,
     random_additive,
     random_bundle,
     random_chain,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -456,3 +457,14 @@ def test_one_walk_per_measure_and_one_validation_per_verb(monkeypatch, tmp_path)
         checks.clear()
         assert cli.run("configs/golden_mean_vp.yaml", verb=verb, output_dir=str(tmp_path)) == 0
         assert checks == [1]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda *system: potential_average(*system, n=0), "n must be >= 1"),
+    (lambda *system: f_star_bracket(*system, N=0), "N must be >= 1"),
+    (lambda *system: check_lemma34(*system, n=2, k=2), "need n > k >= 1"),
+], ids=["average-n", "bracket-N", "lemma34-k"])
+def test_measures_input_checks_name_the_fault(call, message):
+    chain, bundle, pot = fix_a()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(uniform_measure(), chain, bundle, pot)

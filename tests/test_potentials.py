@@ -12,7 +12,6 @@ from randpress import (
     CocyclePotential,
     ScaledInverseNormPotential,
     check_subadditivity,
-    pressure_at_t,
     sup_norm_f1,
 )
 from randpress.errors import SingularMatrix
@@ -25,6 +24,7 @@ from fixtures import (
     fix_b,
     full_shift_bundle,
     one_state_chain,
+    pressure_at_t,
     random_bundle,
     random_chain,
     random_cocycle,
@@ -464,3 +464,21 @@ def test_inverse_norm_takes_the_generators_log_det_once_per_potential(monkeypatc
     u, w = rng.integers(2, size=(40, 6)), rng.integers(3, size=(40, 6))
     assert np.isfinite(pot.eval_batch(u, w, 6)).all()
     assert calls == [(2, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+def test_a_3x3_generator_with_a_non_finite_entry_is_no_similarity(entry):
+    """Its extreme singular values are NaN, not an SVD error: no additive reduction, and the
+    Bowen root's conformality test fails."""
+    B = np.tile(2.0 * np.eye(3), (1, 2, 1, 1))
+    B[0, 1, 2, 0] = entry
+    coc = CocyclePotential(B)
+    assert np.isnan(coc._sigma[:, 0, 1]).all()
+    assert coc.to_additive() is None and not coc._similar(1e-9)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_check_subadditivity_needs_a_sample(count):
+    chain, bundle, pot = fix_a()
+    with pytest.raises(ValueError, match="^sample_count must be >= 1$"):
+        check_subadditivity(pot, chain, bundle, sample_count=count)

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from randpress import (
     ScaledInverseNormPotential,
     SubadditivePotential,
     check_power_lemma,
+    dimension_root,
     expected_log_sum,
     greedy_maximal_separated,
     log_partition_sum,
@@ -40,7 +42,6 @@ from fixtures import (
     random_cocycle,
     reference_joint_values,
     reference_level_weights,
-    reference_power_lemma,
     reference_value,
     shared_q_measure,
     sparse_measure_system,
@@ -360,6 +361,30 @@ def test_power_lemma_slack_is_nonnegative_for_any_potential_values(seed):
         assert check_power_lemma(chain, bundle, pot, k, n, m, max_words=16, seed=seed) >= -1e-12
 
 
+def _per_word_slack(chain, bundle, pot, k, n, m, max_words, seed):
+    """check_power_lemma's slack from per-word enumeration, over the same base words drawn from
+    the same seed: every fiber word by naive_fiber_words, every value by reference_value."""
+    L = k * n + m - 1
+    words = enumerate_base_words(chain, L)
+    if max_words is not None and len(words) > max_words:
+        idx = np.random.default_rng(seed).choice(len(words), size=max_words, replace=False)
+        words = [words[i] for i in sorted(idx)]
+    # Words agreeing on the first m coordinates after each multiple of k are
+    # not separated for T^k; each such class keeps its best word.
+    window = sorted({i for j in range(n) for i in range(j * k, j * k + m) if i < L})
+    slacks = []
+    for word in words:
+        best = {}
+        vals = []
+        for w in naive_fiber_words(bundle, word.symbols, L):
+            v = reference_value(pot, word.symbols, w, k * n)
+            vals.append(v)
+            key = tuple(w[i] for i in window)
+            best[key] = max(best.get(key, -math.inf), v)
+        slacks.append(logsumexp(vals) - logsumexp(list(best.values())))
+    return min(slacks)
+
+
 @pytest.mark.parametrize("k,n,m,max_words", [(1, 2, 2, None), (2, 2, 1, 5), (3, 1, 2, 3),
                                                (2, 1, 2, None)])
 def test_power_lemma_matches_per_word_oracle(k, n, m, max_words):
@@ -367,27 +392,10 @@ def test_power_lemma_matches_per_word_oracle(k, n, m, max_words):
     rng = np.random.default_rng(19)
     chain = random_chain(rng, 2)
     bundle = random_bundle(rng, 2, 2)
-    L = k * n + m - 1
-    words = enumerate_base_words(chain, L)
-    if max_words is not None:
-        idx = np.random.default_rng(7).choice(len(words), size=max_words, replace=False)
-        words = [words[i] for i in sorted(idx)]
-    # Words agreeing on the first m coordinates after each multiple of k are
-    # not separated for T^k; each such class keeps its best word.
-    window = sorted({i for j in range(n) for i in range(j * k, j * k + m) if i < L})
     for pot in (random_cocycle(rng, 2, 2), random_additive(rng, 2, 2)):
-        slacks = []
-        for word in words:
-            best = {}
-            vals = []
-            for w in naive_fiber_words(bundle, word.symbols, L):
-                v = reference_value(pot, word.symbols, w, k * n)
-                vals.append(v)
-                key = tuple(w[i] for i in window)
-                best[key] = max(best.get(key, -math.inf), v)
-            slacks.append(logsumexp(vals) - logsumexp(list(best.values())))
         slack = check_power_lemma(chain, bundle, pot, k, n, m, max_words=max_words, seed=7)
-        assert slack == pytest.approx(min(slacks), abs=1e-12)
+        assert slack == pytest.approx(_per_word_slack(chain, bundle, pot, k, n, m, max_words, 7),
+                                      abs=1e-12)
 
 
 def test_batch_partition_matches_per_word_enumeration():
@@ -485,13 +493,10 @@ def test_joint_walk_equals_the_per_leaf_reference(monkeypatch, joint_rows, norm_
 
 
 @pytest.mark.parametrize("joint_rows", [bundle_mod._JOINT_ROWS, 5])
-def test_power_lemma_on_the_payload_equals_the_word_column_reference(monkeypatch, joint_rows):
-    """check_power_lemma reads f_kn off the potential's payload, grown once per fiber-word
-    prefix and frozen after depth k n, and keys its classes by (row, window key);
-    reference_power_lemma takes eval_batch on the word columns and keys by the window's
-    columns.  Over S and A drawn from {2, 3}, bundles with zeros, chains with zeros in T,
-    the sweep's potentials and every cell the lemmas verb runs, the slacks are bit-identical,
-    also at 5 joint rows: each base word's sums are reduced within its own chunk."""
+def test_power_lemma_on_sparse_systems_matches_per_word_oracle(monkeypatch, joint_rows):
+    """Over S and A drawn from {2, 3}, bundles with zeros, chains with zeros in T, the sweep's
+    potentials and every cell the lemmas verb runs, the slack is the per-word oracle's within
+    1e-12, also at 5 joint rows: each base word's sums are reduced within its own chunk."""
     monkeypatch.setattr(bundle_mod, "_JOINT_ROWS", joint_rows)
     rng = np.random.default_rng(47)
     for _ in range(3):
@@ -499,27 +504,8 @@ def test_power_lemma_on_the_payload_equals_the_word_column_reference(monkeypatch
         for pot in sweep_potentials(rng, chain.num_states, bundle.num_symbols):
             for k, n, m in itertools.product((2, 3), (1, 2), (1, 2)):
                 got = check_power_lemma(chain, bundle, pot, k, n, m, max_words=5, seed=k + n)
-                assert got == reference_power_lemma(chain, bundle, pot, k, n, m, 5, k + n)
-
-
-def test_power_lemma_forms_each_cocycle_product_once_per_prefix(monkeypatch):
-    """The lemmas verb's largest cell, k = 3, n = 2, m = 2 over 16 of the 2^7 base words of a
-    full 2-shift: the payload grows 16 * (2 + 4 + ... + 64) = 2,016 stacked 2x2 products
-    through depth k n = 6, where eval_batch on the 16 * 2^7 rows formed 12,288."""
-    rows = []
-    extend = CocyclePotential._extend
-
-    def counted(self, payload, u, w):
-        rows.append(len(u))
-        return extend(self, payload, u, w)
-
-    rng = np.random.default_rng(53)
-    chain, bundle = random_chain(rng, 2), random_bundle(rng, 2, 2, full=True)
-    coc = random_cocycle(rng, 2, 2)
-    want = reference_power_lemma(chain, bundle, coc, 3, 2, 2, max_words=16, seed=5)
-    monkeypatch.setattr(CocyclePotential, "_extend", counted)
-    assert check_power_lemma(chain, bundle, coc, 3, 2, 2, max_words=16, seed=5) == want
-    assert rows == [16 * 2 ** j for j in range(1, 7)] and sum(rows) == 2016
+                want = _per_word_slack(chain, bundle, pot, k, n, m, 5, k + n)
+                assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_monte_carlo_mean_and_spread_near_the_float_limit():
@@ -612,3 +598,20 @@ def test_conformal_pressure_at_depth_14_takes_no_joint_walk(monkeypatch):
     got = expected_log_sum(chain, bundle, CocyclePotential(B), 14, 1).value
     twin = CocyclePotential(np.linalg.norm(B, 2, axis=(-2, -1))[..., None, None])
     assert got == pytest.approx(expected_log_sum(chain, bundle, twin, 14, 1).value, rel=1e-13)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda c, b, p: log_partition_sum(b, p, (0, 0), 0, 1), "n and m must be >= 1"),
+    (lambda c, b, p: log_partition_sum(b, p, (0,), 2, 1), "base word must have length >= 2"),
+    (lambda c, b, p: dimension_root(c, b, CocyclePotential(np.full((1, 2, 1, 1), 3.0)), n=0, m=1,
+                                    t_max=1.0), "n and m must be >= 1"),
+    (lambda c, b, p: pressure_curve(c, b, p, [], [1]),
+     "n_list and m_list must be nonempty, with every n and m >= 1"),
+    (lambda c, b, p: greedy_maximal_separated(b, p, (0, 0, 0), 1, 2, 1),
+     "need m_res >= m_sep >= 1"),
+    (lambda c, b, p: check_power_lemma(c, b, p, 0, 1, 1), "k, n, m must be >= 1"),
+], ids=["log-partition-n", "log-partition-word", "base-words-n", "curve-lists", "greedy-m",
+        "power-lemma-k"])
+def test_pressure_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(*fix_a())
