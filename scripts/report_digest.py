@@ -96,15 +96,10 @@ from unittest import mock
 import numpy as np
 import yaml
 
-sys.dont_write_bytecode = True  # leaves no __pycache__ under perfbench/
+from randpress import cli
+from randpress.config import BUDGET_ENV, VERBS
+
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-
-import workloads  # noqa: E402
-
-from randpress import cli  # noqa: E402
-from randpress.config import BUDGET_ENV, VERBS  # noqa: E402
-
 OUT = Path(".report-digest")
 MC = ["run.mode=monte_carlo", "run.samples=24"]
 
@@ -212,6 +207,10 @@ def _write(out: Path, config: dict) -> Path:
 
 def cases(out: Path, seeds: list[int]):
     """(case name, digest row) of every case, in a fixed order."""
+    sys.dont_write_bytecode = True  # leaves no __pycache__ under perfbench/
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
     for path in sorted((ROOT / "configs").glob("*.yaml")):
         config = path.relative_to(ROOT)  # the same string in every tree
         for verb in VERBS:

@@ -15,8 +15,6 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii
 
-import yaml
-
 from . import __version__
 from .bowen import dimension_root, lyapunov_spread
 from .config import Experiment, load_experiment
@@ -237,10 +235,8 @@ def run(config_path: str, overrides: list[str] | None = None,
     """Run one experiment; returns the process exit code."""
     started = time.monotonic()
     try:
-        overrides = list(overrides or [])
-        for path, value in (("run.verb", verb), ("output.dir", output_dir)):
-            if value is not None:  # taken as given: a YAML-quoted string loads back unchanged
-                overrides.append(f"{path}={yaml.safe_dump(value)}")
+        flags = (("run.verb", verb), ("output.dir", output_dir))  # taken as given, not as YAML
+        overrides = [*(overrides or []), *((path, v) for path, v in flags if v is not None)]
         exp = load_experiment(config_path, overrides)
         try:
             results, code = _VERB_RUNNERS[exp.run.verb](exp)

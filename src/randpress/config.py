@@ -254,12 +254,13 @@ def _build_run(tree: dict) -> RunSettings:
     )
 
 
-def apply_overrides(tree: dict, overrides: list[str]) -> dict:
-    """Apply flat --set path=value overrides (values parsed as YAML)."""
+def apply_overrides(tree: dict, overrides: list) -> dict:
+    """Apply flat overrides: --set's path=value text, the value parsed as YAML, or a
+    (path, value) pair, the value taken as given."""
     for item in overrides:
-        if "=" not in item:
+        if isinstance(item, str) and "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form path=value")
-        path, raw = item.split("=", 1)
+        path, value = item.split("=", 1) if isinstance(item, str) else item
         keys = path.split(".")
         node = tree
         for key in keys[:-1]:
@@ -269,13 +270,13 @@ def apply_overrides(tree: dict, overrides: list[str]) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"override path {path!r} does not address a mapping")
         try:
-            node[keys[-1]] = yaml.load(raw, Loader=_LOADER)
+            node[keys[-1]] = yaml.load(value, Loader=_LOADER) if isinstance(item, str) else value
         except yaml.YAMLError as exc:
             raise ConfigError(f"override {item!r}: cannot parse the value: {exc}") from exc
     return tree
 
 
-def load_experiment(config_path: str, overrides: list[str] | None = None) -> Experiment:
+def load_experiment(config_path: str, overrides: list | None = None) -> Experiment:
     try:
         with open(config_path) as fh:
             tree = yaml.load(fh, Loader=_LOADER)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from fractions import Fraction as F
 
 import numpy as np
 
@@ -109,25 +108,35 @@ def _row_payload(potential, base_arr: np.ndarray, fiber_arr: np.ndarray, n: int)
     return payload
 
 
-def _extreme_singular_values(B: np.ndarray) -> np.ndarray:
-    """(sigma_1, sigma_d) of each generator of an (S, A, d, d) stack, on a leading axis of 2.
+def _generator_numbers(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_1, sigma_d) on a leading axis of 2, and log|det|, of each generator of a stack.
 
-    d = 1 is |b| twice.  2x2 takes no LAPACK call: _mat_norm's closed form, and |ad - bc| /
-    sigma_1 (NaN for a zero matrix); near a similarity ad and bc do not cancel, so the float
-    determinant is good to a few ulps wherever a similarity test can pass.  d >= 3 takes one SVD
-    (NaN with a non-finite entry).  A NaN fails every similarity test.
+    d = 1 is |b| twice; d >= 3 takes one SVD.  2x2 takes _mat_norm's closed form, and sigma_d =
+    |det| / sigma_1 (NaN for a zero matrix) with det = ad - bc formed from the entries' integer
+    ratios and rounded once.  log|det| (-inf if singular) reads that det where it is 0 or in
+    [2^-1022, 2^1023), else LU's (slogdet), which loses cond(B) eps.  A non-finite entry makes
+    sigma_d NaN, which fails every similarity test, and every log|det| LU's.
     """
-    if B.shape[-1] == 1:
-        return np.stack([np.abs(B[..., 0, 0])] * 2)
-    if B.shape[-1] == 2:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            top = _mat_norm(B, "spectral")
-            det = np.abs(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0])
-            return np.stack([top, det / top])
-    if not np.isfinite(B).all():  # LAPACK fails on NaN
-        return np.full((2, *B.shape[:2]), np.nan)
-    sigma = np.linalg.svd(B, compute_uv=False)
-    return np.stack([sigma[..., 0], sigma[..., -1]])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_det = np.linalg.slogdet(B)[1]
+        if B.shape[-1] == 1:
+            return np.stack([np.abs(B[..., 0, 0])] * 2), log_det
+        if not np.isfinite(B).all():  # LAPACK's SVD fails on NaN, as_integer_ratio on inf too
+            return np.full((2, *B.shape[:2]), np.nan), log_det
+        if B.shape[-1] > 2:
+            return np.moveaxis(np.linalg.svd(B, compute_uv=False)[..., [0, -1]], -1, 0), log_det
+        dets, normal = [], []
+        for entries in B.reshape(-1, 4).tolist():
+            (a, p), (b, q), (c, r), (d, s) = map(float.as_integer_ratio, entries)
+            num, den = abs(a * d * q * r - b * c * p * s), p * q * r * s  # den is a power of 2
+            try:
+                dets.append(num / den)  # rounded once
+            except OverflowError:  # past the largest float
+                dets.append(np.inf)
+            e = num.bit_length() - den.bit_length()  # 2^e <= |det| < 2^(e + 1)
+            normal.append(num == 0 or abs(e) <= 1022)
+        top, (det, normal) = _mat_norm(B, "spectral"), np.reshape([dets, normal], (2, *B.shape[:2]))
+        return np.stack([top, det / top]), np.where(normal, np.log(det), log_det)
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,8 @@ class CocyclePotential(SubadditivePotential):
             raise ValueError("matrices must have shape (S, A, d, d)")
         if self.norm_kind not in _NORMS:
             raise ValueError(f"unknown norm kind {self.norm_kind!r}")
-        _freeze(self, "_sigma", _extreme_singular_values(B))
+        for name, value in zip(("_sigma", "_log_det"), _generator_numbers(B)):
+            _freeze(self, name, value)
 
     def _similar(self, rtol: float) -> bool:
         """Whether every generator is a similarity to within rtol: 0 < sigma_d < inf and
@@ -211,18 +221,11 @@ class ScaledInverseNormPotential(SubadditivePotential):
     def __post_init__(self):
         if self.t < 0.0:
             raise ValueError("scale t must be >= 0")
-        B, log_det = self.inner.matrices, np.linalg.slogdet(self.inner.matrices)[1]
-        if B.shape[-1] == 2 and np.isfinite(B).all():  # ad - bc rounded once: LU loses cond(B) eps
-            for k, ((a, b), (c, d)) in enumerate(B.reshape(-1, 2, 2).tolist()):
-                det = abs(F(a) * F(d) - F(b) * F(c))
-                if det == 0 or 2.0 ** -1022 <= det < 2 ** 1023:  # a normal float, else LU's
-                    log_det.flat[k] = np.log(float(det)) if det else -np.inf
-        _freeze(self, "_log_det", log_det)  # -inf if singular
 
     def _extend(self, payload, u: np.ndarray, w: np.ndarray) -> tuple:
         """The inner cocycle's product, and the Birkhoff sum of the generators' log|det|."""
         (P,) = self.inner._extend(payload and payload[:1], u, w)
-        return P, self._log_det[u, w] if payload is None else payload[1] + self._log_det[u, w]
+        return P, self.inner._log_det[u, w] + (payload[1] if payload else 0.0)
 
     def _read(self, payload, n: int) -> np.ndarray:
         if self.t == 0.0:
@@ -235,13 +238,13 @@ class ScaledInverseNormPotential(SubadditivePotential):
     def to_additive(self):
         """-t log sigma_d of each generator, within the bound of CocyclePotential._reduces:
         for d = 1 with no zero entry (a zero takes the joint-word path), or when the inner
-        cocycle reduces.  2x2 reads log sigma_d = log|det| - log sigma_1 off the exact _log_det,
-        as _log_norms does on the walk."""
+        cocycle reduces.  2x2 reads log sigma_d = log|det| - log sigma_1 off the cocycle's
+        _log_det, as _log_norms does on the walk."""
         if not self.inner._reduces():
             return None
         top, bottom = self.inner._sigma
         if self.inner.dim == 2:
-            return AdditivePotential(self.t * (np.log(top) - self._log_det))
+            return AdditivePotential(self.t * (np.log(top) - self.inner._log_det))
         return AdditivePotential(-self.t * np.log(bottom))
 
 

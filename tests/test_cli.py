@@ -433,14 +433,40 @@ def test_unknown_config_key_names_its_path(tmp_path, edit, path):
 
 
 def test_out_and_verb_flags_take_their_value_as_given(tmp_path, monkeypatch, capsys):
-    """--out 2024 is the directory '2024', not the YAML integer 2024; --verb yes is 'yes'."""
+    """--out 2024 is the directory '2024', not the YAML integer 2024; --verb yes is 'yes'.  An
+    output_dir that YAML would read as null, a bool, a list or a mapping lands as the given
+    string too, and no run encodes a flag as YAML text."""
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, FIX_A_TREE)
+
+    def no_dump(*args, **kwargs):
+        raise AssertionError("yaml.safe_dump called during a run")
+
+    monkeypatch.setattr(yaml, "safe_dump", no_dump)
     assert cli.main([cfg, "--out", "2024"]) == 0
     report = json.loads((tmp_path / "2024" / "report.json").read_text())
     assert report["config"]["output"]["dir"] == "2024"
     assert cli.main([cfg, "--verb", "yes", "--out", "o"]) == 1
     assert "got 'yes'" in capsys.readouterr().err
+    for out in ("null", "~", "yes", "[1]", "a: b"):
+        assert cli.run(cfg, output_dir=out) == 0
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        assert report["config"]["output"]["dir"] == out
+
+
+def test_flag_values_take_the_set_path_walk_after_the_overrides(tmp_path):
+    """A (path, value) pair goes through --set's path walk, after the --set items, with the
+    same message for a path through a non-mapping; a later value wins."""
+    tree = {"run": {"seed": 1}}
+    apply_overrides(tree, ["output.dir=a", ("output.dir", "null"), ("run.verb", "[1]")])
+    assert tree == {"run": {"seed": 1, "verb": "[1]"}, "output": {"dir": "null"}}
+    apply_overrides(tree, [("output.dir", "b"), "output.dir=c"])
+    assert tree["output"] == {"dir": "c"}
+    with pytest.raises(ConfigError, match=r"^override path 'output.dir' does not address a "):
+        apply_overrides({"output": 5}, [("output.dir", "here")])
+    cfg = write_config(tmp_path, FIX_A_TREE | {"output": 5})
+    with pytest.raises(ConfigError, match=r"^override path 'output.dir' does not address a "):
+        load_experiment(cfg, [("output.dir", "here")])
 
 
 @pytest.mark.parametrize("edit,path", [

@@ -1,5 +1,8 @@
+import importlib
 import itertools
 import math
+import pathlib
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -15,8 +18,8 @@ from randpress import (
     sup_norm_f1,
 )
 from randpress.errors import SingularMatrix
-from randpress.potentials import (SubadditivePotential, _log_norms, _mat_norm, _row_payload,
-                                  _subadditivity_pairs)
+from randpress.potentials import (_SIMILAR_RTOL, SubadditivePotential, _log_norms, _mat_norm,
+                                  _row_payload, _subadditivity_pairs)
 
 from fixtures import (
     bernoulli_chain,
@@ -185,7 +188,7 @@ def test_2x2_generator_log_det_is_the_exactly_rounded_determinant():
         B[s, a] = scale * (np.outer(rng.normal(size=2), rng.normal(size=2))
                            + 10.0 ** rng.uniform(-15, -6) * rng.normal(size=(2, 2)))
     B[0, 0] = [[3.0, 6.0], [0.5, 1.0]]
-    log_det = ScaledInverseNormPotential(CocyclePotential(B), 1.0)._log_det
+    log_det = CocyclePotential(B)._log_det
     lu_worst = 0.0
     for s, a in np.ndindex(6, 8):
         with mpmath.workdps(60):
@@ -205,17 +208,16 @@ def test_log_det_keeps_lu_off_the_2x2_float_range_and_beyond_2x2():
     rng = np.random.default_rng(114)
     B = np.stack([np.diag([1e200, 1e200]), np.diag([1e-170, 1e-170]), rng.normal(size=(2, 2))])
     want = np.linalg.slogdet(B)[1]
-    got = ScaledInverseNormPotential(CocyclePotential(B[None]), 1.0)._log_det[0]
+    got = CocyclePotential(B[None])._log_det[0]
     assert got[:2].tolist() == want[:2].tolist()
     assert got[2] == pytest.approx(want[2], rel=1e-14)
     B[2, 0, 1] = np.inf
     with np.errstate(invalid="ignore"):
         want = np.linalg.slogdet(B)[1]
-        got = ScaledInverseNormPotential(CocyclePotential(B[None]), 1.0)._log_det[0]
+        got = CocyclePotential(B[None])._log_det[0]
     assert np.array_equal(got, want, equal_nan=True)
     C = random_cocycle(rng, 2, 3, dim=3)
-    assert np.array_equal(ScaledInverseNormPotential(C, 1.0)._log_det,
-                          np.linalg.slogdet(C.matrices)[1])
+    assert np.array_equal(C._log_det, np.linalg.slogdet(C.matrices)[1])
 
 
 def _raises_singular(f) -> bool:
@@ -447,9 +449,10 @@ def test_sup_norm_matches_per_word_eval():
         assert sup_norm_f1(pot, chain, bundle) == pytest.approx(expect, abs=1e-12)
 
 
-def test_inverse_norm_takes_the_generators_log_det_once_per_potential(monkeypatch):
-    """The generators' log|det| is taken once, when the potential is built; the payload then
-    reads it on every level, and a 2x2 read takes no determinant of its own."""
+def test_inverse_norm_takes_the_generators_log_det_once_per_cocycle(monkeypatch):
+    """The generators' log|det| is taken once, when the cocycle is built (one LU call on the
+    stack); inverse-norm potentials built on it, at any scale, take none, and their payload
+    reads it on every level, a 2x2 read taking no determinant of its own."""
     calls = []
     slogdet = np.linalg.slogdet
 
@@ -459,11 +462,97 @@ def test_inverse_norm_takes_the_generators_log_det_once_per_potential(monkeypatc
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
     rng = np.random.default_rng(59)
-    pot = ScaledInverseNormPotential(random_cocycle(rng, 2, 3), 0.5)
+    coc = random_cocycle(rng, 2, 3)
+    assert calls == [(2, 3, 2, 2)]
+    pots = [ScaledInverseNormPotential(coc, t) for t in (0.5, 1.0, 2.0)]
     assert calls == [(2, 3, 2, 2)]
     u, w = rng.integers(2, size=(40, 6)), rng.integers(3, size=(40, 6))
-    assert np.isfinite(pot.eval_batch(u, w, 6)).all()
+    for pot in pots:
+        assert np.isfinite(pot.eval_batch(u, w, 6)).all()
     assert calls == [(2, 3, 2, 2)]
+
+
+def _wide_2x2(rng, count: int) -> np.ndarray:
+    """count seeded 2x2 generators, as a (count, 1, 2, 2) stack, with entries from about 1e-300
+    to 1e300: a third at one scale 10^k per generator (k up to 160, so |det| spans the float
+    range and past it both ways), a third with a scale per entry, and a third near-cancelling
+    at one scale (d = c (b / a) rounded, so ad - bc is a rounding error; exactly 0 in every
+    tenth, where b / a is a power of 2)."""
+    k = count // 3
+    B = rng.uniform(1.0, 10.0, (count, 4)) * rng.choice([-1.0, 1.0], (count, 4))
+    B *= 10.0 ** np.where(np.arange(count)[:, None] // k == 1, rng.uniform(-300, 300, (count, 4)),
+                          rng.uniform(-160, 160, (count, 1)))
+    B[2 * k::10, 1] = B[2 * k::10, 0] * 2.0 ** rng.integers(-3, 4, len(B[2 * k::10]))
+    B[2 * k:, 3] = B[2 * k:, 2] * (B[2 * k:, 1] / B[2 * k:, 0])
+    return B.reshape(count, 1, 2, 2)
+
+
+def _fraction_dets(B: np.ndarray) -> tuple[list, np.ndarray]:
+    """Each 2x2 generator's exact |ad - bc| in Fractions, and log|det| by the rule the inverse-
+    norm potential followed before the cocycle owned it: the Fraction rounded once where it is 0
+    or in [2^-1022, 2^1023), else LU's slogdet."""
+    with np.errstate(all="ignore"):
+        log_det = np.linalg.slogdet(B)[1]
+    dets = []
+    for k, ((a, b), (c, d)) in enumerate(B.reshape(-1, 2, 2).tolist()):
+        dets.append(abs(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c)))
+        if dets[-1] == 0 or 2.0 ** -1022 <= dets[-1] < 2 ** 1023:
+            log_det.flat[k] = np.log(float(dets[-1])) if dets[-1] else -np.inf
+    return dets, log_det
+
+
+def test_2x2_log_det_and_sigma_d_read_one_exactly_rounded_determinant():
+    """On 20,000 seeded generators (entries from 1e-300 to 1e300, a third near-cancelling) the
+    cocycle's log|det| equals the Fraction rule bit for bit, LU's value off the range included,
+    and sigma_d is that determinant, rounded once (inf past the largest float), over sigma_1."""
+    B = _wide_2x2(np.random.default_rng(115), 20_000)
+    coc = CocyclePotential(B)
+    dets, log_det = _fraction_dets(B)
+    assert np.array_equal(coc._log_det, log_det)
+    rounded = []
+    for det in dets:
+        try:
+            rounded.append(float(det))
+        except OverflowError:
+            rounded.append(math.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.array_equal(coc._sigma[1], np.reshape(rounded, (-1, 1)) / coc._sigma[0])
+    normal = [d == 0 or 2.0 ** -1022 <= d < 2 ** 1023 for d in dets]
+    assert 0 < sum(normal) < len(normal) and any(d == 0 for d in dets)  # both rules are met
+
+
+def _float_rule_similar(B: np.ndarray, rtol: float) -> bool:
+    """The similarity test on the float |ad - bc| / sigma_1 it read before the cocycle formed
+    one exact determinant."""
+    with np.errstate(all="ignore"):
+        top = _mat_norm(B, "spectral")
+        bottom = np.abs(B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]) / top
+        return bool(((bottom > 0.0) & (bottom < np.inf) & (top <= (1.0 + rtol) * bottom)).all())
+
+
+def test_similarity_test_decides_as_the_float_determinant_did(monkeypatch):
+    """_similar at _SIMILAR_RTOL and at 1e-9 decides as the float ad - bc rule on the
+    cocycle-matrix and lemma-vp pool generators of seeds 1-6 and the same scaled by 6, on 2,000
+    seeded similarities r R(theta), and on those stretched by 1 + 1e-10."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    pool = [np.array(case.config["potential"]["matrices"])
+            for name in ("cocycle-matrix", "lemma-vp") for seed in range(1, 7)
+            for case in workloads.build(name, seed)]
+    rng = np.random.default_rng(116)
+    r, theta = 10.0 ** rng.uniform(-2, 2, 2000), rng.uniform(0.0, 2 * math.pi, 2000)
+    c, s = np.cos(theta), np.sin(theta)
+    rotations = (r * np.array([[c, -s], [s, c]])).transpose(2, 0, 1)[:, None, None]
+    stretched = rotations @ np.diag([1.0 + 1e-10, 1.0])
+    decided = {}
+    for name, sets in (("pool", pool + [6.0 * B for B in pool]), ("rotations", rotations),
+                       ("stretched", stretched)):
+        cocycles = [CocyclePotential(B) for B in sets]
+        for rtol in (_SIMILAR_RTOL, 1e-9):
+            decided[name, rtol] = [coc._similar(rtol) for coc in cocycles]
+            assert decided[name, rtol] == [_float_rule_similar(B, rtol) for B in sets]
+    assert all(decided["rotations", _SIMILAR_RTOL]) and all(decided["stretched", 1e-9])
+    assert not any(decided["stretched", _SIMILAR_RTOL])
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])

@@ -9,15 +9,26 @@ import pytest
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "report_digest.py"
 
 
-@pytest.fixture
-def digest(monkeypatch):
-    """The script as a module; the flag and path entry it sets on import are undone after."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    monkeypatch.setattr(sys, "path", list(sys.path))
+def _load():
+    """The script as a module."""
     spec = importlib.util.spec_from_file_location("report_digest", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def digest():
+    return _load()
+
+
+def test_import_leaves_the_interpreter_alone():
+    """Loading the script sets no bytecode flag, puts no perfbench/ entry on sys.path and
+    imports no workloads module; only building the cases does."""
+    flag, path = sys.dont_write_bytecode, list(sys.path)
+    module = _load()
+    assert (sys.dont_write_bytecode, sys.path) == (flag, path)
+    assert not hasattr(module, "workloads")
 
 
 def _row(leaves, code=0, stderr="", report="r"):
