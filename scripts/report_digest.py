@@ -55,8 +55,9 @@ records it.  The cases are:
   each config array, an unknown ``potential.norm``, a ``vp-check`` measure of
   the wrong shape, state and symbol names that are not distinct strings, a
   YAML ``true`` or ``null`` array entry, a measure's ``initial`` next to
-  ``auto: true``, and a budget below 1 in ``run.budget`` and in
-  ``RANDPRESS_BUDGET``.
+  ``auto: true``, and a budget below 1 in ``run.budget``; last, the product
+  config run with ``RANDPRESS_BUDGET=-5`` in the environment, a variable
+  randpress does not read, so the row matches the plain ``pressure`` run.
 
 Standard output is one JSON object ``{case: [exit code, sha256(report.json),
 sha256(curve.csv), stderr]}``; a file the case did not write hashes as null,
@@ -97,7 +98,7 @@ import numpy as np
 import yaml
 
 from randpress import cli
-from randpress.config import BUDGET_ENV, VERBS
+from randpress.config import VERBS
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = Path(".report-digest")
@@ -395,9 +396,9 @@ def error_cases(out: Path):
     yield f"{golden} --set {BAD_MEASURE_SHAPE}", _run(out, golden, [BAD_MEASURE_SHAPE])
     for override in BAD_INPUTS:
         yield f"{product} --set {override}", _run(out, product, [override])
-    with mock.patch.dict(os.environ, {BUDGET_ENV: "-5"}):
+    with mock.patch.dict(os.environ, {"RANDPRESS_BUDGET": "-5"}):
         row = _run(out, product)
-    yield f"{product} with {BUDGET_ENV}=-5", row
+    yield f"{product} with RANDPRESS_BUDGET=-5", row
 
 
 def main(argv=None) -> int:

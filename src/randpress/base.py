@@ -24,6 +24,12 @@ _CHOICE_SUM_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 _WALK_CELLS = 1 << 20  # (cdf entry, sample, column) tests _column_walk holds at once
 
 
+def _check_budget(symbols: int, length: int, kind: str, budget: int) -> None:
+    """The one budget check: BudgetExceeded if symbols^length words of a kind exceed budget."""
+    if symbols ** length > budget:
+        raise BudgetExceeded(f"{symbols}^{length} {kind} words exceed budget {budget}")
+
+
 def _freeze(obj, name: str, value, dtype=float) -> np.ndarray:
     """Store a read-only copy of value as field name of a frozen dataclass, and return it."""
     arr = np.array(value, dtype=dtype)
@@ -130,8 +136,7 @@ class BaseChain:
         """Prefix tree of the admissible words of lengths 1..length, after a budget check."""
         if length < 1:
             raise ValueError("word length must be >= 1")
-        if self.num_states ** length > budget:
-            raise BudgetExceeded(f"{self.num_states}^{length} base words exceed budget {budget}")
+        _check_budget(self.num_states, length, "base", budget)
         S, T = self.num_states, self.transition
         symbol, parent, prob = [np.arange(S)], [np.full(S, -1)], [self.stationary]
         for _ in range(1, length):

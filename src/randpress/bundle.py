@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import _freeze
-from .errors import BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,6 @@ _JOINT_ROWS = 1 << 16
 def _per_chunk(rows: int) -> int:
     """Items of `rows` joint rows each that fit in one chunk: _JOINT_ROWS // rows, at least 1."""
     return max(1, _JOINT_ROWS // rows)
-
-
-def fiber_budget(num_symbols: int, ell: int, budget: int) -> None:
-    """Raise BudgetExceeded when num_symbols^ell fiber words exceed the budget."""
-    if num_symbols ** ell > budget:
-        raise BudgetExceeded(f"{num_symbols}^{ell} fiber words exceed budget {budget}")
 
 
 def _word_columns(payload, u: np.ndarray, w: np.ndarray) -> tuple:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -17,8 +16,6 @@ from .potentials import _NORMS, AdditivePotential, CocyclePotential, ScaledInver
 
 VERBS = ("pressure", "vp-check", "lemmas", "dimension", "convergence", "diagnose")
 MODES = ("exact", "monte_carlo")
-
-BUDGET_ENV = "RANDPRESS_BUDGET"
 
 # Where libyaml is built in, its parser gives the same tree several times faster.
 _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -232,11 +229,6 @@ def _build_run(tree: dict) -> RunSettings:
     mode = tree.get("mode", "exact")
     if mode not in MODES:
         raise ConfigError(f"run.mode: must be one of {MODES}, got {mode!r}")
-    env_budget = os.environ.get(BUDGET_ENV)
-    try:
-        default_budget = DEFAULT_BUDGET if env_budget is None else _int(int(env_budget), BUDGET_ENV, 1)
-    except ValueError:
-        raise ConfigError(f"{BUDGET_ENV}: expected an integer >= 1, got {env_budget!r}") from None
     n_list = _int_list(tree, "n_list", [8])
     m_list = _int_list(tree, "m_list", [1])
     return RunSettings(
@@ -247,7 +239,7 @@ def _build_run(tree: dict) -> RunSettings:
         mode=mode,
         samples=_int(tree.get("samples", 0), "run.samples", 1 if mode == "monte_carlo" else 0),
         seed=_int(tree.get("seed", 0), "run.seed", 0),
-        budget=_int(tree.get("budget", default_budget), "run.budget", 1),
+        budget=_int(tree.get("budget", DEFAULT_BUDGET), "run.budget", 1),
         t_max=_finite(tree.get("t_max", 4.0), "run.t_max", positive=True),
         tol_t=_finite(tree.get("tol_t", 1e-8), "run.tol_t", positive=False),
         tol_p=_finite(tree.get("tol_p", 1e-9), "run.tol_p", positive=False),

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, _freeze, _stationary_law
-from .bundle import BundleSFT, _joint_walk, _payload_of, fiber_budget
+from .base import DEFAULT_BUDGET, BaseChain, _check_budget, _freeze, _stationary_law
+from .bundle import BundleSFT, _joint_walk, _payload_of
 from .errors import InvalidMeasure, ShapeMismatch
 from .potentials import SubadditivePotential, sup_norm_f1
 
@@ -109,7 +109,7 @@ def _weighted_words(meas: RandomMarkovMeasure, chain: BaseChain, extend, depths,
     value is read (a -inf value on an unreachable word never meets a zero weight).  Yields
     (depth index, weight, payload) arrays."""
     tree = chain.prefix_tree(depths[-1], budget)
-    fiber_budget(meas.transition.shape[1], depths[-1], budget)
+    _check_budget(meas.transition.shape[1], depths[-1], "fiber", budget)
     lead, T, Q = chain.stationary[:, None] * meas.initial, chain.transition, meas.transition
 
     def weighed(payload, u, w):  # the weight times T Q per level

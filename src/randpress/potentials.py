@@ -114,16 +114,16 @@ def _generator_numbers(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = 1 is |b| twice; d >= 3 takes one SVD.  2x2 takes _mat_norm's closed form, and sigma_d =
     |det| / sigma_1 (NaN for a zero matrix) with det = ad - bc formed from the entries' integer
     ratios and rounded once.  log|det| (-inf if singular) reads that det where it is 0 or in
-    [2^-1022, 2^1023), else LU's (slogdet), which loses cond(B) eps.  A non-finite entry makes
-    sigma_d NaN, which fails every similarity test, and every log|det| LU's.
+    [2^-1022, 2^1023), else LU's (slogdet, called only then), which loses cond(B) eps.  A
+    non-finite entry makes sigma_d NaN, which fails every similarity test, and every log|det| LU's.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_det = np.linalg.slogdet(B)[1]
-        if B.shape[-1] == 1:
-            return np.stack([np.abs(B[..., 0, 0])] * 2), log_det
-        if not np.isfinite(B).all():  # LAPACK's SVD fails on NaN, as_integer_ratio on inf too
-            return np.full((2, *B.shape[:2]), np.nan), log_det
-        if B.shape[-1] > 2:
+        if B.shape[-1] != 2 or not np.isfinite(B).all():
+            log_det = np.linalg.slogdet(B)[1]
+            if B.shape[-1] == 1:
+                return np.stack([np.abs(B[..., 0, 0])] * 2), log_det
+            if not np.isfinite(B).all():  # LAPACK's SVD fails on NaN, as_integer_ratio on inf too
+                return np.full((2, *B.shape[:2]), np.nan), log_det
             return np.moveaxis(np.linalg.svd(B, compute_uv=False)[..., [0, -1]], -1, 0), log_det
         dets, normal = [], []
         for entries in B.reshape(-1, 4).tolist():
@@ -136,7 +136,9 @@ def _generator_numbers(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             e = num.bit_length() - den.bit_length()  # 2^e <= |det| < 2^(e + 1)
             normal.append(num == 0 or abs(e) <= 1022)
         top, (det, normal) = _mat_norm(B, "spectral"), np.reshape([dets, normal], (2, *B.shape[:2]))
-        return np.stack([top, det / top]), np.where(normal, np.log(det), log_det)
+        log_det = np.log(det)
+        return np.stack([top, det / top]), (log_det if normal.all() else
+                                            np.where(normal, log_det, np.linalg.slogdet(B)[1]))
 
 
 @dataclass(frozen=True)

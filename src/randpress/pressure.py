@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _sample_paths
-from .bundle import BundleSFT, _joint_walk, _payload_of, _per_chunk, fiber_budget
+from .base import DEFAULT_BUDGET, BaseChain, PrefixTree, _check_budget, _sample_paths
+from .bundle import BundleSFT, _joint_walk, _payload_of, _per_chunk
 from .errors import EmptyFiber, InvalidSampleCount, InvariantViolation, SingularMatrix
 
 _MONO_TOL = 1e-9
@@ -237,7 +237,7 @@ def _level_weights(plan: _Plan, potential, depths, budget: int, reuse: bool = Fa
                 out.append(_carry(plan, d, out[-1], table))
             return out[1:]
         return weights
-    fiber_budget(A, len(plan.tree.symbol), budget)
+    _check_budget(A, len(plan.tree.symbol), "fiber", budget)
     chunks = _joint_values(plan.bundle, potential, plan.tree, depths)
     chunks = list(chunks) if reuse else chunks
 
@@ -450,7 +450,7 @@ def greedy_maximal_separated(
     ell = n + m_res - 1
     if n < 1 or base.shape[1] < ell:
         raise ValueError(f"need n >= 1 and a base word of length >= {ell}")
-    fiber_budget(bundle.num_symbols, ell, budget)
+    _check_budget(bundle.num_symbols, ell, "fiber", budget)
     [(*_, (rows, candidates))] = _joint_walk(bundle.allowed, _forest(base), [ell])  # one chunk
     values = potential.eval_batch(rows, candidates, n)
     best = _class_argmax(candidates[:, :n + m_sep - 1], values)  # in word order, as candidates
@@ -481,7 +481,7 @@ def check_power_lemma(
     if k < 1 or n < 1 or m < 1:
         raise ValueError("k, n, m must be >= 1")
     L = k * n + m - 1
-    fiber_budget(bundle.num_symbols, L, budget)  # before the S^L base words are built
+    _check_budget(bundle.num_symbols, L, "fiber", budget)  # before the S^L base words are built
     words = chain.prefix_tree(L, budget).words()
     if max_words is not None and len(words) > max_words:
         rng = np.random.default_rng(seed)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import DEFAULT_BUDGET, BaseChain
-from .bundle import BundleSFT, _joint_walk, fiber_budget
+from .base import DEFAULT_BUDGET, BaseChain, _check_budget
+from .bundle import BundleSFT, _joint_walk
 from .errors import InvariantViolation
 from .measures import (
     FStarBracket,
@@ -168,7 +168,7 @@ def empirical_measure_diagnostic(
     lag = np.zeros((S, A))
     hi = min(n, L - 1)  # shifted window end; needs position hi within the word
     tree = chain.prefix_tree(L, budget)
-    fiber_budget(bundle.num_symbols, L, budget)
+    _check_budget(bundle.num_symbols, L, "fiber", budget)
     for _, nodes, row, _, (u, fibers) in _joint_walk(bundle.allowed, tree, [L]):
         vals = potential.eval_batch(u, fibers, n)
         log_z = _segment_logsumexp(vals, row, nodes.stop - nodes.start)

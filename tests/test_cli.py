@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from randpress import cli, config, lyapunov_spread
+from randpress.base import DEFAULT_BUDGET
 from randpress.config import apply_overrides, load_experiment
 from randpress.errors import ConfigError, InvariantViolation
 
@@ -866,18 +867,14 @@ def test_a_measure_initial_next_to_auto_true_is_named(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("budget", [0, -5])
-def test_a_budget_below_one_is_named_by_its_source(tmp_path, monkeypatch, capsys, budget):
-    """run.budget and RANDPRESS_BUDGET below 1 fail at load, each naming itself, rather than as
-    a budget that no word count meets."""
+def test_a_budget_below_one_is_named_by_its_source(tmp_path, capsys, budget):
+    """run.budget below 1 fails at load, naming itself, rather than as a budget that no word
+    count meets."""
     cfg = write_config(tmp_path, FIX_A_TREE)
     with pytest.raises(ConfigError, match=f"^run.budget: expected an integer >= 1, got {budget}$"):
         load_experiment(cfg, [f"run.budget={budget}"])
     assert cli.run(cfg, overrides=[f"run.budget={budget}"], output_dir=str(tmp_path / "o")) == 1
     assert capsys.readouterr().err.startswith("error: run.budget: ")
-    monkeypatch.setenv(config.BUDGET_ENV, str(budget))
-    with pytest.raises(ConfigError,
-                       match=f"^RANDPRESS_BUDGET: expected an integer >= 1, got {budget}$"):
-        load_experiment(cfg)
     assert not (tmp_path / "o").exists()
 
 
@@ -945,15 +942,19 @@ def test_number_and_bool_keys_take_yaml_numbers_and_bools(tmp_path):
     assert exp.potential.t == 2.0 and exp.bundle.strict is True
 
 
-@pytest.mark.parametrize("value", ["2e6", "abc", ""])
-def test_budget_variable_must_be_an_integer(tmp_path, monkeypatch, value):
-    cfg = write_config(tmp_path, FIX_A_TREE)
-    monkeypatch.setenv(config.BUDGET_ENV, value)
-    with pytest.raises(ConfigError, match="^RANDPRESS_BUDGET: expected an integer"):
-        load_experiment(cfg)
-    monkeypatch.setenv(config.BUDGET_ENV, "5000")
-    assert load_experiment(cfg).run.budget == 5000
+@pytest.mark.parametrize("value", ["5", "abc", "-5"])
+def test_the_budget_is_read_from_the_config_alone(tmp_path, monkeypatch, value):
+    """The budget is run.budget or DEFAULT_BUDGET; RANDPRESS_BUDGET is not read, so the report
+    is byte for byte the one written with the variable unset."""
+    cfg, report = write_config(tmp_path, FIX_A_TREE), tmp_path / "o" / "report.json"
+    monkeypatch.delenv("RANDPRESS_BUDGET", raising=False)
+    assert cli.run(cfg, output_dir=str(tmp_path / "o")) == 0
+    unset = report.read_bytes()
+    monkeypatch.setenv("RANDPRESS_BUDGET", value)
+    assert load_experiment(cfg).run.budget == DEFAULT_BUDGET
     assert load_experiment(cfg, ["run.budget=7000"]).run.budget == 7000
+    assert cli.run(cfg, output_dir=str(tmp_path / "o")) == 0
+    assert report.read_bytes() == unset
 
 
 def test_dimension_rejects_an_invalid_measure_with_exit_one(tmp_path, capsys):

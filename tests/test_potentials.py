@@ -126,6 +126,16 @@ def test_scaled_inverse_rejects_negative_t():
         ScaledInverseNormPotential(random_cocycle(rng, 1, 2), -0.5)
 
 
+@pytest.mark.parametrize("matrices,norm_kind,message", [
+    (np.ones((2, 2, 2)), "spectral", "matrices must have shape (S, A, d, d)"),
+    (np.ones((1, 1, 2, 2)), "frobenius", "unknown norm kind 'frobenius'"),
+])
+def test_a_cocycle_names_a_bad_shape_or_norm(matrices, norm_kind, message):
+    with pytest.raises(ValueError) as exc:
+        CocyclePotential(matrices, norm_kind=norm_kind)
+    assert str(exc.value) == message
+
+
 def test_singular_product_raises():
     B = np.zeros((1, 2, 2, 2))
     B[0, 0] = np.array([[1.0, 0.0], [0.0, 0.0]])  # singular generator
@@ -450,8 +460,10 @@ def test_sup_norm_matches_per_word_eval():
 
 
 def test_inverse_norm_takes_the_generators_log_det_once_per_cocycle(monkeypatch):
-    """The generators' log|det| is taken once, when the cocycle is built (one LU call on the
-    stack); inverse-norm potentials built on it, at any scale, take none, and their payload
+    """The generators' log|det| is taken once, when the cocycle is built: a 2x2 stack whose
+    exact determinants are all 0 or normal floats takes no LU call, one with a determinant
+    past the float range takes one LU call on the stack, and so does a 3x3 stack.
+    Inverse-norm potentials built on a cocycle, at any scale, take none, and their payload
     reads it on every level, a 2x2 read taking no determinant of its own."""
     calls = []
     slogdet = np.linalg.slogdet
@@ -462,14 +474,17 @@ def test_inverse_norm_takes_the_generators_log_det_once_per_cocycle(monkeypatch)
 
     monkeypatch.setattr(np.linalg, "slogdet", counted)
     rng = np.random.default_rng(59)
+    CocyclePotential(np.diag([1e200, 1e200])[None, None] * [[[[1.0]]], [[[2.0]]]])
+    assert calls == [(2, 1, 2, 2)]
+    random_cocycle(rng, 2, 3, dim=3)
+    assert calls == [(2, 1, 2, 2), (2, 3, 3, 3)]
+    calls.clear()
     coc = random_cocycle(rng, 2, 3)
-    assert calls == [(2, 3, 2, 2)]
     pots = [ScaledInverseNormPotential(coc, t) for t in (0.5, 1.0, 2.0)]
-    assert calls == [(2, 3, 2, 2)]
     u, w = rng.integers(2, size=(40, 6)), rng.integers(3, size=(40, 6))
     for pot in pots:
         assert np.isfinite(pot.eval_batch(u, w, 6)).all()
-    assert calls == [(2, 3, 2, 2)]
+    assert calls == []
 
 
 def _wide_2x2(rng, count: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from randpress import (
 from randpress import bundle as bundle_mod
 from randpress import pressure
 from randpress.base import DEFAULT_BUDGET
-from randpress.errors import BudgetExceeded, InvalidSampleCount
+from randpress.errors import BudgetExceeded, InvalidSampleCount, InvariantViolation
 
 from fixtures import (
     E,
@@ -165,6 +165,18 @@ def test_pressure_curve_requires_increasing_lists():
     chain, bundle, pot = fix_a()
     with pytest.raises(ValueError):
         pressure_curve(chain, bundle, pot, [4, 2], [1])
+
+
+def test_pressure_curve_names_a_value_that_falls_in_m(monkeypatch):
+    """A value below the one at the previous m by more than 1e-9 is an InvariantViolation; here
+    each log partition sum is lowered by its depth, so every value falls by 1/n per step in m."""
+    chain, bundle, pot = fix_a()
+    tree_log_partition = pressure._tree_log_partition
+    monkeypatch.setattr(pressure, "_tree_log_partition",
+                        lambda plan, depth, state=None: tree_log_partition(plan, depth, state) - depth)
+    message = "pressure not near-monotone in m at n=2: value(m=2) < value(m=1) - 1e-09"
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        pressure_curve(chain, bundle, pot, [2, 4], [1, 2])
 
 
 def _grid_system(kind):

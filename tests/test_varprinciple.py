@@ -11,7 +11,7 @@ from randpress import (
     vp_gap,
 )
 from randpress.errors import InvalidMeasure, InvariantViolation
-from randpress.varprinciple import empirical_measure_diagnostic
+from randpress.varprinciple import _project_row, empirical_measure_diagnostic
 
 from fixtures import (
     E,
@@ -97,6 +97,18 @@ def test_optimizer_golden_mean_parry():
     assert abs(trace[-1] - math.log(GOLDEN)) <= 1e-3
     assert abs(meas.transition[0, 0, 0] - 1 / GOLDEN) <= 5e-2
     assert validate_measure(meas, chain, bundle).valid
+
+
+def test_optimizer_stops_after_a_sweep_that_gains_less_than_tol():
+    chain, bundle, pot = fix_a()
+    _, trace = optimize_measure(chain, bundle, pot, uniform_measure(), N=1, seed=0, tol=10.0)
+    _, one_sweep = optimize_measure(chain, bundle, pot, uniform_measure(), N=1, seed=0, iter_cap=1)
+    assert trace == one_sweep and len(trace) == 3
+
+
+def test_a_proposal_with_no_mass_on_the_support_becomes_uniform_there():
+    out = _project_row(np.array([-1.0, -2.0, 3.0]), np.array([True, True, False]))
+    assert out.tolist() == [0.5, 0.5, 0.0]
 
 
 def test_diagnostic_zero_potential_uniform():
